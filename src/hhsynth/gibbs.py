@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .checkpoints import CheckpointRecord, CheckpointWriter, hyper_meta
 from .data import Dataset, DatasetView, Schema, size_histogram
@@ -25,6 +24,7 @@ from .model import (
     _log,
     dirichlet_rows,
     household_kernel_logliks,
+    logsumexp,
     member_logliks,
     prior_draw,
     stick_break,
@@ -112,9 +112,9 @@ class Diagnostics:
                     i + 1,
                     self.occupied_hh[i],
                     self.occupied_mem[i],
-                    repr(self.hh_conc[i]),
-                    repr(self.mem_conc[i]),
-                ] + [repr(x) for x in self.hh_weights[i]]
+                    repr(float(self.hh_conc[i])),
+                    repr(float(self.mem_conc[i])),
+                ] + [repr(float(x)) for x in self.hh_weights[i]]
                 if self.strata is not None:
                     counts = self.n_infeasible[i]
                     row += [int(c) for c in counts] + [int(counts.sum())]

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .data import HOUSEHOLD, Dataset, HouseholdRecord, Schema
 
@@ -109,14 +108,12 @@ def combine(
     if b > 0.0:
         total = ubar + b / L
         df = (L - 1) * (1.0 + L * ubar / b) ** 2
-        crit = float(stats.t.ppf((1.0 + gamma) / 2.0, df))
     else:
         total = ubar
         df = float("inf")
-        crit = float(stats.norm.ppf((1.0 + gamma) / 2.0))
     if total <= 0.0:
         raise ValueError("all replicate estimates and within variances are zero")
-    half = crit * float(np.sqrt(total))
+    half = _critical_value(gamma, df) * float(np.sqrt(total))
     return CombinedEstimate(
         point=qbar,
         within_var=ubar,
@@ -131,8 +128,17 @@ def combine(
 
 def normal_interval(q: float, u: float, gamma: float = 0.95) -> tuple[float, float]:
     """Single-dataset normal interval around a proportion."""
-    half = float(stats.norm.ppf((1.0 + gamma) / 2.0)) * float(np.sqrt(max(u, 0.0)))
+    half = _critical_value(gamma, float("inf")) * float(np.sqrt(max(u, 0.0)))
     return q - half, q + half
+
+
+def _critical_value(gamma: float, df: float) -> float:
+    """Two-sided gamma quantile of Student's t with df degrees of freedom; normal at inf."""
+    # imported on first use, so that the commands that pool no intervals start without scipy
+    from scipy.special import ndtri, stdtrit
+
+    p = (1.0 + gamma) / 2.0
+    return float(ndtri(p) if df == float("inf") else stdtrit(df, p))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +322,12 @@ def write_report_csv(rows: list[ReportRow], path: str | Path) -> None:
             writer.writerow(
                 [
                     row.query,
-                    "" if row.truth is None else repr(row.truth),
-                    repr(row.q_orig),
-                    repr(row.lo_orig),
-                    repr(row.hi_orig),
-                    repr(row.q_syn),
-                    repr(row.lo_syn),
-                    repr(row.hi_syn),
+                    "" if row.truth is None else repr(float(row.truth)),
+                    repr(float(row.q_orig)),
+                    repr(float(row.lo_orig)),
+                    repr(float(row.hi_orig)),
+                    repr(float(row.q_syn)),
+                    repr(float(row.lo_syn)),
+                    repr(float(row.hi_syn)),
                 ]
             )

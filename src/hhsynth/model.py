@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constraints import RuleSet, check_batch, iter_cell_chunks
 from .data import DatasetView, HouseholdRecord, Schema
@@ -24,6 +23,29 @@ LOG_FLOOR = 1e-300
 
 def _log(x: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(x, LOG_FLOOR))
+
+
+def logsumexp(a: np.ndarray, axis: int | tuple[int, ...] | None = None) -> np.ndarray:
+    """log(sum(exp(a))) over axis, bit for bit what scipy.special.logsumexp gives.
+
+    The maxima are shifted out and counted (m of them), the rest summed as
+    s = sum(exp(a - max)) / m, and the result is log1p(s) + log(m) + max.  A
+    result that is not finite (rows holding inf or nan, or all -inf) falls
+    back to log(sum(exp(a))), computed only on those rows.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a_max = np.max(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            exp_a = np.exp(a, where=np.broadcast_to(bad, a.shape), out=np.zeros_like(a))
+            out[bad] = np.log(np.sum(exp_a, axis=axis, keepdims=True))[bad]
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def stick_break(sticks: np.ndarray) -> np.ndarray:

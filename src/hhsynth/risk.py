@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constraints import RuleSet, check_batch
 from .data import Dataset, DatasetView, Schema
-from .model import Params, class_posterior_logweights, dataset_loglik
+from .model import Params, class_posterior_logweights, dataset_loglik, logsumexp
 
 
 @dataclass
@@ -79,8 +78,8 @@ class RiskSummary:
                         row.target_id,
                         row.n_candidates,
                         row.rank_of_truth,
-                        repr(row.rho_truth),
-                        repr(row.rho_max),
+                        repr(float(row.rho_truth)),
+                        repr(float(row.rho_max)),
                     ]
                 )
 

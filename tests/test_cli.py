@@ -4,11 +4,18 @@ Everything runs in-process through main(), against self-contained config,
 schema, and rule files written into the test's temporary directory.
 """
 
+import csv
 import json
+import math
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import hhsynth
 from hhsynth.cli import UsageError, _build_query, load_config, main
 from hhsynth.data import load_schema
 
@@ -264,11 +271,59 @@ def test_pipeline_risk_outputs(pipeline):
     assert total == len(lines) - 1
 
 
+def assert_cells_are_finite_floats(path):
+    with path.open(newline="", encoding="utf8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows
+    for row in rows:
+        assert len(row) == len(header)
+        for name, cell in zip(header, row):
+            assert math.isfinite(float(cell)), (name, cell)
+
+
 def test_pipeline_diagnostics_truncated_columns(pipeline):
     _, out = pipeline
     header = (out / "diagnostics.csv").read_text().splitlines()[0]
     assert "n_infeasible_size2" in header
     assert header.endswith("n_infeasible_total")
+    assert_cells_are_finite_floats(out / "diagnostics.csv")
+
+
+def test_untruncated_diagnostics_cells_parse(tmp_path):
+    config = write_workspace(tmp_path, CONFIG_YAML.replace("rules: rules.txt\n", ""))
+    out = tmp_path / "out"
+    for command in ("simulate", "fit"):
+        assert run(command, config, out) == 0, command
+    path = out / "diagnostics.csv"
+    assert "n_infeasible_total" not in path.read_text().splitlines()[0]
+    assert_cells_are_finite_floats(path)
+
+
+def fresh_python(*args):
+    """Run a new interpreter that imports this hhsynth; return its stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hhsynth.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout, proc.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    stdout, _ = fresh_python(
+        "-c",
+        "import sys, hhsynth.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    )
+    assert stdout.strip() == "[]"
+
+
+def test_cli_help_loads_no_scipy():
+    # -X importtime lists every module the process imports on stderr
+    stdout, stderr = fresh_python("-X", "importtime", "-m", "hhsynth.cli", "--help")
+    assert "simulate" in stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()]
+    assert "hhsynth.gibbs" in imported
+    assert [m for m in imported if m == "scipy" or m.startswith("scipy.")] == []
 
 
 def test_pipeline_repeat_is_bitwise_identical(pipeline, tmp_path):

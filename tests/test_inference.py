@@ -53,6 +53,30 @@ def test_combine_zero_between_uses_normal():
     assert est.hi == pytest.approx(0.5 + half)
 
 
+@pytest.mark.parametrize("gamma", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("target_df", [1.3, 2.0, 7.5, 1e3, 1e8])
+def test_combine_t_quantile_bitwise_matches_stats(target_df, gamma):
+    # two replicates at -d, d: b = 2d^2, and df = (1 + 2 ubar / b)^2 hits target_df
+    b = 0.5
+    ubar = b * (np.sqrt(target_df) - 1.0) / 2.0
+    est = combine([-0.5, 0.5], [ubar, ubar], gamma=gamma)
+    assert est.point == 0.0
+    assert est.df == pytest.approx(target_df, rel=1e-9)
+    crit = float(stats.t.ppf((1.0 + gamma) / 2.0, est.df))
+    half = crit * float(np.sqrt(est.total_var))
+    assert (est.lo, est.hi) == (-half, half)
+
+
+@pytest.mark.parametrize("gamma", [0.9, 0.95, 0.99])
+def test_normal_quantiles_bitwise_match_stats(gamma):
+    crit = float(stats.norm.ppf((1.0 + gamma) / 2.0))
+    # zero between variance with unit total variance: the interval is (-crit, crit)
+    est = combine([0.0, 0.0], [1.0, 1.0], gamma=gamma)
+    assert est.df == float("inf")
+    assert (est.lo, est.hi) == (-crit, crit)
+    assert normal_interval(0.0, 1.0, gamma=gamma) == (-crit, crit)
+
+
 def test_combine_errors():
     with pytest.raises(ValueError, match="at least two"):
         combine([0.5], [0.01])

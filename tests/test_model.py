@@ -20,6 +20,7 @@ from hhsynth.model import (
     household_likelihood,
     household_logliks,
     infeasible_mass,
+    logsumexp,
     pair_probability,
     prior_draw,
     rows_categorical,
@@ -173,6 +174,48 @@ def test_dataset_loglik_is_sum_of_households(toy_params, toy_dataset):
         household_likelihood(r, toy_params) for r in toy_dataset.records
     ]
     np.testing.assert_allclose(per, single, rtol=1e-10)
+
+
+def _logsumexp_cases():
+    """Arrays of 1 to 3 dimensions: plain, with ties, with -inf entries, and
+    with all -inf rows, plus a transposed (non-contiguous) one."""
+    rng = substream(7, "logsumexp-oracle")
+    cases = []
+    for shape in [(5,), (1,), (4, 6), (1, 3), (3, 4, 5), (12, 6, 20)]:
+        plain = rng.normal(scale=30.0, size=shape)
+        ties = np.round(rng.normal(scale=2.0, size=shape))
+        holes = plain.copy()
+        holes[rng.random(shape) < 0.3] = -np.inf
+        dead = holes.copy()
+        dead[(0,) * (len(shape) - 1)] = -np.inf  # one all -inf line along the last axis
+        cases += [plain, ties, holes, dead, np.full(shape, -np.inf)]
+    cases.append(rng.normal(size=(6, 4, 3)).transpose(2, 0, 1))
+    return cases
+
+
+@pytest.mark.parametrize("a", _logsumexp_cases(), ids=lambda a: "x".join(map(str, a.shape)))
+def test_logsumexp_bitwise_matches_scipy(a):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    axes = [None, *range(a.ndim), *range(-a.ndim, 0)]
+    if a.ndim == 3:
+        axes += [(0, 2), (1, 2)]
+    for axis in axes:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.asarray(scipy_logsumexp(a, axis=axis))
+        got = np.asarray(logsumexp(a, axis=axis))
+        assert got.shape == expected.shape, axis
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), axis
+
+
+def test_logsumexp_scalar_result_and_special_rows():
+    assert isinstance(logsumexp(np.array([1.0, 2.0])), np.float64)
+    assert logsumexp(3.0) == 3.0
+    assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
+    assert logsumexp(np.array([0.0, np.inf])) == np.inf
+    assert np.isnan(logsumexp(np.array([0.0, np.nan])))
+    # equal maxima are counted, not summed through exp: log(3) + 5 exactly
+    assert logsumexp(np.array([5.0, 5.0, 5.0])) == np.log1p(0.0) + np.log(3.0) + 5.0
 
 
 def test_total_probability_over_composition_space(toy_schema, toy_params):
