@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import HOUSEHOLD, HouseholdRecord, Schema, SchemaError
+from .data import HOUSEHOLD, Schema, SchemaError
 
 
 class RuleError(ValueError):
@@ -244,13 +244,6 @@ def check_batch(rules: RuleSet, hh_codes: np.ndarray, mem_codes: np.ndarray) -> 
         else:  # pragma: no cover
             raise TypeError(f"unknown rule type {type(rule).__name__}")
     return ok
-
-
-def check_household(rules: RuleSet, record: HouseholdRecord) -> bool:
-    """Feasibility of a single household record."""
-    hh = np.asarray(record.hh_values, dtype=np.int64)[None, :]
-    mem = np.asarray(record.members, dtype=np.int64)[None, :, :]
-    return bool(check_batch(rules, hh, mem)[0])
 
 
 def _cell_dims(schema: Schema, h: int, fix_size: bool) -> list[int]:

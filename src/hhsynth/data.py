@@ -9,7 +9,8 @@ the number of members, so a household with size code h has exactly h rows.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -164,11 +165,11 @@ def load_schema(path: str | Path) -> Schema:
 
 @dataclass(frozen=True)
 class HouseholdRecord:
-    """One household: id, household-level codes, and per-member codes.
+    """One household written out as literals: id, household codes, member codes.
 
     All codes are 0-based.  members[j] lists the j-th member's individual
-    variable codes in schema order; the member count always equals the size
-    variable's code plus one.
+    variable codes in schema order.  A Dataset accepts records as input and
+    keeps only their arrays.
     """
 
     household_id: str
@@ -180,58 +181,87 @@ class HouseholdRecord:
         return len(self.members)
 
 
-@dataclass
 class Dataset:
-    """A schema plus an ordered list of household records."""
+    """A schema, the household ids, and the household arrays as one DatasetView.
 
-    schema: Schema
-    records: list[HouseholdRecord] = field(default_factory=list)
+    Build one from arrays, ``Dataset(schema, view=..., ids=...)``, or from
+    HouseholdRecord literals, ``Dataset(schema, records)``; records become
+    arrays once and are not kept.  Without ids, households are named h000001,
+    h000002, ... in order.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        records: Iterable[HouseholdRecord] = (),
+        *,
+        view: DatasetView | None = None,
+        ids: Sequence[str] | None = None,
+    ):
+        if view is None:
+            records = tuple(records)
+            q, p = len(schema.household_vars), len(schema.individual_vars)
+            view = DatasetView.from_arrays(
+                np.array([r.hh_values for r in records], dtype=np.int64).reshape(len(records), q),
+                np.array([m for r in records for m in r.members], dtype=np.int64).reshape(-1, p),
+                [r.size for r in records],
+            )
+            ids = [r.household_id for r in records]
+        elif ids is None:
+            ids = [f"h{i + 1:06d}" for i in range(view.n_households)]
+        self.schema = schema
+        self.ids = tuple(ids)
+        self._view = view
 
     @property
     def n_households(self) -> int:
-        return len(self.records)
+        return self._view.n_households
 
     @property
     def n_individuals(self) -> int:
-        return sum(r.size for r in self.records)
+        return int(self._view.sizes.sum())
 
     def validate(self) -> None:
-        """Check every record against the schema; raises SchemaError."""
-        q = len(self.schema.household_vars)
-        p = len(self.schema.individual_vars)
-        size_idx = self.schema.size_index
-        seen_ids = set()
-        for rec in self.records:
-            if rec.household_id in seen_ids:
-                raise SchemaError(f"duplicate household id {rec.household_id!r}")
-            seen_ids.add(rec.household_id)
-            if len(rec.hh_values) != q:
-                raise SchemaError(f"household {rec.household_id!r}: expected {q} household codes")
-            if not rec.members:
-                raise SchemaError(f"household {rec.household_id!r}: no members")
-            if rec.hh_values[size_idx] + 1 != rec.size:
-                raise SchemaError(
-                    f"household {rec.household_id!r}: size code "
-                    f"{rec.hh_values[size_idx] + 1} but {rec.size} members"
-                )
-            for k, v in enumerate(self.schema.household_vars):
-                if not 0 <= rec.hh_values[k] < v.cardinality:
+        """Check the arrays against the schema; raises SchemaError naming a household."""
+        schema, view, ids = self.schema, self._view, self.ids
+        seen = set()
+        for hid in ids:
+            if hid in seen:
+                raise SchemaError(f"duplicate household id {hid!r}")
+            seen.add(hid)
+        q = len(schema.household_vars)
+        p = len(schema.individual_vars)
+        if view.hh_codes.shape != (len(ids), q) or view.mem_codes.shape != (self.n_individuals, p):
+            raise SchemaError(f"expected {q} household codes and {p} codes per member")
+        i = _first(view.sizes < 1)
+        if i is not None:
+            raise SchemaError(f"household {ids[i]!r}: no members")
+        size_codes = view.hh_codes[:, schema.size_index] + 1
+        i = _first(size_codes != view.sizes)
+        if i is not None:
+            raise SchemaError(
+                f"household {ids[i]!r}: size code {size_codes[i]} but {view.sizes[i]} members"
+            )
+        levels = (
+            (view.hh_codes, np.arange(len(ids)), schema.household_vars),
+            (view.mem_codes, view.mem_hh, schema.individual_vars),
+        )
+        for codes, household_of_row, variables in levels:
+            for k, v in enumerate(variables):
+                i = _first((codes[:, k] < 0) | (codes[:, k] >= v.cardinality))
+                if i is not None:
                     raise SchemaError(
-                        f"household {rec.household_id!r}: {v.name} code out of range"
+                        f"household {ids[household_of_row[i]]!r}: {v.name} code out of range"
                     )
-            for member in rec.members:
-                if len(member) != p:
-                    raise SchemaError(
-                        f"household {rec.household_id!r}: expected {p} member codes"
-                    )
-                for k, v in enumerate(self.schema.individual_vars):
-                    if not 0 <= member[k] < v.cardinality:
-                        raise SchemaError(
-                            f"household {rec.household_id!r}: {v.name} code out of range"
-                        )
 
     def to_view(self) -> DatasetView:
         return DatasetView.from_dataset(self)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True entry, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -258,27 +288,8 @@ class DatasetView:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> DatasetView:
-        n = dataset.n_households
-        q = len(dataset.schema.household_vars)
-        p = len(dataset.schema.individual_vars)
-        hh_codes = np.zeros((n, q), dtype=np.int64)
-        sizes = np.zeros(n, dtype=np.int64)
-        mem_rows = []
-        mem_hh = []
-        for i, rec in enumerate(dataset.records):
-            hh_codes[i] = rec.hh_values
-            sizes[i] = rec.size
-            mem_rows.extend(rec.members)
-            mem_hh.extend([i] * rec.size)
-        mem_codes = np.asarray(mem_rows, dtype=np.int64).reshape(len(mem_rows), p)
-        hh_start = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-        return cls(
-            hh_codes=hh_codes,
-            mem_codes=mem_codes,
-            mem_hh=np.asarray(mem_hh, dtype=np.int64),
-            hh_start=hh_start,
-            sizes=sizes,
-        )
+        """The arrays a Dataset holds; they were built once, when it was made."""
+        return dataset._view
 
     @classmethod
     def from_arrays(
@@ -286,46 +297,23 @@ class DatasetView:
     ) -> DatasetView:
         """Build a view from raw arrays (member rows already household-ordered)."""
         sizes = np.asarray(sizes, dtype=np.int64)
-        mem_hh = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        hh_start = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
         return cls(
             hh_codes=np.asarray(hh_codes, dtype=np.int64),
             mem_codes=np.asarray(mem_codes, dtype=np.int64),
-            mem_hh=mem_hh,
-            hh_start=hh_start,
+            mem_hh=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+            hh_start=np.cumsum(sizes) - sizes,
             sizes=sizes,
         )
 
 
-def view_to_dataset(
-    schema: Schema,
-    hh_codes: np.ndarray,
-    mem_codes: np.ndarray,
-    sizes: np.ndarray,
-    ids: list[str] | None = None,
-) -> Dataset:
-    """Assemble a Dataset from flat arrays (inverse of DatasetView)."""
-    records = []
-    offset = 0
-    for i, h in enumerate(np.asarray(sizes, dtype=int)):
-        members = tuple(tuple(int(c) for c in row) for row in mem_codes[offset : offset + h])
-        records.append(
-            HouseholdRecord(
-                household_id=ids[i] if ids is not None else f"h{i + 1:06d}",
-                hh_values=tuple(int(c) for c in hh_codes[i]),
-                members=members,
-            )
-        )
-        offset += h
-    return Dataset(schema=schema, records=tuple(records))
-
-
 def load_dataset(path: str | Path, schema: Schema) -> Dataset:
-    """Read a person-level CSV into household records.
+    """Read a person-level CSV into a Dataset.
 
     Expected columns: household_id, person_index, then one column per
     household variable and one per individual variable, in schema order.
     Codes are 1-based integers; any missing or malformed cell is an error.
+    Households keep their order of first appearance; members are ordered by
+    person_index, which must run 1..n within each household.
     """
     path = Path(path)
     hh_names = [v.name for v in schema.household_vars]
@@ -341,63 +329,74 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
             raise SchemaError(
                 f"{path}: header {header} does not match expected columns {expected}"
             )
-        col = {name: header.index(name) for name in expected}
-        rows_by_hh: dict[str, dict] = {}
-        order: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{lineno}: expected {len(header)} cells")
-            if any(cell.strip() == "" for cell in row):
-                raise SchemaError(f"{path}:{lineno}: missing value")
-            hid = row[col[_ID_COLUMN]]
-            try:
-                person = int(row[col[_PERSON_COLUMN]])
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno}: person_index must be an integer") from None
+        rows = list(reader)
+    col = {name: header.index(name) for name in expected}
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise SchemaError(f"{path}:{lineno}: expected {len(header)} cells")
+        if not all(map(str.strip, row)):
+            raise SchemaError(f"{path}:{lineno}: missing value")
 
-            def code(vspec: VariableSpec) -> int:
-                cell = row[col[vspec.name]]
+    def integers(name: str, message: str) -> list[int]:
+        cells = [row[col[name]] for row in rows]
+        try:
+            return list(map(int, cells))
+        except ValueError:
+            for lineno, cell in enumerate(cells, start=2):
                 try:
-                    value = int(cell)
+                    int(cell)
                 except ValueError:
-                    raise SchemaError(
-                        f"{path}:{lineno}: {vspec.name} code {cell!r} is not an integer"
-                    ) from None
-                if not 1 <= value <= vspec.cardinality:
-                    raise SchemaError(
-                        f"{path}:{lineno}: {vspec.name} code {value} outside "
-                        f"1..{vspec.cardinality}"
-                    )
-                return value - 1
+                    raise SchemaError(f"{path}:{lineno}: " + message.format(cell)) from None
+            raise
 
-            hh_values = tuple(code(v) for v in schema.household_vars)
-            member = tuple(code(v) for v in schema.individual_vars)
-            if hid not in rows_by_hh:
-                rows_by_hh[hid] = {"hh": hh_values, "members": {}}
-                order.append(hid)
-            entry = rows_by_hh[hid]
-            if entry["hh"] != hh_values:
-                raise SchemaError(
-                    f"{path}:{lineno}: household {hid!r} has inconsistent household codes"
-                )
-            if person in entry["members"]:
-                raise SchemaError(f"{path}:{lineno}: duplicate person_index {person} in {hid!r}")
-            entry["members"][person] = member
-
-    records = []
-    for hid in order:
-        entry = rows_by_hh[hid]
-        people = entry["members"]
-        if sorted(people) != list(range(1, len(people) + 1)):
-            raise SchemaError(f"{path}: household {hid!r}: person_index must run 1..n")
-        records.append(
-            HouseholdRecord(
-                household_id=hid,
-                hh_values=entry["hh"],
-                members=tuple(people[j] for j in sorted(people)),
+    def codes(v: VariableSpec) -> np.ndarray:
+        values = integers(v.name, f"{v.name} code {{!r}} is not an integer")
+        if not 1 <= min(values, default=1) <= max(values, default=1) <= v.cardinality:
+            lineno, value = next(
+                (i, x) for i, x in enumerate(values, start=2) if not 1 <= x <= v.cardinality
             )
+            raise SchemaError(
+                f"{path}:{lineno}: {v.name} code {value} outside 1..{v.cardinality}"
+            )
+        return np.array(values, dtype=np.int64) - 1
+
+    person = integers(_PERSON_COLUMN, "person_index must be an integer")
+    hh_rows = np.column_stack([codes(v) for v in schema.household_vars])
+    mem_rows = np.column_stack([codes(v) for v in schema.individual_vars])
+
+    # households in order of first appearance
+    index: dict[str, int] = {}
+    hh_of_row = np.array(
+        [index.setdefault(row[col[_ID_COLUMN]], len(index)) for row in rows], dtype=np.int64
+    )
+    ids = list(index)
+    first_row = np.unique(hh_of_row, return_index=True)[1]
+    i = _first((hh_rows != hh_rows[first_row][hh_of_row]).any(axis=1))
+    if i is not None:
+        raise SchemaError(
+            f"{path}:{i + 2}: household {ids[hh_of_row[i]]!r} has inconsistent household codes"
         )
-    dataset = Dataset(schema=schema, records=tuple(records))
+    i = next((i for i, x in enumerate(person) if not 1 <= x <= len(rows)), None)
+    if i is not None:  # no household of len(rows) members or fewer can hold this index
+        raise SchemaError(f"{path}: household {ids[hh_of_row[i]]!r}: person_index must run 1..n")
+    person = np.array(person, dtype=np.int64)
+    # members grouped by household, each household's in person_index order
+    order = np.lexsort((person, hh_of_row))
+    hh_sorted, person_sorted = hh_of_row[order], person[order]
+    repeated = (hh_sorted[1:] == hh_sorted[:-1]) & (person_sorted[1:] == person_sorted[:-1])
+    if repeated.any():
+        i = int(order[1:][repeated].min())
+        raise SchemaError(
+            f"{path}:{i + 2}: duplicate person_index {person[i]} in {ids[hh_of_row[i]]!r}"
+        )
+    sizes = np.bincount(hh_of_row, minlength=len(ids))
+    i = _first(person_sorted != np.arange(len(rows)) - (np.cumsum(sizes) - sizes)[hh_sorted] + 1)
+    if i is not None:
+        raise SchemaError(
+            f"{path}: household {ids[hh_sorted[i]]!r}: person_index must run 1..n"
+        )
+    view = DatasetView.from_arrays(hh_rows[first_row], mem_rows[order], sizes)
+    dataset = Dataset(schema, view=view, ids=ids)
     dataset.validate()
     return dataset
 
@@ -405,20 +404,24 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the person-level CSV form (1-based codes, one row per member)."""
     path = Path(path)
+    view = dataset.to_view()
     hh_names = [v.name for v in dataset.schema.household_vars]
     ind_names = [v.name for v in dataset.schema.individual_vars]
+    person = np.arange(view.n_individuals) - view.hh_start[view.mem_hh] + 1
+    hh_part = (view.hh_codes + 1).tolist()
+    ids = dataset.ids
     with path.open("w", newline="", encoding="utf8") as fh:
         writer = csv.writer(fh)
         writer.writerow([_ID_COLUMN, _PERSON_COLUMN] + hh_names + ind_names)
-        for rec in dataset.records:
-            hh_part = [c + 1 for c in rec.hh_values]
-            for j, member in enumerate(rec.members, start=1):
-                writer.writerow([rec.household_id, j] + hh_part + [c + 1 for c in member])
+        writer.writerows(
+            [ids[i], j] + hh_part[i] + member
+            for i, j, member in zip(
+                view.mem_hh.tolist(), person.tolist(), (view.mem_codes + 1).tolist()
+            )
+        )
 
 
 def size_histogram(dataset: Dataset) -> dict[int, int]:
     """Households per size, as {size: count} over observed sizes only."""
-    counts: dict[int, int] = {}
-    for rec in dataset.records:
-        counts[rec.size] = counts.get(rec.size, 0) + 1
-    return dict(sorted(counts.items()))
+    counts = np.bincount(dataset.to_view().sizes)
+    return {h: c for h, c in enumerate(counts.tolist()) if c}

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .data import HOUSEHOLD, Dataset, HouseholdRecord, Schema
+from .data import HOUSEHOLD, Dataset, Schema
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,13 @@ class CellQuery:
 
 @dataclass(frozen=True)
 class HouseholdQuery:
-    """A named household-level predicate, optionally size-restricted."""
+    """A named household-level predicate, optionally size-restricted.
+
+    The predicate maps a Dataset to an (n_households,) boolean mask.
+    """
 
     name: str
-    predicate: Callable[[HouseholdRecord], bool]
+    predicate: Callable[[Dataset], np.ndarray]
     size: int | None = None
 
 
@@ -58,33 +62,43 @@ class CombinedEstimate:
 def estimate_proportion(dataset: Dataset, query: CellQuery | HouseholdQuery) -> tuple[float, float]:
     """Return (proportion, binomial within variance) for one query."""
     if isinstance(query, HouseholdQuery):
-        pool = [
-            r for r in dataset.records if query.size is None or r.size == query.size
-        ]
-        if not pool:
+        sizes = dataset.to_view().sizes
+        pool = np.ones(len(sizes), dtype=bool) if query.size is None else sizes == query.size
+        n_pool = int(np.count_nonzero(pool))
+        if not n_pool:
             raise ValueError(f"query {query.name!r}: no households after size restriction")
-        q = sum(1 for r in pool if query.predicate(r)) / len(pool)
-        return q, q * (1.0 - q) / len(pool)
+        return _proportion(np.count_nonzero(query.predicate(dataset) & pool), n_pool)
+    counts, denom = _cell_counts(dataset, query.variables)
+    return _proportion(counts[query.codes], denom)
 
-    schema = dataset.schema
-    levels = [schema.index_of(name) for name in query.variables]
-    household_only = all(level == HOUSEHOLD for level, _ in levels)
-    view = dataset.to_view()
-    if household_only:
-        mask = np.ones(view.n_households, dtype=bool)
-        for (level, idx), code in zip(levels, query.codes):
-            mask &= view.hh_codes[:, idx] == code
-        denom = view.n_households
-    else:
-        mask = np.ones(view.n_individuals, dtype=bool)
-        for (level, idx), code in zip(levels, query.codes):
-            if level == HOUSEHOLD:
-                mask &= view.hh_codes[view.mem_hh, idx] == code
-            else:
-                mask &= view.mem_codes[:, idx] == code
-        denom = view.n_individuals
-    q = float(mask.sum()) / denom
+
+def _proportion(count: int, denom: int) -> tuple[float, float]:
+    q = float(count) / denom
     return q, q * (1.0 - q) / denom
+
+
+def _cell_counts(dataset: Dataset, variables: tuple[str, ...]) -> tuple[np.ndarray, int]:
+    """Count every cell of the variables' joint table in one pass.
+
+    Returns the counts, shaped by the variables' cardinalities, and the
+    denominator: households when every variable is household level,
+    otherwise individuals, with household values attached to each member.
+    """
+    schema = dataset.schema
+    view = dataset.to_view()
+    levels = [schema.index_of(name) for name in variables]
+    household_only = all(level == HOUSEHOLD for level, _ in levels)
+    columns = []
+    for level, idx in levels:
+        if level != HOUSEHOLD:
+            columns.append(view.mem_codes[:, idx])
+        elif household_only:
+            columns.append(view.hh_codes[:, idx])
+        else:
+            columns.append(view.hh_codes[view.mem_hh, idx])
+    dims = tuple(schema.variable(name).cardinality for name in variables)
+    counts = np.bincount(np.ravel_multi_index(columns, dims), minlength=math.prod(dims))
+    return counts.reshape(dims), view.n_households if household_only else view.n_individuals
 
 
 def combine(
@@ -145,15 +159,29 @@ def _critical_value(gamma: float, df: float) -> float:
 # household predicate vocabulary
 
 
-def all_members_equal(schema: Schema, variable: str) -> Callable[[HouseholdRecord], bool]:
-    _, idx = _individual_index(schema, variable)
-    return lambda r: len({m[idx] for m in r.members}) == 1
+def all_members_equal(schema: Schema, variable: str) -> Callable[[Dataset], np.ndarray]:
+    idx = _individual_index(schema, variable)
+
+    def pred(dataset: Dataset) -> np.ndarray:
+        view = dataset.to_view()
+        codes = view.mem_codes[:, idx]
+        return np.logical_and.reduceat(codes == codes[view.hh_start][view.mem_hh], view.hh_start)
+
+    return pred
 
 
-def exists_member(schema: Schema, **codes: int) -> Callable[[HouseholdRecord], bool]:
+def exists_member(schema: Schema, **codes: int) -> Callable[[Dataset], np.ndarray]:
     """A member carrying every given variable=code (0-based) at once."""
-    idx_codes = [(_individual_index(schema, name)[1], code) for name, code in codes.items()]
-    return lambda r: any(all(m[i] == c for i, c in idx_codes) for m in r.members)
+    idx_codes = [(_individual_index(schema, name), code) for name, code in codes.items()]
+
+    def pred(dataset: Dataset) -> np.ndarray:
+        view = dataset.to_view()
+        match = np.ones(view.n_individuals, dtype=bool)
+        for idx, code in idx_codes:
+            match &= view.mem_codes[:, idx] == code
+        return np.logical_or.reduceat(match, view.hh_start)
+
+    return pred
 
 
 def member_count(
@@ -162,40 +190,33 @@ def member_count(
     code: int,
     min_count: int = 0,
     max_count: int | None = None,
-) -> Callable[[HouseholdRecord], bool]:
-    _, idx = _individual_index(schema, variable)
+) -> Callable[[Dataset], np.ndarray]:
+    idx = _individual_index(schema, variable)
 
-    def pred(r: HouseholdRecord) -> bool:
-        count = sum(1 for m in r.members if m[idx] == code)
-        return count >= min_count and (max_count is None or count <= max_count)
+    def pred(dataset: Dataset) -> np.ndarray:
+        view = dataset.to_view()
+        count = np.add.reduceat(view.mem_codes[:, idx] == code, view.hh_start, dtype=np.int64)
+        return (count >= min_count) & (max_count is None or count <= max_count)
 
     return pred
 
 
-def household_value(schema: Schema, variable: str, code: int) -> Callable[[HouseholdRecord], bool]:
+def household_value(schema: Schema, variable: str, code: int) -> Callable[[Dataset], np.ndarray]:
     level, idx = schema.index_of(variable)
     if level != HOUSEHOLD:
         raise ValueError(f"{variable!r} is not a household variable")
-    return lambda r: r.hh_values[idx] == code
+    return lambda dataset: dataset.to_view().hh_codes[:, idx] == code
 
 
-def q_all(*preds: Callable) -> Callable[[HouseholdRecord], bool]:
-    return lambda r: all(p(r) for p in preds)
+def q_all(*preds: Callable) -> Callable[[Dataset], np.ndarray]:
+    return lambda dataset: np.logical_and.reduce([p(dataset) for p in preds])
 
 
-def q_any(*preds: Callable) -> Callable[[HouseholdRecord], bool]:
-    return lambda r: any(p(r) for p in preds)
-
-
-def q_not(pred: Callable) -> Callable[[HouseholdRecord], bool]:
-    return lambda r: not pred(r)
-
-
-def _individual_index(schema: Schema, variable: str):
+def _individual_index(schema: Schema, variable: str) -> int:
     level, idx = schema.index_of(variable)
     if level == HOUSEHOLD:
         raise ValueError(f"{variable!r} is not an individual variable")
-    return level, idx
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +235,6 @@ class ReportRow:
     hi_syn: float
 
 
-def _cell_label(schema: Schema, query: CellQuery) -> str:
-    # file-facing labels use 1-based codes
-    return " & ".join(f"{v}={c + 1}" for v, c in zip(query.variables, query.codes))
-
-
 def cell_report(
     original: Dataset,
     replicates: list[Dataset],
@@ -230,25 +246,27 @@ def cell_report(
     """Marginal cells of order 1..max_order, original versus combined synthetic.
 
     Cells are kept only when the original's expected count reaches
-    min_expected; pass 0 to report everything.
+    min_expected; pass 0 to report everything.  Each variable combination is
+    counted once per dataset; cells follow itertools.product order.
     """
     schema = original.schema
-    names = [v.name for v in schema.household_vars + schema.individual_vars]
-    cards = {v.name: v.cardinality for v in schema.household_vars + schema.individual_vars}
+    variables = schema.household_vars + schema.individual_vars
     rows = []
     for order in range(1, max_order + 1):
-        for combo in itertools.combinations(names, order):
-            for codes in itertools.product(*(range(cards[v]) for v in combo)):
-                query = CellQuery(variables=combo, codes=codes)
-                q_orig, u_orig = estimate_proportion(original, query)
-                if q_orig * _denominator(original, query) < min_expected:
+        for combo in itertools.combinations(variables, order):
+            names = tuple(v.name for v in combo)
+            (counts, denom), *rep_counts = [_cell_counts(d, names) for d in [original, *replicates]]
+            pop_counts = None if population is None else _cell_counts(population, names)
+            for codes in itertools.product(*(range(v.cardinality) for v in combo)):
+                q_orig, u_orig = _proportion(counts[codes], denom)
+                if q_orig * denom < min_expected:
                     continue
-                rows.append(
-                    _build_row(
-                        _cell_label(schema, query), query, q_orig, u_orig,
-                        replicates, gamma, population,
-                    )
-                )
+                truth = None
+                if pop_counts is not None:
+                    truth = _proportion(pop_counts[0][codes], pop_counts[1])[0]
+                synthetic = [_proportion(c[codes], n) for c, n in rep_counts]
+                label = " & ".join(f"{v}={c + 1}" for v, c in zip(names, codes))  # 1-based
+                rows.append(_build_row(label, (q_orig, u_orig), synthetic, truth, gamma))
     return rows
 
 
@@ -261,35 +279,25 @@ def household_report(
 ) -> list[ReportRow]:
     rows = []
     for query in queries:
-        q_orig, u_orig = estimate_proportion(original, query)
-        rows.append(
-            _build_row(query.name, query, q_orig, u_orig, replicates, gamma, population)
-        )
+        truth = None if population is None else estimate_proportion(population, query)[0]
+        synthetic = [estimate_proportion(rep, query) for rep in replicates]
+        row = _build_row(query.name, estimate_proportion(original, query), synthetic, truth, gamma)
+        rows.append(row)
     return rows
-
-
-def _denominator(dataset: Dataset, query: CellQuery) -> int:
-    schema = dataset.schema
-    if all(schema.index_of(v)[0] == HOUSEHOLD for v in query.variables):
-        return dataset.n_households
-    return dataset.n_individuals
 
 
 def _build_row(
     label: str,
-    query,
-    q_orig: float,
-    u_orig: float,
-    replicates: list[Dataset],
+    original: tuple[float, float],
+    synthetic: list[tuple[float, float]],
+    truth: float | None,
     gamma: float,
-    population: Dataset | None,
 ) -> ReportRow:
+    """One report row from the original's and each replicate's (estimate, variance)."""
+    q_orig, u_orig = original
     lo_o, hi_o = normal_interval(q_orig, u_orig, gamma)
-    points, withins = [], []
-    for rep in replicates:
-        q, u = estimate_proportion(rep, query)
-        points.append(q)
-        withins.append(u)
+    points = [q for q, _ in synthetic]
+    withins = [u for _, u in synthetic]
     try:
         combined = combine(points, withins, gamma)
         q_syn, lo_s, hi_s = combined.point, combined.lo, combined.hi
@@ -297,9 +305,6 @@ def _build_row(
         # degenerate all-zero cell: report the point with an empty interval
         q_syn = float(np.mean(points))
         lo_s = hi_s = q_syn
-    truth = None
-    if population is not None:
-        truth, _ = estimate_proportion(population, query)
     return ReportRow(
         query=label,
         truth=truth,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constraints import RuleSet, check_batch, iter_cell_chunks
-from .data import DatasetView, HouseholdRecord, Schema
+from .data import DatasetView, Schema
 
 # Floor applied inside logs so empty categories never produce -inf/NaN chains.
 LOG_FLOOR = 1e-300
@@ -264,16 +264,6 @@ def dataset_loglik(params: Params, view: DatasetView) -> float:
     return float(logsumexp(class_posterior_logweights(params, view), axis=0).sum())
 
 
-def household_likelihood(record: HouseholdRecord, params: Params) -> float:
-    """Marginal log probability of one household (all kernels, both class levels)."""
-    view = DatasetView.from_arrays(
-        hh_codes=np.asarray(record.hh_values, dtype=np.int64)[None, :],
-        mem_codes=np.asarray(record.members, dtype=np.int64),
-        sizes=np.asarray([record.size]),
-    )
-    return dataset_loglik(params, view)
-
-
 def pair_probability(params: Params, var_index: int, code_a: int, code_b: int) -> float:
     """Joint probability that two members of one household carry the two codes.
 
@@ -285,13 +275,6 @@ def pair_probability(params: Params, var_index: int, code_a: int, code_b: int) -
     marg_a = (kernel[:, :, code_a] * params.mem_weights).sum(axis=1)
     marg_b = (kernel[:, :, code_b] * params.mem_weights).sum(axis=1)
     return float((params.hh_weights * marg_a * marg_b).sum())
-
-
-def value_probability(params: Params, var_index: int, code: int) -> float:
-    """Marginal probability of one individual-level code under the mixture."""
-    kernel = params.mem_kernels[var_index]
-    per_class = (kernel[:, :, code] * params.mem_weights).sum(axis=1)
-    return float((params.hh_weights * per_class).sum())
 
 
 def size_class_logweights(params: Params, schema: Schema, h: int) -> np.ndarray:

@@ -314,8 +314,8 @@ def risk_sweep(
     )
 
     tasks = []  # (target_id, support)
+    view = original.to_view()
     if config.kind == "individual":
-        view = original.to_view()
         combined = np.concatenate(
             [view.hh_codes[view.mem_hh], view.mem_codes], axis=1
         )
@@ -329,16 +329,17 @@ def risk_sweep(
                 )
             )
     else:
-        seen = {}
-        for rec in original.records:
-            if config.sizes is not None and rec.size not in config.sizes:
+        seen = set()
+        members_of = np.split(view.mem_codes, view.hh_start[1:])
+        for hh_row, member_rows in zip(view.hh_codes.tolist(), members_of):
+            if config.sizes is not None and len(member_rows) not in config.sizes:
                 continue
-            key = (rec.hh_values, tuple(sorted(rec.members)))
+            key = (tuple(hh_row), tuple(sorted(map(tuple, member_rows.tolist()))))
             if key in seen:
                 continue
-            hh_values = np.asarray(rec.hh_values, dtype=np.int64)
-            members = np.asarray(sorted(rec.members), dtype=np.int64)
-            seen[key] = True
+            seen.add(key)
+            hh_values = np.asarray(key[0], dtype=np.int64)
+            members = np.asarray(key[1], dtype=np.int64)
             tasks.append(
                 (
                     _household_target_id(schema, hh_values, members),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, HouseholdRecord, Schema, SchemaError
+from .data import Dataset, DatasetView, Schema, SchemaError
 
 
 @dataclass
@@ -101,20 +101,11 @@ def simulate_toy_population(
             draws = np.where(copy_members, head_values[mem_hh], draws)
         mem_codes[:, k] = draws
 
-    records = []
-    offset = 0
-    for i in range(n):
-        h = int(sizes[i])
-        members = tuple(tuple(int(c) for c in row) for row in mem_codes[offset : offset + h])
-        records.append(
-            HouseholdRecord(
-                household_id=f"h{i + 1:07d}",
-                hh_values=tuple(int(c) for c in hh_codes[i]),
-                members=members,
-            )
-        )
-        offset += h
-    return Dataset(schema=schema, records=records)
+    return Dataset(
+        schema,
+        view=DatasetView.from_arrays(hh_codes, mem_codes, sizes),
+        ids=[f"h{i + 1:07d}" for i in range(n)],
+    )
 
 
 def sample_households(
@@ -124,7 +115,12 @@ def sample_households(
     if n > dataset.n_households:
         raise ValueError(f"cannot sample {n} of {dataset.n_households} households")
     picks = np.sort(rng.choice(dataset.n_households, size=n, replace=False))
-    return Dataset(schema=dataset.schema, records=[dataset.records[i] for i in picks])
+    view = dataset.to_view()
+    keep = np.zeros(dataset.n_households, dtype=bool)
+    keep[picks] = True
+    members = keep[view.mem_hh]
+    sample = DatasetView.from_arrays(view.hh_codes[keep], view.mem_codes[members], view.sizes[keep])
+    return Dataset(dataset.schema, view=sample, ids=[dataset.ids[i] for i in picks.tolist()])
 
 
 def all_equal_probability(marginal: np.ndarray, copy_prob: float, size: int) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoints import CheckpointRecord
-from .data import Dataset, Schema, load_dataset, view_to_dataset, write_dataset
+from .data import Dataset, DatasetView, Schema, load_dataset, write_dataset
 from .rng import substream
 
 
@@ -53,7 +53,6 @@ def synthesize_untruncated(
     schema = dataset.schema
     view = dataset.to_view()
     chosen = select_records(records, n_replicates)
-    ids = [rec.household_id for rec in dataset.records]
     replicates = []
     for l, record in enumerate(chosen):
         rng = substream(seed, "synthesize", l)
@@ -71,7 +70,8 @@ def synthesize_untruncated(
             mem_codes[:, k] = rows_categorical(
                 params.mem_kernels[k][g_mem, record.mem_class], rng
             )
-        replicates.append(view_to_dataset(schema, hh_codes, mem_codes, view.sizes, ids=ids))
+        synthetic = DatasetView.from_arrays(hh_codes, mem_codes, view.sizes)
+        replicates.append(Dataset(schema, view=synthetic, ids=dataset.ids))
     return SyntheticReplicates(
         replicates=replicates,
         source_iterations=[r.iteration for r in chosen],
@@ -95,7 +95,9 @@ def synthesize_truncated(
                 "fit that used rules"
             )
         f = record.feasible
-        replicates.append(view_to_dataset(schema, f.hh_codes, f.mem_codes, f.sizes))
+        replicates.append(
+            Dataset(schema, view=DatasetView.from_arrays(f.hh_codes, f.mem_codes, f.sizes))
+        )
     return SyntheticReplicates(
         replicates=replicates,
         source_iterations=[r.iteration for r in chosen],

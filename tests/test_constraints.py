@@ -18,7 +18,6 @@ from hhsynth.constraints import (
     RuleError,
     RuleSet,
     check_batch,
-    check_household,
     compile_rules,
     enumerate_feasible,
 )
@@ -26,6 +25,7 @@ from hhsynth.data import HouseholdRecord
 from hhsynth.rng import substream
 
 from conftest import build_schema
+from oracles import check_household, records_of
 
 # role(2): 1=head 2=other; age(5) ordered by code; relation(3): 1=head 2=spouse 3=child
 FAMILY = build_schema(
@@ -235,5 +235,5 @@ def test_enumerate_feasible_empty_and_cap():
 
 def test_observed_data_feasible(toy_schema, toy_dataset):
     rules = compile_rules("exactly_one role = 1\nforbid color = 3", toy_schema)
-    flags = [check_household(rules, r) for r in toy_dataset.records]
+    flags = [check_household(rules, r) for r in records_of(toy_dataset)]
     assert flags == [True, False, True, True, True]

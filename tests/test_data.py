@@ -13,11 +13,11 @@ from hhsynth.data import (
     load_dataset,
     parse_schema,
     size_histogram,
-    view_to_dataset,
     write_dataset,
 )
 
 from conftest import build_dataset, build_schema
+from oracles import records_of
 
 TOY_SCHEMA_TEXT = """
 household:
@@ -131,17 +131,17 @@ def test_view_round_trip(toy_dataset):
     view = toy_dataset.to_view()
     assert view.n_households == toy_dataset.n_households
     assert view.n_individuals == toy_dataset.n_individuals
-    np.testing.assert_array_equal(view.sizes, [r.size for r in toy_dataset.records])
+    np.testing.assert_array_equal(view.sizes, [r.size for r in records_of(toy_dataset)])
     # segment starts line up with cumulative sizes
     np.testing.assert_array_equal(view.hh_start, np.r_[0, np.cumsum(view.sizes)[:-1]])
-    back = view_to_dataset(
+    back = Dataset(
         toy_dataset.schema,
-        view.hh_codes,
-        view.mem_codes,
-        view.sizes,
-        ids=[r.household_id for r in toy_dataset.records],
+        view=DatasetView.from_arrays(view.hh_codes, view.mem_codes, view.sizes),
+        ids=toy_dataset.ids,
     )
-    assert back.records == toy_dataset.records
+    assert records_of(back) == records_of(toy_dataset)
+    # the view is built once: every call hands back the same arrays
+    assert toy_dataset.to_view() is view
 
 
 def test_view_from_arrays_matches_from_dataset(toy_dataset):
@@ -155,7 +155,7 @@ def test_file_round_trip(tmp_path, toy_schema, toy_dataset):
     path = tmp_path / "data.csv"
     write_dataset(toy_dataset, path)
     back = load_dataset(path, toy_schema)
-    assert back.records == toy_dataset.records
+    assert records_of(back) == records_of(toy_dataset)
     # a second write is byte-identical
     path2 = tmp_path / "again.csv"
     write_dataset(back, path2)
@@ -170,8 +170,8 @@ def test_load_dataset_accepts_any_column_order(tmp_path, toy_schema):
         "4,a,2,2,2,1\n"
     )
     ds = load_dataset(path, toy_schema)
-    assert ds.records[0].hh_values == (0, 1)
-    assert ds.records[0].members == ((0, 1), (1, 3))
+    assert records_of(ds)[0].hh_values == (0, 1)
+    assert records_of(ds)[0].members == ((0, 1), (1, 3))
 
 
 @pytest.mark.parametrize(
@@ -187,6 +187,16 @@ def test_load_dataset_accepts_any_column_order(tmp_path, toy_schema):
         ("1,a,1,1,2,1\n1,a,2,3,2,1\n", "person_index"),
         # missing value
         ("1,a,,1,1,1\n", "missing"),
+        # one cell short
+        ("1,a,1,1,1\n", "expected 6 cells"),
+        # a code or a person_index that is not an integer
+        ("x,a,1,1,1,1\n", "color code 'x' is not an integer"),
+        ("1,a,1,z,1,1\n", "person_index must be an integer"),
+        # the same person twice
+        ("1,a,1,1,2,1\n3,a,2,1,2,1\n", "duplicate person_index 1"),
+        # person_index beyond any household's size, or below 1
+        ("1,a,1,99999999999999999999,1,1\n", "person_index must run"),
+        ("1,a,1,0,1,1\n", "person_index must run"),
     ],
 )
 def test_load_dataset_rejects(tmp_path, toy_schema, body, fragment):
@@ -212,3 +222,65 @@ def test_size_histogram(toy_dataset):
 
 def test_size_histogram_empty(toy_schema):
     assert size_histogram(Dataset(schema=toy_schema, records=())) == {}
+
+
+def test_load_dataset_groups_scattered_rows(tmp_path, toy_schema):
+    # household b's rows are split by a and arrive person 2 first; c arrives 3, 1, 2
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "household_id,person_index,own,hh_size,role,color\n"
+        "b,2,2,2,2,4\n"
+        "a,1,1,1,1,2\n"
+        "c,3,1,3,2,1\n"
+        "b,1,2,2,1,3\n"
+        "c,1,1,3,1,1\n"
+        "c,2,1,3,2,2\n"
+    )
+    ds = load_dataset(path, toy_schema)
+    view = ds.to_view()
+    # households in order of first appearance, members in person_index order
+    assert ds.ids == ("b", "a", "c")
+    np.testing.assert_array_equal(view.hh_codes, [[1, 1], [0, 0], [0, 2]])
+    np.testing.assert_array_equal(
+        view.mem_codes, [[0, 2], [1, 3], [0, 1], [0, 0], [1, 1], [1, 0]]
+    )
+    np.testing.assert_array_equal(view.sizes, [2, 1, 3])
+    np.testing.assert_array_equal(view.hh_start, [0, 2, 3])
+    np.testing.assert_array_equal(view.mem_hh, [0, 0, 1, 2, 2, 2])
+
+
+def test_write_of_load_reproduces_the_file(tmp_path, toy_schema):
+    lines = [
+        "household_id,person_index,own,hh_size,role,color",
+        "h10,1,2,3,1,4",
+        "h10,2,2,3,2,4",
+        "h10,3,2,3,2,1",
+        "h2,1,1,1,1,2",
+        "x,1,1,2,1,3",
+        "x,2,1,2,2,3",
+    ]
+    source = tmp_path / "source.csv"
+    source.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf8"))
+    again = tmp_path / "again.csv"
+    write_dataset(load_dataset(source, toy_schema), again)
+    assert again.read_bytes() == source.read_bytes()
+
+
+def test_empty_dataset(tmp_path, toy_schema):
+    for ds in (
+        Dataset(toy_schema),
+        Dataset(
+            toy_schema,
+            view=DatasetView.from_arrays(np.zeros((0, 2)), np.zeros((0, 2)), []),
+        ),
+    ):
+        ds.validate()
+        view = ds.to_view()
+        assert ds.n_households == 0 and ds.n_individuals == 0 and ds.ids == ()
+        assert view.hh_start.shape == (0,) and view.mem_hh.shape == (0,)
+        path = tmp_path / "empty.csv"
+        write_dataset(ds, path)
+        assert path.read_text().splitlines() == [
+            "household_id,person_index,own,hh_size,role,color"
+        ]
+        assert load_dataset(path, toy_schema).n_households == 0

@@ -5,9 +5,14 @@ pooled quantity computable by hand: mean 2, within 1, between 1, total 4/3,
 and 2 * (1 + 3)^2 = 32 degrees of freedom.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
+
+import oracles
+from hhsynth.cli import _build_query
 
 from hhsynth.data import Dataset
 from hhsynth.inference import (
@@ -23,11 +28,10 @@ from hhsynth.inference import (
     member_count,
     normal_interval,
     q_all,
-    q_not,
     write_report_csv,
 )
 
-from conftest import build_dataset
+from conftest import build_dataset, build_schema
 
 
 def test_combine_hand_fixture():
@@ -156,7 +160,8 @@ def test_household_queries(toy_schema, toy_dataset):
         q_all(household_value(toy_schema, "own", 1), exists_member(toy_schema, color=3)),
     )
     assert estimate_proportion(toy_dataset, renter3)[0] == pytest.approx(1 / 5)
-    negated = HouseholdQuery("not_same", q_not(all_members_equal(toy_schema, "color")))
+    same_color = all_members_equal(toy_schema, "color")
+    negated = HouseholdQuery("not_same", lambda dataset: ~same_color(dataset))
     assert estimate_proportion(toy_dataset, negated)[0] == pytest.approx(1 / 5)
 
 
@@ -242,3 +247,108 @@ def test_normal_interval_matches_oracle():
     half = stats.norm.ppf(0.975) * 0.02
     assert lo == pytest.approx(0.4 - half)
     assert hi == pytest.approx(0.4 + half)
+
+
+# ---------------------------------------------------------------------------
+# the array-native reports against the record-at-a-time oracle
+
+ORACLE_SCHEMA = build_schema(
+    household=[("own", 2), ("hh_size*", 4), ("region", 3)],
+    individual=[("role", 2), ("color", 5), ("age", 3)],
+)
+
+QUERY_SPECS = [
+    {"name": "same_color", "kind": "all_equal", "variable": "color"},
+    {"name": "pair_same_color", "kind": "all_equal", "variable": "color", "size": 2},
+    {"name": "head_color_2", "kind": "exists", "literals": {"role": 1, "color": 2}},
+    {"name": "two_age_1", "kind": "count", "variable": "age", "code": 1, "min": 2},
+    {"name": "one_color_3", "kind": "count", "variable": "color", "code": 3, "max": 1, "size": 3},
+    {"name": "region_2", "kind": "hh_value", "variable": "region", "code": 2},
+    {
+        "name": "owner_with_age_3",
+        "kind": "and",
+        "of": [
+            {"kind": "hh_value", "variable": "own", "code": 1},
+            {"kind": "exists", "literals": {"age": 3}},
+        ],
+        "size": 3,
+    },
+]
+
+
+def random_dataset(seed, n, sizes=(1, 2, 3, 4)):
+    rng = np.random.default_rng(seed)
+    households = []
+    for _ in range(n):
+        h = int(rng.choice(sizes))
+        hh = (int(rng.integers(2)), h - 1, int(rng.integers(3)))
+        members = [tuple(int(rng.integers(c)) for c in (2, 5, 3)) for _ in range(h)]
+        households.append((hh, members))
+    return build_dataset(ORACLE_SCHEMA, households)
+
+
+def bits(rows):
+    """Every field of every row, floats by repr: equal only when bitwise equal."""
+    return [tuple(map(repr, dataclasses.astuple(row))) for row in rows]
+
+
+@pytest.mark.parametrize("min_expected", [0, 2.5, 10])
+@pytest.mark.parametrize("with_population", [False, True])
+def test_cell_report_bitwise_matches_record_oracle(min_expected, with_population):
+    original = random_dataset(1, 30)
+    # no replicate has a size-4 household: those cells are zero in every replicate
+    replicates = [random_dataset(seed, 24 + seed, sizes=(1, 2, 3)) for seed in (2, 3, 4)]
+    population = random_dataset(5, 80) if with_population else None
+    got = cell_report(original, replicates, 3, min_expected, population=population)
+    want = oracles.cell_report(original, replicates, 3, min_expected, population=population)
+    assert bits(got) == bits(want)
+    assert all((row.truth is None) != with_population for row in got)
+    if min_expected == 0:
+        assert any(row.q_orig == 0.0 for row in got)  # zero-count cells are reported
+        assert any(row.q_syn == 0.0 and row.lo_syn == row.hi_syn for row in got)
+    else:
+        assert len(got) < len(cell_report(original, replicates, 3, 0))
+
+
+@pytest.mark.parametrize("with_population", [False, True])
+def test_household_report_bitwise_matches_record_oracle(with_population):
+    original = random_dataset(11, 40)
+    replicates = [random_dataset(seed, 30 + seed) for seed in (12, 13)]
+    population = random_dataset(14, 90) if with_population else None
+    got = household_report(
+        original,
+        replicates,
+        [_build_query(ORACLE_SCHEMA, spec) for spec in QUERY_SPECS],
+        population=population,
+    )
+    want = [
+        oracles.report_row(query.name, query, original, replicates, population=population)
+        for query in (oracles.record_query(ORACLE_SCHEMA, spec) for spec in QUERY_SPECS)
+    ]
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_household_query_estimates_bitwise_match_record_oracle(seed):
+    dataset = random_dataset(100 + seed, 5 + 7 * seed)
+    for spec in QUERY_SPECS:
+        query = _build_query(ORACLE_SCHEMA, spec)
+        oracle = oracles.record_query(ORACLE_SCHEMA, spec)
+        try:
+            want = repr(oracles.estimate_proportion(dataset, oracle))
+        except ValueError:  # a small dataset may hold no household of the size
+            with pytest.raises(ValueError, match="no households"):
+                estimate_proportion(dataset, query)
+            continue
+        assert repr(estimate_proportion(dataset, query)) == want, spec["name"]
+
+
+def test_empty_pool_raises_like_the_oracle():
+    dataset = random_dataset(21, 20, sizes=(1, 2, 3))
+    spec = {"name": "four_same_color", "kind": "all_equal", "variable": "color", "size": 4}
+    with pytest.raises(ValueError, match="no households"):
+        oracles.estimate_proportion(dataset, oracles.record_query(ORACLE_SCHEMA, spec))
+    with pytest.raises(ValueError, match="no households"):
+        estimate_proportion(dataset, _build_query(ORACLE_SCHEMA, spec))
+    with pytest.raises(ValueError, match="no households"):
+        household_report(dataset, [dataset, dataset], [_build_query(ORACLE_SCHEMA, spec)])

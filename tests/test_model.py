@@ -17,7 +17,6 @@ from hhsynth.model import (
     Params,
     dataset_loglik,
     draw_households,
-    household_likelihood,
     household_logliks,
     infeasible_mass,
     logsumexp,
@@ -26,11 +25,11 @@ from hhsynth.model import (
     rows_categorical,
     size_class_logweights,
     stick_break,
-    value_probability,
 )
 from hhsynth.rng import substream
 
 from conftest import build_schema
+from oracles import household_likelihood, records_of, value_probability
 
 
 def naive_household_prob(params, schema, hh, members):
@@ -171,7 +170,7 @@ def test_dataset_loglik_is_sum_of_households(toy_params, toy_dataset):
     per = logsumexp(class_posterior_logweights(toy_params, view), axis=0)
     assert dataset_loglik(toy_params, view) == pytest.approx(per.sum(), rel=1e-12)
     single = [
-        household_likelihood(r, toy_params) for r in toy_dataset.records
+        household_likelihood(r, toy_params) for r in records_of(toy_dataset)
     ]
     np.testing.assert_allclose(per, single, rtol=1e-10)
 

@@ -20,6 +20,7 @@ from hhsynth.simulate import (
 )
 
 from conftest import build_schema
+from oracles import records_of
 
 
 def binary_schema():
@@ -28,7 +29,7 @@ def binary_schema():
 
 def fraction_all_equal(dataset, size, var_index):
     hits = total = 0
-    for r in dataset.records:
+    for r in records_of(dataset):
         if r.size != size:
             continue
         total += 1
@@ -100,10 +101,10 @@ def test_size_distribution_and_marginal():
     for h, p in config.size_probs.items():
         assert abs(hist[h] / 50000 - p) < 0.01
     # copying leaves the per-member marginal untouched
-    codes = np.concatenate([[m[0] for m in r.members] for r in pop.records])
+    codes = np.concatenate([[m[0] for m in r.members] for r in records_of(pop)])
     freq = np.bincount(codes, minlength=4) / codes.size
     np.testing.assert_allclose(freq, [0.4, 0.3, 0.2, 0.1], atol=0.01)
-    own = np.array([r.hh_values[0] for r in pop.records])
+    own = np.array([r.hh_values[0] for r in records_of(pop)])
     assert abs((own == 0).mean() - 0.7) < 0.01
 
 
@@ -122,7 +123,7 @@ def test_role_variable_marks_exactly_one_head():
         other_code=1,
     )
     pop = simulate_toy_population(schema, config, substream(14, "role"))
-    for r in pop.records:
+    for r in records_of(pop):
         roles = [m[0] for m in r.members]
         assert roles.count(0) == 1
         assert roles[0] == 0  # head listed first
@@ -139,7 +140,7 @@ def test_reproducible_for_fixed_seed():
     )
     a = simulate_toy_population(schema, config, substream(9, "rep"))
     b = simulate_toy_population(schema, config, substream(9, "rep"))
-    assert a.records == b.records
+    assert records_of(a) == records_of(b)
 
 
 def test_invalid_probabilities_rejected():
@@ -171,9 +172,9 @@ def test_sample_households_is_sorted_subset_without_replacement():
     pop = simulate_toy_population(schema, config, substream(15, "pop"))
     sample = sample_households(pop, 50, substream(15, "sub"))
     assert sample.n_households == 50
-    ids = [r.household_id for r in sample.records]
+    ids = [r.household_id for r in records_of(sample)]
     assert len(set(ids)) == 50
-    pop_ids = [r.household_id for r in pop.records]
+    pop_ids = [r.household_id for r in records_of(pop)]
     positions = [pop_ids.index(i) for i in ids]
     assert positions == sorted(positions)
     with pytest.raises(ValueError):
