@@ -260,7 +260,7 @@ def _hyperparams(cfg: RunConfig, schema: Schema, dataset: Dataset) -> Hyperparam
     )
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> None:
+def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.simulate is None:
         raise UsageError("config: a 'simulate' section is required")
     schema = load_schema(cfg.schema_path)
@@ -287,7 +287,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> None:
     )
 
 
-def cmd_fit(cfg: RunConfig, out_dir: Path, threads: int) -> None:
+def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.chain is None:
         raise UsageError("config: a 'chain' section is required")
     schema = load_schema(cfg.schema_path)
@@ -326,7 +326,7 @@ def cmd_fit(cfg: RunConfig, out_dir: Path, threads: int) -> None:
         )
 
 
-def cmd_synthesize(cfg: RunConfig, out_dir: Path, threads: int) -> None:
+def cmd_synthesize(cfg: RunConfig, out_dir: Path) -> None:
     schema = load_schema(cfg.schema_path)
     ckpt_path = out_dir / "checkpoints.jsonl"
     if not ckpt_path.is_file():
@@ -379,7 +379,7 @@ def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery
     )
 
 
-def cmd_evaluate(cfg: RunConfig, out_dir: Path, threads: int) -> None:
+def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     schema = load_schema(cfg.schema_path)
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     original = load_dataset(data_path, schema)
@@ -409,7 +409,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path, threads: int) -> None:
         log.info("evaluate: %d household queries reported", len(qrows))
 
 
-def cmd_risk(cfg: RunConfig, out_dir: Path, threads: int) -> None:
+def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
     from .synthesis import select_records
 
     schema = load_schema(cfg.schema_path)
@@ -427,7 +427,6 @@ def cmd_risk(cfg: RunConfig, out_dir: Path, threads: int) -> None:
         held_fixed=cfg.risk.held_fixed,
         sizes=cfg.risk.sizes,
         rules=rules if cfg.risk.kind == "household" else None,
-        threads=threads,
     )
     summary = risk_sweep(original, reps.replicates, draws, config)
     summary.to_csv(out_dir / "risk_summary.csv")
@@ -466,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="YAML run configuration")
         p.add_argument("--out", required=True, type=Path, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads where supported")
     return parser
 
 
@@ -475,12 +473,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         cfg = load_config(args.config.resolve(), args.seed)
         out_dir = args.out.resolve()
         out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out_dir, args.threads)
+        _COMMANDS[args.command](cfg, out_dir)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -21,10 +21,8 @@ from .data import Dataset, DatasetView, Schema, size_histogram
 from .model import (
     Hyperparams,
     Params,
-    _log,
+    class_posterior_logweights,
     dirichlet_rows,
-    household_kernel_logliks,
-    logsumexp,
     member_logliks,
     prior_draw,
     stick_break,
@@ -136,25 +134,29 @@ def _gumbel_argmax(logits: np.ndarray, rng: np.random.Generator, axis: int) -> n
 
 
 def sample_household_classes(
-    params: Params, view: DatasetView, rng: np.random.Generator
+    params: Params, view: DatasetView, table: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw each household's class with member classes summed out."""
-    ml = member_logliks(params, view.mem_codes)
-    mixed = logsumexp(ml + _log(params.mem_weights)[:, :, None], axis=1)
-    logw = household_kernel_logliks(params, view.hh_codes)
-    logw += np.add.reduceat(mixed, view.hh_start, axis=1)
-    logw += _log(params.hh_weights)[:, None]
-    return _gumbel_argmax(logw, rng, axis=0)
+    """Draw each household's class with member classes summed out of table."""
+    return _gumbel_argmax(class_posterior_logweights(params, view, table), rng, axis=0)
 
 
 def sample_member_classes(
-    params: Params, view: DatasetView, hh_class: np.ndarray, rng: np.random.Generator
+    params: Params,
+    view: DatasetView,
+    table: np.ndarray,
+    hh_class: np.ndarray,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw each member's class given its household's class."""
-    ml = member_logliks(params, view.mem_codes)
-    g = hh_class[view.mem_hh]
-    logits = ml[g, :, np.arange(view.n_individuals)] + _log(params.mem_weights)[g]
+    logits = table[hh_class[view.mem_hh], :, np.arange(view.n_individuals)]
     return _gumbel_argmax(logits, rng, axis=1)
+
+
+def sample_classes(state: ChainState, view: DatasetView, rng: np.random.Generator) -> None:
+    """Household classes, then member classes, from one member table."""
+    table = member_logliks(state.params, view.mem_codes)
+    state.hh_class = sample_household_classes(state.params, view, table, rng)
+    state.mem_class = sample_member_classes(state.params, view, table, state.hh_class, rng)
 
 
 def gamma_log_draws(shape: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -319,8 +321,7 @@ def gibbs_sweep(
     state: ChainState, view: DatasetView, hyper: Hyperparams, rng: np.random.Generator
 ) -> None:
     """One full update of the chain state in place."""
-    state.hh_class = sample_household_classes(state.params, view, rng)
-    state.mem_class = sample_member_classes(state.params, view, state.hh_class, rng)
+    sample_classes(state, view, rng)
     state.params = resample_parameters(
         state.params,
         hyper,

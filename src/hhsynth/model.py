@@ -224,44 +224,40 @@ def prior_draw(hyper: Hyperparams, rng: np.random.Generator) -> Params:
 
 
 def member_logliks(params: Params, mem_codes: np.ndarray) -> np.ndarray:
-    """log p(member values | household class g, member class m) as (F, S, N)."""
+    """log p(member values, member class m | household class g) as (F, S, N).
+
+    log mem_weights is added after the kernels, so each entry is the float a
+    caller adding the weight to the kernel sum would get.
+    """
     F, S = params.n_hh_classes, params.n_mem_classes
     out = np.zeros((F, S, mem_codes.shape[0]))
     for k, kernel in enumerate(params.mem_kernels):
         out += _log(kernel)[:, :, mem_codes[:, k]]
+    out += _log(params.mem_weights)[:, :, None]
     return out
 
 
-def member_mixture_logliks(params: Params, mem_codes: np.ndarray) -> np.ndarray:
-    """log p(member values | household class), member classes summed out: (F, N)."""
-    per_class = member_logliks(params, mem_codes)
-    return logsumexp(per_class + _log(params.mem_weights)[:, :, None], axis=1)
+def class_posterior_logweights(
+    params: Params, view: DatasetView, table: np.ndarray
+) -> np.ndarray:
+    """Unnormalized log Pr(class g | household i) as (F, n).
 
-
-def household_kernel_logliks(params: Params, hh_codes: np.ndarray) -> np.ndarray:
-    """log p(household-level values | class g), member part excluded: (F, n)."""
-    out = np.zeros((params.n_hh_classes, hh_codes.shape[0]))
+    table is member_logliks of view.mem_codes.  Household kernels first, then
+    each household's members with member classes summed out, then log
+    hh_weights.
+    """
+    out = np.zeros((params.n_hh_classes, view.n_households))
     for k, kernel in enumerate(params.hh_kernels):
-        out += _log(kernel)[:, hh_codes[:, k]]
+        out += _log(kernel)[:, view.hh_codes[:, k]]
+    out += np.add.reduceat(logsumexp(table, axis=1), view.hh_start, axis=1)
+    out += _log(params.hh_weights)[:, None]
     return out
-
-
-def household_logliks(params: Params, view: DatasetView) -> np.ndarray:
-    """log p(household | class g) for every household, as (F, n)."""
-    out = household_kernel_logliks(params, view.hh_codes)
-    mixed = member_mixture_logliks(params, view.mem_codes)
-    out += np.add.reduceat(mixed, view.hh_start, axis=1)
-    return out
-
-
-def class_posterior_logweights(params: Params, view: DatasetView) -> np.ndarray:
-    """Unnormalized log Pr(class g | household i): (F, n)."""
-    return _log(params.hh_weights)[:, None] + household_logliks(params, view)
 
 
 def dataset_loglik(params: Params, view: DatasetView) -> float:
     """Total log likelihood with classes marginalized out."""
-    return float(logsumexp(class_posterior_logweights(params, view), axis=0).sum())
+    table = member_logliks(params, view.mem_codes)
+    return float(logsumexp(class_posterior_logweights(params, view, table), axis=0).sum())
 
 
 def pair_probability(params: Params, var_index: int, code_a: int, code_b: int) -> float:
@@ -277,10 +273,16 @@ def pair_probability(params: Params, var_index: int, code_a: int, code_b: int) -
     return float((params.hh_weights * marg_a * marg_b).sum())
 
 
-def size_class_logweights(params: Params, schema: Schema, h: int) -> np.ndarray:
-    """Unnormalized log Pr(class g, size h): size kernel times class weights."""
-    size_kernel = params.hh_kernels[schema.size_index]
-    return _log(params.hh_weights) + _log(size_kernel[:, h - 1])
+def size_class_probs(params: Params, schema: Schema, h: int) -> np.ndarray:
+    """Pr(class g | size h) from the products hh_weights * size kernel.
+
+    Raises ValueError when the model gives size h zero probability.
+    """
+    weights = params.hh_weights * params.hh_kernels[schema.size_index][:, h - 1]
+    total = weights.sum()
+    if total <= 0.0:
+        raise ValueError(f"model assigns zero probability to household size {h}")
+    return weights / total
 
 
 def draw_households(
@@ -337,16 +339,13 @@ def infeasible_mass(
     """Probability that a size-h household violates the rules, given size h.
 
     The exact route enumerates the size-h composition space (size code pinned
-    to h) and sums the conditional probability of every infeasible cell; the
-    monte_carlo route generates households conditioned on size and reports the
-    infeasible fraction with its binomial standard error.  Returns
+    to h) and divides the joint probability of its infeasible cells by that of
+    all its cells, which is Pr(size h); the monte_carlo route generates
+    households conditioned on size and reports the infeasible fraction with
+    its binomial standard error.  Returns
     (mass, standard_error); the exact route's error is 0.
     """
-    size_kernel = params.hh_kernels[schema.size_index]
-    if float(params.hh_weights @ size_kernel[:, h - 1]) <= 0.0:
-        raise ValueError(f"model assigns zero probability to household size {h}")
-    logw = size_class_logweights(params, schema, h)
-    class_probs = np.exp(logw - logsumexp(logw))
+    class_probs = size_class_probs(params, schema, h)  # raises for a zero-mass size
 
     if method == "exact":
         dims = [v.cardinality for k, v in enumerate(schema.household_vars) if k != schema.size_index]
@@ -355,14 +354,14 @@ def infeasible_mass(
         ) ** h
         if n_cells > cap:
             raise ValueError(f"size-{h} composition space has {n_cells} cells, above cap {cap}")
-        mass = 0.0
+        mass = total = 0.0
         for hh, mem in iter_cell_chunks(schema, h, fix_size_code=h - 1):
-            feasible = check_batch(rules, hh, mem)
-            if feasible.all():
-                continue
-            probs = _conditional_cell_probs(params, schema, class_probs, hh, mem)
-            mass += float(probs[~feasible].sum())
-        return mass, 0.0
+            view = DatasetView.from_arrays(hh, mem.reshape(-1, mem.shape[2]), np.full(len(hh), h))
+            table = member_logliks(params, view.mem_codes)
+            probs = np.exp(class_posterior_logweights(params, view, table)).sum(axis=0)
+            mass += float(probs[~check_batch(rules, hh, mem)].sum())
+            total += float(probs.sum())
+        return mass / total, 0.0
     if method == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo route needs an rng")
@@ -375,23 +374,3 @@ def infeasible_mass(
         se = float(np.sqrt(max(frac * (1.0 - frac), LOG_FLOOR) / n_draws))
         return float(frac), se
     raise ValueError(f"unknown method {method!r}")
-
-
-def _conditional_cell_probs(
-    params: Params,
-    schema: Schema,
-    class_probs: np.ndarray,
-    hh_codes: np.ndarray,
-    mem_codes: np.ndarray,
-) -> np.ndarray:
-    """Pr(cell | size) for a chunk of size-h cells: (B,)."""
-    B, h, _ = mem_codes.shape
-    cell = np.repeat(class_probs[:, None], B, axis=1)  # (F, B)
-    for k in range(len(schema.household_vars)):
-        if k == schema.size_index:
-            continue  # class_probs already condition on the size factor
-        cell *= params.hh_kernels[k][:, hh_codes[:, k]]
-    for j in range(h):
-        flat = member_logliks(params, mem_codes[:, j, :])  # (F, S, B)
-        cell *= np.exp(logsumexp(flat + _log(params.mem_weights)[:, :, None], axis=1))
-    return cell.sum(axis=0)

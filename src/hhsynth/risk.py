@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +20,13 @@ import numpy as np
 
 from .constraints import RuleSet, check_batch
 from .data import Dataset, DatasetView, Schema
-from .model import Params, class_posterior_logweights, dataset_loglik, logsumexp
+from .model import (
+    Params,
+    class_posterior_logweights,
+    dataset_loglik,
+    logsumexp,
+    member_logliks,
+)
 
 
 @dataclass
@@ -97,13 +102,10 @@ class RiskConfig:
     held_fixed: tuple[str, ...] = ()
     sizes: tuple[int, ...] | None = None  # household targets only
     rules: RuleSet | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind not in ("individual", "household"):
             raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def build_support_individual(
@@ -212,20 +214,6 @@ def replicate_likelihood(params: Params, replicate: Dataset | DatasetView) -> fl
     return dataset_loglik(params, view)
 
 
-def _candidate_logliks(support: TargetSupport, params: Params) -> np.ndarray:
-    """log likelihood of every candidate under one parameter draw: (C,)."""
-    C = support.hh_values.shape[0]
-    if support.kind == "individual":
-        sizes = np.ones(C, dtype=np.int64)
-        mem = support.mem_values
-    else:
-        h = support.mem_values.shape[1]
-        sizes = np.full(C, h, dtype=np.int64)
-        mem = support.mem_values.reshape(C * h, -1)
-    view = DatasetView.from_arrays(support.hh_values, mem, sizes)
-    return logsumexp(class_posterior_logweights(params, view), axis=0)
-
-
 def importance_weights(support: TargetSupport, params_draws: list[Params]) -> np.ndarray:
     """Self-normalized likelihood-ratio weights, (R, C), columns summing to one.
 
@@ -235,7 +223,15 @@ def importance_weights(support: TargetSupport, params_draws: list[Params]) -> np
     exponentiating; a candidate whose ratios all underflow to zero is
     structurally impossible under every draw and raises.
     """
-    cand = np.stack([_candidate_logliks(support, params) for params in params_draws])  # (R, C)
+    C = support.hh_values.shape[0]
+    h = 1 if support.kind == "individual" else support.mem_values.shape[1]
+    view = DatasetView.from_arrays(
+        support.hh_values, support.mem_values.reshape(C * h, -1), np.full(C, h)
+    )
+    cand = np.empty((len(params_draws), C))
+    for r, params in enumerate(params_draws):
+        table = member_logliks(params, view.mem_codes)
+        cand[r] = logsumexp(class_posterior_logweights(params, view, table), axis=0)
     log_ratio = cand - cand[:, [support.truth_index]]
     peak = np.maximum(log_ratio.max(axis=0, keepdims=True), 0.0)
     ratios = np.exp(log_ratio - peak)
@@ -360,11 +356,6 @@ def risk_sweep(
             rho_max=result.top_probability,
         )
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(assess, tasks))
-    else:
-        rows = [assess(t) for t in tasks]
-    summary = RiskSummary(rows=rows)
+    summary = RiskSummary(rows=[assess(t) for t in tasks])
     summary.finalize()
     return summary

@@ -16,13 +16,8 @@ import numpy as np
 from .checkpoints import FeasibleDraws
 from .constraints import RuleSet, check_batch
 from .data import DatasetView, Schema
-from .gibbs import (
-    ChainState,
-    resample_parameters,
-    sample_household_classes,
-    sample_member_classes,
-)
-from .model import Hyperparams, Params, draw_households
+from .gibbs import ChainState, resample_parameters, sample_classes
+from .model import Hyperparams, Params, draw_households, size_class_probs
 
 
 class CapExceededError(RuntimeError):
@@ -97,18 +92,6 @@ class AugmentedBatch:
         )
 
 
-def _size_class_probs(params: Params, schema: Schema, h: int) -> np.ndarray:
-    """Pr(class | size h) from raw products; zero total mass is an error."""
-    weights = params.hh_weights * params.hh_kernels[schema.size_index][:, h - 1]
-    total = weights.sum()
-    if total <= 0.0:
-        raise CapExceededError(
-            f"model assigns zero probability to household size {h}; "
-            "candidate generation cannot terminate"
-        )
-    return weights / total
-
-
 def generate_augmented(
     params: Params,
     schema: Schema,
@@ -129,7 +112,10 @@ def generate_augmented(
     drawn_total = 0
     for h in sorted(histogram):
         target = histogram[h]
-        class_probs = _size_class_probs(params, schema, h)
+        try:
+            class_probs = size_class_probs(params, schema, h)
+        except ValueError as exc:
+            raise CapExceededError(f"{exc}; candidate generation cannot terminate") from None
         cdf = np.cumsum(class_probs)
         hh_parts, mem_parts, class_parts, mem_class_parts, mask_parts = [], [], [], [], []
         n_feasible = 0
@@ -203,8 +189,7 @@ def truncated_sweep(
         state.cap_exceeded += 1
     batch = state.augmented
 
-    state.hh_class = sample_household_classes(state.params, view, rng)
-    state.mem_class = sample_member_classes(state.params, view, state.hh_class, rng)
+    sample_classes(state, view, rng)
 
     aug_hh, aug_class, aug_mem, aug_mem_class, aug_mem_hh_class = batch.infeasible_arrays()
     state.params = resample_parameters(

@@ -1,9 +1,10 @@
-"""Record-at-a-time reference forms of code the library runs on arrays.
+"""Reference forms of code the library runs on arrays or shares.
 
 The tests compare the library against these: a dataset's households as
 HouseholdRecord tuples, cell and household-query proportions counted one
 household at a time, the household predicates written per record, the
-feasibility of one household, and one household's marginal likelihood.
+feasibility of one household, one household's marginal likelihood, and the
+class logits and candidate likelihoods each caller once built for itself.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import numpy as np
 from hhsynth.constraints import check_batch
 from hhsynth.data import HOUSEHOLD, DatasetView, HouseholdRecord
 from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine, normal_interval
-from hhsynth.model import dataset_loglik
+from hhsynth.model import LOG_FLOOR, dataset_loglik, logsumexp
 
 
 def records_of(dataset) -> list[HouseholdRecord]:
@@ -184,3 +185,71 @@ def value_probability(params, var_index: int, code: int) -> float:
     kernel = params.mem_kernels[var_index]
     per_class = (kernel[:, :, code] * params.mem_weights).sum(axis=1)
     return float((params.hh_weights * per_class).sum())
+
+
+# ---------------------------------------------------------------------------
+# class logits and candidate likelihoods, each built by its own caller
+
+
+def _log(x):
+    return np.log(np.maximum(x, LOG_FLOOR))
+
+
+def member_kernel_table(params, mem_codes):
+    """log p(member values | g, m), member weights left out: (F, S, N)."""
+    out = np.zeros((params.n_hh_classes, params.n_mem_classes, mem_codes.shape[0]))
+    for k, kernel in enumerate(params.mem_kernels):
+        out += _log(kernel)[:, :, mem_codes[:, k]]
+    return out
+
+
+def household_class_logits(params, view):
+    """The household-class draw's logits, as the class update built them: (F, n)."""
+    ml = member_kernel_table(params, view.mem_codes)
+    mixed = logsumexp(ml + _log(params.mem_weights)[:, :, None], axis=1)
+    logw = np.zeros((params.n_hh_classes, view.n_households))
+    for k, kernel in enumerate(params.hh_kernels):
+        logw += _log(kernel)[:, view.hh_codes[:, k]]
+    logw += np.add.reduceat(mixed, view.hh_start, axis=1)
+    logw += _log(params.hh_weights)[:, None]
+    return logw
+
+
+def member_class_logits(params, view, hh_class):
+    """The member-class draw's logits given household classes: (N, S)."""
+    ml = member_kernel_table(params, view.mem_codes)
+    g = hh_class[view.mem_hh]
+    return ml[g, :, np.arange(view.n_individuals)] + _log(params.mem_weights)[g]
+
+
+def sample_household_classes(params, view, rng):
+    logits = household_class_logits(params, view)
+    return np.argmax(logits + rng.gumbel(size=logits.shape), axis=0).astype(np.int64)
+
+
+def sample_member_classes(params, view, hh_class, rng):
+    logits = member_class_logits(params, view, hh_class)
+    return np.argmax(logits + rng.gumbel(size=logits.shape), axis=1).astype(np.int64)
+
+
+def candidate_logliks(support, params):
+    """log likelihood of every candidate under one draw, one view per call: (C,)."""
+    C = support.hh_values.shape[0]
+    if support.kind == "individual":
+        sizes = np.ones(C, dtype=np.int64)
+        mem = support.mem_values
+    else:
+        h = support.mem_values.shape[1]
+        sizes = np.full(C, h, dtype=np.int64)
+        mem = support.mem_values.reshape(C * h, -1)
+    view = DatasetView.from_arrays(support.hh_values, mem, sizes)
+    return logsumexp(household_class_logits(params, view), axis=0)
+
+
+def importance_weights(support, params_draws):
+    """Self-normalized weights, scoring one (target, draw) pair at a time: (R, C)."""
+    cand = np.stack([candidate_logliks(support, params) for params in params_draws])
+    log_ratio = cand - cand[:, [support.truth_index]]
+    peak = np.maximum(log_ratio.max(axis=0, keepdims=True), 0.0)
+    ratios = np.exp(log_ratio - peak)
+    return ratios / ratios.sum(axis=0, keepdims=True)

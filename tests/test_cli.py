@@ -133,9 +133,10 @@ def test_missing_required_flag_exits_1():
     assert main(["fit"]) == 1
 
 
-def test_threads_zero_exits_1(tmp_path):
+def test_threads_flag_is_gone(tmp_path, capsys):
     config = write_workspace(tmp_path)
-    assert run("fit", config, tmp_path / "out", "--threads", "0") == 1
+    assert run("risk", config, tmp_path / "out", "--threads", "2") == 1
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_bad_kernel_prior_exits_1(tmp_path, capsys):

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 from scipy.special import digamma, logsumexp, polygamma
 
+import oracles
+from hhsynth import gibbs
 from hhsynth.constraints import compile_rules
-from hhsynth.data import DatasetView
+from hhsynth.data import DatasetView, size_histogram
 from hhsynth.gibbs import (
     ChainConfig,
     Diagnostics,
     gamma_log_draws,
+    gibbs_sweep,
     household_kernel_counts,
     init_state,
     mcse_batch_means,
@@ -29,8 +32,15 @@ from hhsynth.gibbs import (
     sample_member_sticks,
     sample_mem_concentration,
 )
-from hhsynth.model import Hyperparams, class_posterior_logweights, prior_draw
+from hhsynth.model import (
+    Hyperparams,
+    class_posterior_logweights,
+    draw_households,
+    member_logliks,
+    prior_draw,
+)
 from hhsynth.rng import substream
+from hhsynth.truncated import truncated_sweep
 
 # the five-household fixture routinely occupies every class, which is the
 # point of the saturation warning but noise here
@@ -213,9 +223,11 @@ def test_household_class_draw_matches_exact_posterior(toy_params):
     members = [(0, 2), (1, 0)]
     B = 20000
     view = replicated_view(hh, members, B)
-    draws = sample_household_classes(toy_params, view, substream(66, "gdraw"))
+    table = member_logliks(toy_params, view.mem_codes)
+    draws = sample_household_classes(toy_params, view, table, substream(66, "gdraw"))
     one = replicated_view(hh, members, 1)
-    logw = class_posterior_logweights(toy_params, one)[:, 0]
+    logw = class_posterior_logweights(toy_params, one, member_logliks(toy_params, one.mem_codes))
+    logw = logw[:, 0]
     post = np.exp(logw - logsumexp(logw))
     freq = np.bincount(draws, minlength=3) / B
     se = np.sqrt(post * (1 - post) / B)
@@ -227,7 +239,8 @@ def test_member_class_draw_matches_exact_posterior(toy_params):
     B = 20000
     view = replicated_view((0, 0), [(1, 3)], B)
     hh_class = np.full(B, 2)
-    draws = sample_member_classes(toy_params, view, hh_class, substream(66, "mdraw"))
+    table = member_logliks(toy_params, view.mem_codes)
+    draws = sample_member_classes(toy_params, view, table, hh_class, substream(66, "mdraw"))
     with np.errstate(divide="ignore"):  # a zero weight is part of the fixture
         logw = np.log(toy_params.mem_weights[2]).copy()
         for k, code in enumerate((1, 3)):
@@ -246,8 +259,51 @@ def test_class_draw_dominance(toy_schema):
     params.hh_kernels[0][0] = [1.0, 0.0]
     params.hh_kernels[0][1] = [0.0, 1.0]
     view = replicated_view((1, 0), [(0, 0)], 500)
-    draws = sample_household_classes(params, view, substream(67, "domdraw"))
+    table = member_logliks(params, view.mem_codes)
+    draws = sample_household_classes(params, view, table, substream(67, "domdraw"))
     assert (draws == 1).all()
+
+
+def test_class_draws_bitwise_match_oracle(toy_schema, toy_params):
+    # the logits and draws of the class updates that each built their own table
+    rng = substream(69, "oracle-data")
+    hh, mem, sizes, _ = draw_households(toy_params, toy_schema, rng.integers(3, size=400), rng)
+    view = DatasetView.from_arrays(hh, mem, sizes)
+    sparse = toy_params.copy()
+    sparse.mem_weights[1] = [1.0, 0.0]  # zeros take the log floor
+    sparse.mem_kernels[0][2, 1] = [1.0, 0.0]
+    other = prior_draw(Hyperparams.uniform(toy_schema, 3, 2), substream(69, "prior"))
+    for params in (toy_params, sparse, other):
+        table = member_logliks(params, view.mem_codes)
+        got = class_posterior_logweights(params, view, table)
+        want = oracles.household_class_logits(params, view)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        hh_class = sample_household_classes(params, view, table, substream(69, "g"))
+        want_class = oracles.sample_household_classes(params, view, substream(69, "g"))
+        assert np.array_equal(hh_class.view(np.uint64), want_class.view(np.uint64))
+        mem_class = sample_member_classes(params, view, table, hh_class, substream(69, "m"))
+        want_mem = oracles.sample_member_classes(params, view, hh_class, substream(69, "m"))
+        assert np.array_equal(mem_class.view(np.uint64), want_mem.view(np.uint64))
+
+
+def test_one_member_table_per_sweep(monkeypatch, toy_schema, toy_dataset):
+    calls = []
+
+    def counted(params, mem_codes):
+        calls.append(mem_codes.shape[0])
+        return member_logliks(params, mem_codes)
+
+    monkeypatch.setattr(gibbs, "member_logliks", counted)
+    view = toy_dataset.to_view()
+    hyper = Hyperparams.uniform(toy_schema, 3, 2)
+    state = init_state(view, hyper, substream(70, "init"))
+    gibbs_sweep(state, view, hyper, substream(70, "sweep"))
+    assert calls == [view.n_individuals]
+    calls.clear()
+    rules = compile_rules("exactly_one role = 1", toy_schema)
+    histogram = size_histogram(toy_dataset)
+    truncated_sweep(state, view, toy_schema, hyper, rules, histogram, substream(70, "t"), 10**6)
+    assert calls == [view.n_individuals]
 
 
 def test_mcse_batch_means_iid_scale():

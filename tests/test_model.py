@@ -15,15 +15,16 @@ from hhsynth.data import DatasetView, HouseholdRecord
 from hhsynth.model import (
     Hyperparams,
     Params,
+    class_posterior_logweights,
     dataset_loglik,
     draw_households,
-    household_logliks,
     infeasible_mass,
     logsumexp,
+    member_logliks,
     pair_probability,
     prior_draw,
     rows_categorical,
-    size_class_logweights,
+    size_class_probs,
     stick_break,
 )
 from hhsynth.rng import substream
@@ -162,12 +163,12 @@ def test_household_likelihood_degenerate_certainty():
 def test_dataset_loglik_is_sum_of_households(toy_params, toy_dataset):
     from scipy.special import logsumexp
 
-    from hhsynth.model import class_posterior_logweights
-
     view = toy_dataset.to_view()
-    conditional = household_logliks(toy_params, view)
-    assert conditional.shape == (toy_params.n_hh_classes, view.n_households)
-    per = logsumexp(class_posterior_logweights(toy_params, view), axis=0)
+    table = member_logliks(toy_params, view.mem_codes)
+    assert table.shape == (toy_params.n_hh_classes, toy_params.n_mem_classes, view.n_individuals)
+    logw = class_posterior_logweights(toy_params, view, table)
+    assert logw.shape == (toy_params.n_hh_classes, view.n_households)
+    per = logsumexp(logw, axis=0)
     assert dataset_loglik(toy_params, view) == pytest.approx(per.sum(), rel=1e-12)
     single = [
         household_likelihood(r, toy_params) for r in records_of(toy_dataset)
@@ -221,15 +222,15 @@ def test_total_probability_over_composition_space(toy_schema, toy_params):
     # conditioned on size h, household probabilities over all cells sum to 1
     from hhsynth.constraints import iter_cell_chunks
 
+    size_kernel = toy_params.hh_kernels[toy_schema.size_index]
     for h in (1, 2):
-        logw = size_class_logweights(toy_params, toy_schema, h)
         total = 0.0
         for hh, mem in iter_cell_chunks(toy_schema, h, fix_size_code=h - 1):
             for b in range(hh.shape[0]):
                 total += naive_household_prob(
                     toy_params, toy_schema, tuple(hh[b]), [tuple(m) for m in mem[b]]
                 )
-        assert total == pytest.approx(np.exp(logw).sum(), rel=1e-9)
+        assert total == pytest.approx(toy_params.hh_weights @ size_kernel[:, h - 1], rel=1e-9)
 
 
 def test_pair_probability_matches_enumeration(toy_params):
@@ -309,11 +310,11 @@ def test_draw_households_respects_forced_sizes(toy_schema, toy_params):
     assert mem_class.shape == (sizes.sum(),)
 
 
-def test_size_class_logweights(toy_schema, toy_params):
+def test_size_class_probs(toy_schema, toy_params):
     for h in (1, 2, 3):
-        logw = size_class_logweights(toy_params, toy_schema, h)
+        probs = size_class_probs(toy_params, toy_schema, h)
         want = toy_params.hh_weights * toy_params.hh_kernels[1][:, h - 1]
-        np.testing.assert_allclose(np.exp(logw), want, rtol=1e-12)
+        np.testing.assert_allclose(probs, want / want.sum(), rtol=1e-12)
 
 
 def test_rows_categorical_frequencies():

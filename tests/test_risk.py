@@ -25,6 +25,7 @@ from hhsynth.risk import (
 )
 from hhsynth.synthesis import synthesize_untruncated
 
+import oracles
 from conftest import build_dataset, build_schema
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*truncation level.*")
@@ -158,6 +159,24 @@ def test_weights_truth_column_exactly_uniform(toy_schema, fitted_draws):
     assert (weights >= 0).all()
 
 
+def test_weights_bitwise_match_per_pair_oracle(toy_schema, toy_dataset, fitted_draws):
+    # one view per target scores every draw as one view per (target, draw) did
+    draws, _ = fitted_draws
+    rules = compile_rules("exactly_one role = 1", toy_schema)
+    view = toy_dataset.to_view()
+    supports = [
+        build_support_individual(toy_schema, view.hh_codes[view.mem_hh[j]], view.mem_codes[j])
+        for j in range(view.n_individuals)
+    ]
+    for i, members in enumerate(np.split(view.mem_codes, view.hh_start[1:])):
+        for r in (None, rules):
+            supports.append(build_support_household(toy_schema, view.hh_codes[i], members, rules=r))
+    for support in supports:
+        got = importance_weights(support, draws)
+        want = oracles.importance_weights(support, draws)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_weights_single_draw_degenerate(toy_schema, fitted_draws):
     draws, _ = fitted_draws
     support = build_support_individual(toy_schema, np.array([0, 0]), np.array([0, 1]))
@@ -258,8 +277,6 @@ def test_replicate_likelihood_doubles(toy_schema, toy_params):
 def test_risk_config_validation():
     with pytest.raises(ValueError, match="unknown target kind"):
         RiskConfig(kind="person")
-    with pytest.raises(ValueError, match="threads"):
-        RiskConfig(kind="individual", threads=0)
 
 
 def test_risk_sweep_deduplicates_individuals(toy_schema, fitted_draws):
@@ -308,18 +325,6 @@ def test_risk_sweep_member_order_is_canonical(toy_schema, fitted_draws):
     rows_b = risk_sweep(b, [], draws, RiskConfig(kind="household")).rows
     assert rows_a[0].target_id == rows_b[0].target_id
     assert rows_a[0].rho_truth == rows_b[0].rho_truth
-
-
-def test_risk_sweep_threads_equivalent(toy_schema, toy_dataset, fitted_draws):
-    draws, views = fitted_draws
-    serial = risk_sweep(toy_dataset, [], draws, RiskConfig(kind="individual"))
-    threaded = risk_sweep(
-        toy_dataset, [], draws, RiskConfig(kind="individual", threads=2)
-    )
-    assert [r.target_id for r in serial.rows] == [r.target_id for r in threaded.rows]
-    for x, y in zip(serial.rows, threaded.rows):
-        assert x.rho_truth == y.rho_truth
-        assert x.rank_of_truth == y.rank_of_truth
 
 
 def test_risk_summary_csv(tmp_path, toy_schema, toy_dataset, fitted_draws):
