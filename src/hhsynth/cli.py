@@ -4,7 +4,7 @@ One YAML config drives every subcommand; --out selects the working directory
 and --seed overrides the config seed.  Paths in the config may embed "{out}"
 to reference files produced by earlier steps, everything else resolves
 relative to the config file.  Exit codes: 0 success, 1 usage or config
-problem, 2 runtime failure.
+problem (found before the command writes a file), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import yaml
 
 from .checkpoints import read_checkpoints
 from .constraints import RuleSet, compile_rules
-from .data import Dataset, Schema, load_dataset, load_schema, size_histogram, write_dataset
+from .data import Dataset, Schema, load_dataset, load_schema, write_dataset
 from .gibbs import ChainConfig, run_chain
 from .inference import (
     HouseholdQuery,
@@ -51,80 +52,151 @@ class UsageError(Exception):
     """Bad flags, malformed config, or missing inputs."""
 
 
-@dataclass
-class ModelSettings:
-    household_classes: int
-    individual_classes: int
-    kernel_prior: str = "empirical"  # or "uniform"
-    hh_conc_shape: float = 0.25
-    hh_conc_rate: float = 0.25
-    mem_conc_shape: float = 0.25
-    mem_conc_rate: float = 0.25
-    per_class_mem_conc: bool = False
+def _positive(value) -> int:
+    """A count the library takes unchecked: an integer >= 1."""
+    n = int(value)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
 
 
-@dataclass
-class ChainSettings:
-    iterations: int
-    burn_in: int
-    thin: int = 1
-    candidate_cap: int | None = None
+def _open_unit(value) -> float:
+    p = float(value)
+    if not 0.0 < p < 1.0:
+        raise ValueError("must lie in (0, 1)")
+    return p
 
 
-@dataclass
-class SynthesisSettings:
-    replicates: int = 5
+def _or_none(parse):
+    """parse, except that an empty value (null, 0, []) keeps the library's None."""
+    return lambda value: parse(value) if value else None
 
 
-@dataclass
-class EvaluateSettings:
-    max_order: int = 2
-    min_expected: float = 10.0
-    confidence: float = 0.95
-    household_queries: list = field(default_factory=list)
+def _mapping(parse_key, parse_value):
+    return lambda doc: {parse_key(k): parse_value(v) for k, v in dict(doc).items()}
 
 
-@dataclass
-class RiskSettings:
-    kind: str = "individual"
-    draws: int = 25
-    held_fixed: tuple[str, ...] = ()
-    sizes: tuple[int, ...] | None = None
+def _kernel_prior(value) -> str:
+    if value not in ("empirical", "uniform"):
+        raise ValueError("must be 'empirical' or 'uniform'")
+    return value
 
 
-@dataclass
-class SimulateSettings:
-    population_households: int
-    sample_households: int
-    size_distribution: dict[int, float]
-    copy_variable: str
-    copy_prob: float
-    role_variable: str | None = None
-    head_code: int = 1
-    other_code: int = 2
-    marginals: dict[str, list] = field(default_factory=dict)
+# Each section's table maps a YAML key to (library keyword, parser).  Codes in
+# the YAML are 1-based; the library's are 0-based.
+_SIMULATE = {
+    "population_households": ("n_households", int),
+    "sample_households": ("sample_households", int),
+    "size_distribution": ("size_probs", _mapping(int, float)),
+    "copy_variable": ("copy_variable", str),
+    "copy_prob": ("copy_prob", float),
+    "role_variable": ("role_variable", _or_none(str)),
+    "head_code": ("head_code", lambda code: int(code) - 1),
+    "other_code": ("other_code", lambda code: int(code) - 1),
+    "marginals": ("marginals", _mapping(str, partial(np.asarray, dtype=float))),
+}
+_MODEL = {
+    "household_classes": ("n_hh_classes", int),
+    "individual_classes": ("n_mem_classes", int),
+    "kernel_prior": ("kernel_prior", _kernel_prior),
+    "hh_conc_shape": ("hh_conc_shape", float),
+    "hh_conc_rate": ("hh_conc_rate", float),
+    "mem_conc_shape": ("mem_conc_shape", float),
+    "mem_conc_rate": ("mem_conc_rate", float),
+    "per_class_mem_conc": ("per_class_mem_conc", bool),
+}
+_CHAIN = {
+    "iterations": ("n_iterations", int),
+    "burn_in": ("burn_in", int),
+    "thin": ("thin", int),
+    "candidate_cap": ("candidate_cap", _or_none(int)),
+}
+_EVALUATE = {
+    "max_order": ("max_order", _positive),
+    "min_expected": ("min_expected", float),
+    "confidence": ("gamma", _open_unit),
+    "household_queries": ("household_queries", list),
+}
+_RISK = {
+    "kind": ("kind", str),
+    "draws": ("draws", _positive),
+    "held_fixed": ("held_fixed", tuple),
+    "sizes": ("sizes", _or_none(lambda sizes: tuple(int(s) for s in sizes))),
+}
+_SECTIONS = {
+    "simulate": _SIMULATE,
+    "model": _MODEL,
+    "chain": _CHAIN,
+    "synthesis": {"replicates": ("replicates", _positive)},
+    "evaluate": _EVALUATE,
+    "risk": _RISK,
+}
+# the keys a section must give when it is present
+_REQUIRED = ("population_households", "sample_households", "size_distribution", "copy_variable",
+             "copy_prob", "household_classes", "individual_classes", "iterations", "burn_in")
+# keywords no library object takes; they become RunConfig fields
+_PLAIN = ("sample_households", "replicates", "household_queries", "draws")
 
 
 @dataclass
 class RunConfig:
+    """The library's config objects for one run, plus the values they have no field for."""
+
     seed: int
     schema_path: Path
     config_dir: Path
+    risk: RiskConfig
     data_path: str | None = None
     rules_path: Path | None = None
     population_path: str | None = None
-    model: ModelSettings | None = None
-    chain: ChainSettings | None = None
-    synthesis: SynthesisSettings = field(default_factory=SynthesisSettings)
-    evaluate: EvaluateSettings = field(default_factory=EvaluateSettings)
-    risk: RiskSettings = field(default_factory=RiskSettings)
-    simulate: SimulateSettings | None = None
+    toy: ToyConfig | None = None
+    sample_households: int | None = None
+    model: dict | None = None  # Hyperparams keywords, plus kernel_prior
+    chain: ChainConfig | None = None
+    replicates: int = 5
+    cells: dict = field(default_factory=dict)  # cell_report keywords
+    household_queries: list = field(default_factory=list)
+    draws: int = 25
 
 
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise UsageError(f"config: missing {key!r} in {where}")
     return doc[key]
+
+
+def _check_keys(where: str, doc, allowed) -> None:
+    if not isinstance(doc, dict):
+        raise UsageError(f"config: {where} must be a mapping")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise UsageError(f"config: unknown keys {sorted(unknown, key=str)} in {where}")
+
+
+def _value(where: str, parse, value):
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config: {where}: {exc}") from exc
+
+
+def _parse(section: str, doc) -> dict:
+    """One YAML section read through its table: {library keyword: parsed value}."""
+    table = _SECTIONS[section]
+    _check_keys(section, doc, table)
+    for key in _REQUIRED:
+        if key in table:
+            _require(doc, key, section)
+    return {table[key][0]: _value(f"{section}.{key}", table[key][1], v) for key, v in doc.items()}
+
+
+def _build(section: str, make, kw: dict):
+    """make(**kw); a value the library rejects is reported with the YAML keys that set kw."""
+    try:
+        return make(**kw)
+    except (TypeError, ValueError) as exc:
+        keys = ", ".join(key for key, (name, _) in _SECTIONS[section].items() if name in kw)
+        raise UsageError(f"config: {section}: {exc} (set by {keys})") from exc
 
 
 def load_config(path: Path, seed_override: int | None) -> RunConfig:
@@ -134,13 +206,13 @@ def load_config(path: Path, seed_override: int | None) -> RunConfig:
         doc = yaml.safe_load(path.read_text(encoding="utf8"))
     except yaml.YAMLError as exc:
         raise UsageError(f"config is not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError("config must be a YAML mapping")
+    _check_keys("the top level", doc, {"seed", "schema", "rules", "data", "population", *_SECTIONS})
     config_dir = path.parent.resolve()
 
     seed = seed_override if seed_override is not None else doc.get("seed")
     if seed is None:
         raise UsageError("config: a 'seed' is required (or pass --seed)")
+    seed = _value("seed", int, seed)
 
     schema_rel = _require(doc, "schema", "the top level")
     schema_path = (config_dir / schema_rel).resolve()
@@ -153,75 +225,23 @@ def load_config(path: Path, seed_override: int | None) -> RunConfig:
         if not rules_path.is_file():
             raise UsageError(f"rules file not found: {rules_path}")
 
-    cfg = RunConfig(
-        seed=int(seed),
+    sections = {name: _parse(name, doc[name]) for name in _SECTIONS if name in doc}
+    plain = {key: kw.pop(key) for kw in sections.values() for key in _PLAIN if key in kw}
+    toy, chain = sections.get("simulate"), sections.get("chain")
+    return RunConfig(
+        seed=seed,
         schema_path=schema_path,
         config_dir=config_dir,
+        risk=_build("risk", RiskConfig, {"kind": "individual", **sections.get("risk", {})}),
         data_path=doc.get("data"),
         rules_path=rules_path,
         population_path=doc.get("population"),
+        toy=None if toy is None else _build("simulate", ToyConfig, toy),
+        model=sections.get("model"),
+        chain=None if chain is None else _build("chain", ChainConfig, {**chain, "seed": seed}),
+        cells=sections.get("evaluate", {}),
+        **plain,
     )
-
-    if "model" in doc:
-        m = doc["model"]
-        cfg.model = ModelSettings(
-            household_classes=int(_require(m, "household_classes", "model")),
-            individual_classes=int(_require(m, "individual_classes", "model")),
-            kernel_prior=str(m.get("kernel_prior", "empirical")),
-            hh_conc_shape=float(m.get("hh_conc_shape", 0.25)),
-            hh_conc_rate=float(m.get("hh_conc_rate", 0.25)),
-            mem_conc_shape=float(m.get("mem_conc_shape", 0.25)),
-            mem_conc_rate=float(m.get("mem_conc_rate", 0.25)),
-            per_class_mem_conc=bool(m.get("per_class_mem_conc", False)),
-        )
-        if cfg.model.kernel_prior not in ("empirical", "uniform"):
-            raise UsageError("config: model.kernel_prior must be 'empirical' or 'uniform'")
-    if "chain" in doc:
-        c = doc["chain"]
-        cfg.chain = ChainSettings(
-            iterations=int(_require(c, "iterations", "chain")),
-            burn_in=int(_require(c, "burn_in", "chain")),
-            thin=int(c.get("thin", 1)),
-            candidate_cap=int(c["candidate_cap"]) if c.get("candidate_cap") else None,
-        )
-    if "synthesis" in doc:
-        cfg.synthesis = SynthesisSettings(replicates=int(doc["synthesis"].get("replicates", 5)))
-        if cfg.synthesis.replicates < 1:
-            raise UsageError("config: synthesis.replicates must be >= 1")
-    if "evaluate" in doc:
-        e = doc["evaluate"]
-        cfg.evaluate = EvaluateSettings(
-            max_order=int(e.get("max_order", 2)),
-            min_expected=float(e.get("min_expected", 10.0)),
-            confidence=float(e.get("confidence", 0.95)),
-            household_queries=list(e.get("household_queries", [])),
-        )
-    if "risk" in doc:
-        r = doc["risk"]
-        kind = str(r.get("kind", "individual"))
-        if kind not in ("individual", "household"):
-            raise UsageError("config: risk.kind must be 'individual' or 'household'")
-        cfg.risk = RiskSettings(
-            kind=kind,
-            draws=int(r.get("draws", 25)),
-            held_fixed=tuple(r.get("held_fixed", [])),
-            sizes=tuple(int(s) for s in r["sizes"]) if r.get("sizes") else None,
-        )
-    if "simulate" in doc:
-        s = doc["simulate"]
-        dist = _require(s, "size_distribution", "simulate")
-        cfg.simulate = SimulateSettings(
-            population_households=int(_require(s, "population_households", "simulate")),
-            sample_households=int(_require(s, "sample_households", "simulate")),
-            size_distribution={int(k): float(v) for k, v in dist.items()},
-            copy_variable=str(_require(s, "copy_variable", "simulate")),
-            copy_prob=float(_require(s, "copy_prob", "simulate")),
-            role_variable=s.get("role_variable"),
-            head_code=int(s.get("head_code", 1)),
-            other_code=int(s.get("other_code", 2)),
-            marginals={str(k): list(v) for k, v in s.get("marginals", {}).items()},
-        )
-    return cfg
 
 
 def _resolve(cfg: RunConfig, raw: str | None, out_dir: Path, what: str) -> Path:
@@ -245,39 +265,28 @@ def _load_rules(cfg: RunConfig, schema: Schema) -> RuleSet | None:
 def _hyperparams(cfg: RunConfig, schema: Schema, dataset: Dataset) -> Hyperparams:
     if cfg.model is None:
         raise UsageError("config: a 'model' section is required for this command")
-    m = cfg.model
-    kw = dict(
-        hh_conc_shape=m.hh_conc_shape,
-        hh_conc_rate=m.hh_conc_rate,
-        mem_conc_shape=m.mem_conc_shape,
-        mem_conc_rate=m.mem_conc_rate,
-        per_class_mem_conc=m.per_class_mem_conc,
-    )
-    if m.kernel_prior == "uniform":
-        return Hyperparams.uniform(schema, m.household_classes, m.individual_classes, **kw)
-    return Hyperparams.empirical(
-        schema, dataset.to_view(), m.household_classes, m.individual_classes, **kw
-    )
+    kw = dict(cfg.model)
+    if kw.pop("kernel_prior", "empirical") == "uniform":
+        return _build("model", partial(Hyperparams.uniform, schema), kw)
+    return _build("model", partial(Hyperparams.empirical, schema, dataset.to_view()), kw)
+
+
+def _output_of(stage: str, what: str, path: Path) -> Path:
+    """path, which an earlier stage writes; a usage error if that stage has not run."""
+    if not path.is_file():
+        raise UsageError(f"no {what} at {path}; run {stage} first")
+    return path
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
-    if cfg.simulate is None:
+    if cfg.toy is None:
         raise UsageError("config: a 'simulate' section is required")
     schema = load_schema(cfg.schema_path)
-    s = cfg.simulate
-    toy = ToyConfig(
-        n_households=s.population_households,
-        size_probs=s.size_distribution,
-        copy_variable=s.copy_variable,
-        copy_prob=s.copy_prob,
-        marginals={k: np.asarray(v, dtype=float) for k, v in s.marginals.items()},
-        role_variable=s.role_variable,
-        head_code=s.head_code - 1,
-        other_code=s.other_code - 1,
+    population = simulate_toy_population(
+        schema, cfg.toy, substream(cfg.seed, "simulate", "population")
     )
-    population = simulate_toy_population(schema, toy, substream(cfg.seed, "simulate", "population"))
     sample = sample_households(
-        population, s.sample_households, substream(cfg.seed, "simulate", "sample")
+        population, cfg.sample_households, substream(cfg.seed, "simulate", "sample")
     )
     write_dataset(population, out_dir / "population.csv")
     write_dataset(sample, out_dir / "sample.csv")
@@ -295,13 +304,6 @@ def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
     dataset = load_dataset(data_path, schema)
     rules = _load_rules(cfg, schema)
     hyper = _hyperparams(cfg, schema, dataset)
-    chain_config = ChainConfig(
-        n_iterations=cfg.chain.iterations,
-        burn_in=cfg.chain.burn_in,
-        thin=cfg.chain.thin,
-        seed=cfg.seed,
-        candidate_cap=cfg.chain.candidate_cap,
-    )
     log.info(
         "fit: %d households, %d individuals, mode=%s",
         dataset.n_households,
@@ -309,7 +311,7 @@ def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
         "truncated" if rules else "untruncated",
     )
     result = run_chain(
-        dataset, hyper, chain_config, rules=rules,
+        dataset, hyper, cfg.chain, rules=rules,
         checkpoint_path=out_dir / "checkpoints.jsonl",
     )
     result.diagnostics.to_csv(out_dir / "diagnostics.csv")
@@ -328,16 +330,14 @@ def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_synthesize(cfg: RunConfig, out_dir: Path) -> None:
     schema = load_schema(cfg.schema_path)
-    ckpt_path = out_dir / "checkpoints.jsonl"
-    if not ckpt_path.is_file():
-        raise UsageError(f"no checkpoints at {ckpt_path}; run fit first")
+    ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")
     meta, records = read_checkpoints(ckpt_path)
     if meta["mode"] == "truncated":
-        reps = synthesize_truncated(schema, records, cfg.synthesis.replicates)
+        reps = synthesize_truncated(schema, records, cfg.replicates)
     else:
         data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
         dataset = load_dataset(data_path, schema)
-        reps = synthesize_untruncated(dataset, records, cfg.synthesis.replicates, cfg.seed)
+        reps = synthesize_untruncated(dataset, records, cfg.replicates, cfg.seed)
     manifest = write_replicates(reps, out_dir)
     log.info(
         "synthesize: %d replicates from iterations %s",
@@ -346,30 +346,41 @@ def cmd_synthesize(cfg: RunConfig, out_dir: Path) -> None:
     )
 
 
+# query kind -> the keys its spec may give besides kind, name and size
+_QUERY_KEYS = {
+    "all_equal": {"variable"},
+    "exists": {"literals"},
+    "count": {"variable", "code", "min", "max"},
+    "hh_value": {"variable", "code"},
+    "and": {"of"},
+}
+
+
 def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery | object:
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _QUERY_KEYS:
+        raise UsageError(f"config: unknown query kind {kind!r}")
+    where = f"query {spec.get('name', kind)!r}"
+    _check_keys(where, spec, {"kind", *_QUERY_KEYS[kind], *(("name", "size") if top else ())})
     if kind == "all_equal":
-        pred = all_members_equal(schema, _require(spec, "variable", "query"))
+        pred = all_members_equal(schema, _require(spec, "variable", where))
     elif kind == "exists":
-        literals = _require(spec, "literals", "query")
+        literals = _require(spec, "literals", where)
         pred = exists_member(schema, **{k: int(v) - 1 for k, v in literals.items()})
     elif kind == "count":
         pred = member_count(
             schema,
-            _require(spec, "variable", "query"),
-            int(_require(spec, "code", "query")) - 1,
+            _require(spec, "variable", where),
+            int(_require(spec, "code", where)) - 1,
             min_count=int(spec.get("min", 0)),
             max_count=int(spec["max"]) if "max" in spec else None,
         )
     elif kind == "hh_value":
         pred = household_value(
-            schema, _require(spec, "variable", "query"), int(_require(spec, "code", "query")) - 1
+            schema, _require(spec, "variable", where), int(_require(spec, "code", where)) - 1
         )
-    elif kind == "and":
-        preds = [_build_query(schema, sub, top=False) for sub in _require(spec, "of", "query")]
-        pred = q_all(*preds)
     else:
-        raise UsageError(f"config: unknown query kind {kind!r}")
+        pred = q_all(*[_build_query(schema, sub, top=False) for sub in _require(spec, "of", where)])
     if not top:
         return pred
     return HouseholdQuery(
@@ -381,30 +392,23 @@ def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     schema = load_schema(cfg.schema_path)
+    build = partial(_build_query, schema)
+    queries = [_value("evaluate.household_queries", build, spec) for spec in cfg.household_queries]
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     original = load_dataset(data_path, schema)
+    _output_of("synthesize", "replicates", out_dir / "manifest.json")
     reps = read_replicates(out_dir, schema)
     population = None
     if cfg.population_path:
         population = load_dataset(
             _resolve(cfg, cfg.population_path, out_dir, "population"), schema
         )
-    e = cfg.evaluate
-    rows = cell_report(
-        original,
-        reps.replicates,
-        max_order=e.max_order,
-        min_expected=e.min_expected,
-        gamma=e.confidence,
-        population=population,
-    )
+    rows = cell_report(original, reps.replicates, population=population, **cfg.cells)
     write_report_csv(rows, out_dir / "cells.csv")
     log.info("evaluate: %d cells reported", len(rows))
-    if e.household_queries:
-        queries = [_build_query(schema, spec) for spec in e.household_queries]
-        qrows = household_report(
-            original, reps.replicates, queries, gamma=e.confidence, population=population
-        )
+    if queries:
+        gamma = {k: v for k, v in cfg.cells.items() if k == "gamma"}
+        qrows = household_report(original, reps.replicates, queries, population=population, **gamma)
         write_report_csv(qrows, out_dir / "household_queries.csv")
         log.info("evaluate: %d household queries reported", len(qrows))
 
@@ -415,19 +419,12 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
     schema = load_schema(cfg.schema_path)
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     original = load_dataset(data_path, schema)
+    _output_of("synthesize", "replicates", out_dir / "manifest.json")
     reps = read_replicates(out_dir, schema)
-    ckpt_path = out_dir / "checkpoints.jsonl"
-    if not ckpt_path.is_file():
-        raise UsageError(f"no checkpoints at {ckpt_path}; run fit first")
-    _, records = read_checkpoints(ckpt_path)
-    draws = [r.params for r in select_records(records, min(cfg.risk.draws, len(records)))]
+    _, records = read_checkpoints(_output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl"))
+    draws = [r.params for r in select_records(records, min(cfg.draws, len(records)))]
     rules = _load_rules(cfg, schema)
-    config = RiskConfig(
-        kind=cfg.risk.kind,
-        held_fixed=cfg.risk.held_fixed,
-        sizes=cfg.risk.sizes,
-        rules=rules if cfg.risk.kind == "household" else None,
-    )
+    config = replace(cfg.risk, rules=rules if cfg.risk.kind == "household" else None)
     summary = risk_sweep(original, reps.replicates, draws, config)
     summary.to_csv(out_dir / "risk_summary.csv")
     summary.histogram_to_csv(out_dir / "rank_histogram.csv")

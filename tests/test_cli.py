@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -16,8 +17,10 @@ from pathlib import Path
 import pytest
 
 import hhsynth
-from hhsynth.cli import UsageError, _build_query, load_config, main
+from hhsynth.cli import UsageError, _build_query, _hyperparams, load_config, main
 from hhsynth.data import load_schema
+from hhsynth.gibbs import ChainConfig
+from hhsynth.risk import RiskConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*truncation level.*")
 
@@ -86,6 +89,9 @@ CONFIG_YAML = textwrap.dedent(
       held_fixed: [role]
     """
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_workspace(root, config_text=CONFIG_YAML):
@@ -192,6 +198,101 @@ def test_seed_flag_overrides_config(tmp_path):
     cfg = load_config(config, None)
     assert cfg.seed == 4242
     assert load_config(config, 7).seed == 7
+
+
+def test_load_config_builds_library_objects(tmp_path):
+    config = write_workspace(
+        tmp_path,
+        CONFIG_YAML.replace("thin: 3", "thin: 3\n  candidate_cap: 0").replace(
+            "held_fixed: [role]", "held_fixed: [role]\n  sizes: []"
+        ),
+    )
+    cfg = load_config(config, None)
+    assert cfg.chain == ChainConfig(n_iterations=60, burn_in=30, thin=3, seed=4242)
+    assert cfg.risk == RiskConfig("individual", held_fixed=("role",))
+    assert (cfg.toy.n_households, cfg.toy.head_code, cfg.toy.other_code) == (400, 0, 1)
+    assert cfg.model == {"n_hh_classes": 6, "n_mem_classes": 4, "kernel_prior": "empirical"}
+    assert cfg.cells == {"max_order": 1, "min_expected": 0.0}
+    assert (cfg.sample_households, cfg.replicates, cfg.draws) == (120, 3, 4)
+    assert len(cfg.household_queries) == 4
+
+
+def test_uniform_kernel_prior_takes_the_model_keys(tmp_path):
+    config = write_workspace(
+        tmp_path,
+        CONFIG_YAML.replace("kernel_prior: empirical", "kernel_prior: uniform\n  hh_conc_rate: 2"),
+    )
+    hyper = _hyperparams(load_config(config, None), load_schema(tmp_path / "schema.yaml"), None)
+    assert (hyper.n_hh_classes, hyper.n_mem_classes, hyper.hh_conc_rate) == (6, 4, 2.0)
+    assert all((prior == 1.0).all() for prior in hyper.hh_kernel_prior + hyper.mem_kernel_prior)
+
+
+def test_sections_left_out_take_the_defaults(tmp_path):
+    (tmp_path / "schema.yaml").write_text(SCHEMA_YAML)
+    config = tmp_path / "run.yaml"
+    config.write_text("seed: 1\nschema: schema.yaml\n")
+    cfg = load_config(config, None)
+    assert (cfg.toy, cfg.model, cfg.chain) == (None, None, None)
+    assert cfg.risk == RiskConfig("individual")
+    assert (cfg.replicates, cfg.draws, cfg.cells, cfg.household_queries) == (5, 25, {}, [])
+
+
+@pytest.mark.parametrize(
+    "path",
+    [REPO / "configs" / "toy.yaml", *sorted((REPO / "bench" / "workloads").glob("*/config.yaml"))],
+    ids=lambda path: path.relative_to(REPO).as_posix(),
+)
+def test_bundled_configs_load(path):
+    cfg = load_config(path, None)
+    assert cfg.toy is not None and cfg.model is not None and cfg.chain is not None
+
+
+# (command, text in CONFIG_YAML, its replacement, the key stderr must name)
+BAD_CONFIGS = [
+    ("fit", "burn_in: 30", "burn_in: 60", "burn_in"),
+    ("fit", "iterations: 60", "iterations: six", "iterations"),
+    ("simulate", "iterations: 60", "iterations: six", "iterations"),
+    ("simulate", "copy_prob: 0.9", "copy_prob: 1.5", "copy_prob"),
+    ("fit", "household_classes: 6", "household_classes: 0", "household_classes"),
+    ("fit", "thin: 3", "thinn: 3", "thinn"),
+    ("fit", "rules: rules.txt", "rule: rules.txt", "rule"),
+    ("fit", "chain:\n  iterations: 60\n  burn_in: 30\n  thin: 3\n", "chain: 5\n", "chain"),
+    ("evaluate", "max_order: 1", "max_order: 0", "max_order"),
+    ("evaluate", "min_expected: 0\n", "min_expected: 0\n  confidence: 1.5\n", "confidence"),
+    ("evaluate", "variable: color, size: 2", "variable: color, sise: 2", "sise"),
+    ("evaluate", "variable: own, code: 2}", "variable: own, code: 2, size: 2}", "size"),
+    ("evaluate", "variable: color, size: 2", "variable: colour, size: 2", "colour"),
+    ("risk", "draws: 4", "draws: 0", "draws"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, old, new, key", BAD_CONFIGS, ids=[f"{row[0]}-{row[3]}" for row in BAD_CONFIGS]
+)
+def test_config_error_exits_1_and_writes_nothing(
+    pipeline, tmp_path, capsys, command, old, new, key
+):
+    assert CONFIG_YAML.count(old) == 1
+    config = write_workspace(tmp_path, CONFIG_YAML.replace(old, new))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[1], out)  # every input the command reads is there
+
+    def files():
+        return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in out.iterdir()}
+
+    before = files()
+    assert run(command, config, out) == 1
+    assert key in capsys.readouterr().err
+    assert files() == before
+
+
+@pytest.mark.parametrize("command", ["evaluate", "risk"])
+def test_report_without_replicates_exits_1(tmp_path, capsys, command):
+    config = write_workspace(tmp_path)
+    out = tmp_path / "out"
+    assert run("simulate", config, out) == 0
+    assert run(command, config, out) == 1
+    assert "manifest.json; run synthesize first" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
