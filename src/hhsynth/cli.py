@@ -37,7 +37,7 @@ from .inference import (
 from .model import Hyperparams
 from .risk import RiskConfig, risk_sweep
 from .rng import substream
-from .simulate import ToyConfig, sample_households, simulate_toy_population
+from .simulate import ToyConfig, marginal, sample_households, simulate_toy_population
 from .synthesis import (
     read_replicates,
     synthesize_truncated,
@@ -282,6 +282,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.toy is None:
         raise UsageError("config: a 'simulate' section is required")
     schema = load_schema(cfg.schema_path)
+    if cfg.sample_households > cfg.toy.n_households:
+        raise UsageError(
+            f"config: simulate.sample_households: {cfg.sample_households} is above "
+            f"population_households {cfg.toy.n_households}"
+        )
+    for name in cfg.toy.marginals:
+        _value(f"simulate.marginals.{name}", partial(marginal, cfg.toy, schema), name)
     population = simulate_toy_population(
         schema, cfg.toy, substream(cfg.seed, "simulate", "population")
     )
@@ -417,6 +424,11 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
     from .synthesis import select_records
 
     schema = load_schema(cfg.schema_path)
+    for name in cfg.risk.held_fixed:
+        _value("risk.held_fixed", schema.variable, name)
+    for h in cfg.risk.sizes or ():
+        if not 1 <= h <= schema.max_size:
+            raise UsageError(f"config: risk.sizes: {h} outside 1..{schema.max_size}")
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     original = load_dataset(data_path, schema)
     _output_of("synthesize", "replicates", out_dir / "manifest.json")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,29 @@ class DatasetView:
     @property
     def n_individuals(self) -> int:
         return self.mem_codes.shape[0]
+
+    @cached_property
+    def mem_pattern(self) -> np.ndarray:
+        """Each member's row in patterns, (N,); computed on first use."""
+        # one mixed-radix integer per member row; where the next radix would
+        # pass int64, the codes so far are first renumbered densely (< N)
+        code = np.zeros(self.n_individuals, dtype=np.int64)
+        radix = 1
+        for column in self.mem_codes.T:
+            d = int(column.max(initial=0)) + 1
+            if radix * d > np.iinfo(np.int64).max:
+                distinct, code = np.unique(code, return_inverse=True)
+                radix = len(distinct)
+            code = code * d + column
+            radix *= d
+        return np.unique(code, return_inverse=True)[1]
+
+    @cached_property
+    def patterns(self) -> np.ndarray:
+        """The distinct member rows in ascending order, (P, p), P <= N."""
+        out = np.empty((self.mem_pattern.max(initial=-1) + 1, self.mem_codes.shape[1]), np.int64)
+        out[self.mem_pattern] = self.mem_codes
+        return out
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> DatasetView:

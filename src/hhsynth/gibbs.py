@@ -148,13 +148,13 @@ def sample_member_classes(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw each member's class given its household's class."""
-    logits = table[hh_class[view.mem_hh], :, np.arange(view.n_individuals)]
+    logits = table[hh_class[view.mem_hh], :, view.mem_pattern]
     return _gumbel_argmax(logits, rng, axis=1)
 
 
 def sample_classes(state: ChainState, view: DatasetView, rng: np.random.Generator) -> None:
     """Household classes, then member classes, from one member table."""
-    table = member_logliks(state.params, view.mem_codes)
+    table = member_logliks(state.params, view.patterns)
     state.hh_class = sample_household_classes(state.params, view, table, rng)
     state.mem_class = sample_member_classes(state.params, view, table, state.hh_class, rng)
 

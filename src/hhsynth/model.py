@@ -223,16 +223,17 @@ def prior_draw(hyper: Hyperparams, rng: np.random.Generator) -> Params:
     )
 
 
-def member_logliks(params: Params, mem_codes: np.ndarray) -> np.ndarray:
-    """log p(member values, member class m | household class g) as (F, S, N).
+def member_logliks(params: Params, patterns: np.ndarray) -> np.ndarray:
+    """log p(member values, member class m | household class g) as (F, S, P).
 
-    log mem_weights is added after the kernels, so each entry is the float a
+    patterns holds member rows, usually a view's distinct ones.  log
+    mem_weights is added after the kernels, so each entry is the float a
     caller adding the weight to the kernel sum would get.
     """
     F, S = params.n_hh_classes, params.n_mem_classes
-    out = np.zeros((F, S, mem_codes.shape[0]))
+    out = np.zeros((F, S, patterns.shape[0]))
     for k, kernel in enumerate(params.mem_kernels):
-        out += _log(kernel)[:, :, mem_codes[:, k]]
+        out += _log(kernel)[:, :, patterns[:, k]]
     out += _log(params.mem_weights)[:, :, None]
     return out
 
@@ -242,21 +243,25 @@ def class_posterior_logweights(
 ) -> np.ndarray:
     """Unnormalized log Pr(class g | household i) as (F, n).
 
-    table is member_logliks of view.mem_codes.  Household kernels first, then
+    table is member_logliks of view.patterns.  Household kernels first, then
     each household's members with member classes summed out, then log
     hh_weights.
     """
+    if table.shape[2] != len(view.patterns):
+        raise ValueError(f"member table of {table.shape[2]}, view of {len(view.patterns)} patterns")
     out = np.zeros((params.n_hh_classes, view.n_households))
     for k, kernel in enumerate(params.hh_kernels):
         out += _log(kernel)[:, view.hh_codes[:, k]]
-    out += np.add.reduceat(logsumexp(table, axis=1), view.hh_start, axis=1)
+    # numpy sums a one-column table's S axis pairwise, any other in S order
+    mixed = logsumexp(np.repeat(table, 2, axis=2) if table.shape[2] == 1 else table, axis=1)
+    out += np.add.reduceat(mixed[:, view.mem_pattern], view.hh_start, axis=1)
     out += _log(params.hh_weights)[:, None]
     return out
 
 
 def dataset_loglik(params: Params, view: DatasetView) -> float:
     """Total log likelihood with classes marginalized out."""
-    table = member_logliks(params, view.mem_codes)
+    table = member_logliks(params, view.patterns)
     return float(logsumexp(class_posterior_logweights(params, view, table), axis=0).sum())
 
 
@@ -357,7 +362,7 @@ def infeasible_mass(
         mass = total = 0.0
         for hh, mem in iter_cell_chunks(schema, h, fix_size_code=h - 1):
             view = DatasetView.from_arrays(hh, mem.reshape(-1, mem.shape[2]), np.full(len(hh), h))
-            table = member_logliks(params, view.mem_codes)
+            table = member_logliks(params, view.patterns)
             probs = np.exp(class_posterior_logweights(params, view, table)).sum(axis=0)
             mass += float(probs[~check_batch(rules, hh, mem)].sum())
             total += float(probs.sum())

@@ -108,6 +108,17 @@ class RiskConfig:
             raise ValueError(f"unknown target kind {self.kind!r}")
 
 
+def _changes(values: np.ndarray, variables, fixed) -> np.ndarray:
+    """Copies of values with one code changed, for each variable not named in
+    fixed: variables in order, codes ascending."""
+    out = [np.empty((0, len(values)), dtype=np.int64)]
+    for k, var in enumerate(variables):
+        if var.name not in fixed:
+            out.append(np.repeat(values[None], var.cardinality - 1, axis=0))
+            out[-1][:, k] = np.delete(np.arange(var.cardinality), values[k])
+    return np.concatenate(out)
+
+
 def build_support_individual(
     schema: Schema,
     hh_values: np.ndarray,
@@ -124,33 +135,12 @@ def build_support_individual(
     """
     hh_values = np.asarray(hh_values, dtype=np.int64)
     mem_values = np.asarray(mem_values, dtype=np.int64)
-    cand_hh = [hh_values]
-    cand_mem = [mem_values]
-    for k, var in enumerate(schema.household_vars):
-        if var.name in held_fixed:
-            continue
-        for code in range(var.cardinality):
-            if code == hh_values[k]:
-                continue
-            alt = hh_values.copy()
-            alt[k] = code
-            cand_hh.append(alt)
-            cand_mem.append(mem_values)
-    for k, var in enumerate(schema.individual_vars):
-        if var.name in held_fixed:
-            continue
-        for code in range(var.cardinality):
-            if code == mem_values[k]:
-                continue
-            alt = mem_values.copy()
-            alt[k] = code
-            cand_hh.append(hh_values)
-            cand_mem.append(alt)
+    hh_alt = _changes(hh_values, schema.household_vars, held_fixed)
+    mem_alt = _changes(mem_values, schema.individual_vars, held_fixed)
     return TargetSupport(
         kind="individual",
-        hh_values=np.stack(cand_hh),
-        mem_values=np.stack(cand_mem),
-        truth_index=0,
+        hh_values=np.concatenate([hh_values[None], hh_alt, np.tile(hh_values, (len(mem_alt), 1))]),
+        mem_values=np.concatenate([np.tile(mem_values, (1 + len(hh_alt), 1)), mem_alt]),
     )
 
 
@@ -172,46 +162,62 @@ def build_support_household(
     """
     hh_values = np.asarray(hh_values, dtype=np.int64)
     members = np.asarray(members, dtype=np.int64)
-    h = members.shape[0]
-    cand_hh = [hh_values]
-    cand_mem = [members]
-    for k, var in enumerate(schema.household_vars):
-        if var.is_size or var.name in held_fixed:
-            continue
-        for code in range(var.cardinality):
-            if code == hh_values[k]:
-                continue
-            alt = hh_values.copy()
-            alt[k] = code
-            cand_hh.append(alt)
-            cand_mem.append(members)
-    for j in range(h):
-        for k, var in enumerate(schema.individual_vars):
-            if var.name in held_fixed:
-                continue
-            for code in range(var.cardinality):
-                if code == members[j, k]:
-                    continue
-                alt = members.copy()
-                alt[j, k] = code
-                cand_hh.append(hh_values)
-                cand_mem.append(alt)
-    hh_arr = np.stack(cand_hh)
-    mem_arr = np.stack(cand_mem)
+    hh_alt = _changes(hh_values, schema.household_vars, (*held_fixed, schema.size_var.name))
+    mem_alt = [np.tile(members, (1 + len(hh_alt), 1, 1))]
+    for j, member in enumerate(members):
+        rows = _changes(member, schema.individual_vars, held_fixed)
+        mem_alt.append(np.tile(members, (len(rows), 1, 1)))
+        mem_alt[-1][:, j] = rows
+    mem_arr = np.concatenate(mem_alt)
+    n_same = len(mem_arr) - 1 - len(hh_alt)  # member changes keep the true household values
+    hh_arr = np.concatenate([hh_values[None], hh_alt, np.tile(hh_values, (n_same, 1))])
     if rules is not None and rules:
         keep = check_batch(rules, hh_arr, mem_arr)
         keep[0] = True  # observed truth stays regardless
         hh_arr = hh_arr[keep]
         mem_arr = mem_arr[keep]
-    return TargetSupport(
-        kind="household", hh_values=hh_arr, mem_values=mem_arr, truth_index=0
-    )
+    return TargetSupport(kind="household", hh_values=hh_arr, mem_values=mem_arr)
 
 
 def replicate_likelihood(params: Params, replicate: Dataset | DatasetView) -> float:
     """log P(replicate | params), classes marginalized out."""
     view = replicate.to_view() if isinstance(replicate, Dataset) else replicate
     return dataset_loglik(params, view)
+
+
+def candidate_logliks(supports: list[TargetSupport], params_draws: list[Params]) -> list:
+    """log p(candidate | draw r) of every target's candidates, one (R, C_t) array each.
+
+    The candidates of all targets, of any sizes, form one view; each draw
+    scores them with one member table and one class log-weight pass.
+    """
+    if not supports:
+        return []
+    counts = [s.hh_values.shape[0] for s in supports]
+    sizes = [1 if s.kind == "individual" else s.mem_values.shape[1] for s in supports]
+    view = DatasetView.from_arrays(
+        np.concatenate([s.hh_values for s in supports]),
+        np.concatenate([s.mem_values.reshape(-1, s.mem_values.shape[-1]) for s in supports]),
+        np.repeat(sizes, counts),
+    )
+    cand = np.empty((len(params_draws), sum(counts)))
+    for r, params in enumerate(params_draws):
+        table = member_logliks(params, view.patterns)
+        cand[r] = logsumexp(class_posterior_logweights(params, view, table), axis=0)
+    return np.split(cand, np.cumsum(counts)[:-1], axis=1)
+
+
+def _self_normalize(cand: np.ndarray, truth_index: int) -> np.ndarray:
+    log_ratio = cand - cand[:, [truth_index]]
+    peak = np.maximum(log_ratio.max(axis=0, keepdims=True), 0.0)
+    ratios = np.exp(log_ratio - peak)
+    totals = ratios.sum(axis=0, keepdims=True)
+    dead = totals[0] == 0.0
+    if dead.any():
+        raise ValueError(
+            f"importance weights underflowed for candidate {int(np.flatnonzero(dead)[0])}"
+        )
+    return ratios / totals
 
 
 def importance_weights(support: TargetSupport, params_draws: list[Params]) -> np.ndarray:
@@ -223,25 +229,7 @@ def importance_weights(support: TargetSupport, params_draws: list[Params]) -> np
     exponentiating; a candidate whose ratios all underflow to zero is
     structurally impossible under every draw and raises.
     """
-    C = support.hh_values.shape[0]
-    h = 1 if support.kind == "individual" else support.mem_values.shape[1]
-    view = DatasetView.from_arrays(
-        support.hh_values, support.mem_values.reshape(C * h, -1), np.full(C, h)
-    )
-    cand = np.empty((len(params_draws), C))
-    for r, params in enumerate(params_draws):
-        table = member_logliks(params, view.mem_codes)
-        cand[r] = logsumexp(class_posterior_logweights(params, view, table), axis=0)
-    log_ratio = cand - cand[:, [support.truth_index]]
-    peak = np.maximum(log_ratio.max(axis=0, keepdims=True), 0.0)
-    ratios = np.exp(log_ratio - peak)
-    totals = ratios.sum(axis=0, keepdims=True)
-    dead = totals[0] == 0.0
-    if dead.any():
-        raise ValueError(
-            f"importance weights underflowed for candidate {int(np.flatnonzero(dead)[0])}"
-        )
-    return ratios / totals
+    return _self_normalize(candidate_logliks([support], params_draws)[0], support.truth_index)
 
 
 def importance_posterior(
@@ -259,8 +247,13 @@ def importance_posterior(
         log_p = np.array(
             [[replicate_likelihood(params, z) for z in replicates] for params in params_draws]
         )
+    return _posterior(support, importance_weights(support, params_draws), log_p)
+
+
+def _posterior(support: TargetSupport, weights: np.ndarray, log_p: np.ndarray) -> RiskResult:
+    """importance_posterior given the target's (R, C) weights."""
     with np.errstate(divide="ignore"):
-        log_weights = np.log(importance_weights(support, params_draws))  # (R, C)
+        log_weights = np.log(weights)  # (R, C)
     # per replicate and candidate: log sum_r exp(log_p + log_weight)
     per_rep = logsumexp(log_p[:, :, None] + log_weights[:, None, :], axis=0)  # (L, C)
     scores = per_rep.sum(axis=0)
@@ -278,22 +271,8 @@ def importance_posterior(
     )
 
 
-def _individual_target_id(schema: Schema, hh_values: np.ndarray, mem_values: np.ndarray) -> str:
-    parts = [
-        f"{v.name}={hh_values[k] + 1}" for k, v in enumerate(schema.household_vars)
-    ] + [f"{v.name}={mem_values[k] + 1}" for k, v in enumerate(schema.individual_vars)]
-    return ";".join(parts)
-
-
-def _household_target_id(schema: Schema, hh_values: np.ndarray, members: np.ndarray) -> str:
-    hh_part = ";".join(
-        f"{v.name}={hh_values[k] + 1}" for k, v in enumerate(schema.household_vars)
-    )
-    mem_part = "".join(
-        "[" + ";".join(f"{v.name}={m[k] + 1}" for k, v in enumerate(schema.individual_vars)) + "]"
-        for m in members
-    )
-    return hh_part + "|" + mem_part
+def _target_id(variables, codes) -> str:
+    return ";".join(f"{v.name}={code + 1}" for v, code in zip(variables, codes))
 
 
 def risk_sweep(
@@ -312,16 +291,13 @@ def risk_sweep(
     tasks = []  # (target_id, support)
     view = original.to_view()
     if config.kind == "individual":
-        combined = np.concatenate(
-            [view.hh_codes[view.mem_hh], view.mem_codes], axis=1
-        )
         q = view.hh_codes.shape[1]
+        combined = np.concatenate([view.hh_codes[view.mem_hh], view.mem_codes], axis=1)
         for row in np.unique(combined, axis=0):
-            hh_values, mem_values = row[:q], row[q:]
             tasks.append(
                 (
-                    _individual_target_id(schema, hh_values, mem_values),
-                    build_support_individual(schema, hh_values, mem_values, config.held_fixed),
+                    _target_id(schema.household_vars + schema.individual_vars, row),
+                    build_support_individual(schema, row[:q], row[q:], config.held_fixed),
                 )
             )
     else:
@@ -336,26 +312,24 @@ def risk_sweep(
             seen.add(key)
             hh_values = np.asarray(key[0], dtype=np.int64)
             members = np.asarray(key[1], dtype=np.int64)
+            mem_ids = "".join(f"[{_target_id(schema.individual_vars, m)}]" for m in members)
             tasks.append(
                 (
-                    _household_target_id(schema, hh_values, members),
+                    _target_id(schema.household_vars, hh_values) + "|" + mem_ids,
                     build_support_household(
                         schema, hh_values, members, config.held_fixed, config.rules
                     ),
                 )
             )
 
-    def assess(task):
-        target_id, support = task
-        result = importance_posterior(support, rep_views, params_draws, log_p=log_p)
-        return RiskRow(
-            target_id=target_id,
-            n_candidates=support.hh_values.shape[0],
-            rank_of_truth=result.rank_of_truth,
-            rho_truth=result.truth_probability,
-            rho_max=result.top_probability,
+    blocks = candidate_logliks([support for _, support in tasks], params_draws)
+    rows = []
+    for (target_id, support), cand in zip(tasks, blocks):
+        result = _posterior(support, _self_normalize(cand, support.truth_index), log_p)
+        rows.append(
+            RiskRow(target_id, cand.shape[1], result.rank_of_truth, result.truth_probability,
+                    result.top_probability)
         )
-
-    summary = RiskSummary(rows=[assess(t) for t in tasks])
+    summary = RiskSummary(rows=rows)
     summary.finalize()
     return summary

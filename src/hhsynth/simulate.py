@@ -45,7 +45,8 @@ class ToyConfig:
             raise ValueError("size_probs must be nonnegative and sum to 1")
 
 
-def _marginal(config: ToyConfig, schema: Schema, name: str) -> np.ndarray:
+def marginal(config: ToyConfig, schema: Schema, name: str) -> np.ndarray:
+    """The category probabilities of one variable; SchemaError if config's are malformed."""
     var = schema.variable(name)
     probs = config.marginals.get(name)
     if probs is None:
@@ -85,7 +86,7 @@ def simulate_toy_population(
         if var.is_size:
             hh_codes[:, k] = sizes - 1
         else:
-            hh_codes[:, k] = rng.choice(var.cardinality, size=n, p=_marginal(config, schema, var.name))
+            hh_codes[:, k] = rng.choice(var.cardinality, size=n, p=marginal(config, schema, var.name))
 
     mem_codes = np.zeros((total, len(schema.individual_vars)), dtype=np.int64)
     copies = rng.random(n) < config.copy_prob
@@ -93,7 +94,7 @@ def simulate_toy_population(
         if config.role_variable is not None and var.name == config.role_variable:
             mem_codes[:, k] = np.where(position == 0, config.head_code, config.other_code)
             continue
-        marg = _marginal(config, schema, var.name)
+        marg = marginal(config, schema, var.name)
         draws = rng.choice(var.cardinality, size=total, p=marg)
         if var.name == config.copy_variable:
             head_values = draws[hh_start]

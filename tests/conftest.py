@@ -48,6 +48,15 @@ def toy_schema():
 
 
 @pytest.fixture
+def wide_schema():
+    """More possible member rows (2 * 9 * 12 * 6 = 1,296) than the tests' data have members."""
+    return build_schema(
+        household=[("own", 2), ("hh_size*", 3)],
+        individual=[("role", 2), ("age", 9), ("relate", 12), ("race", 6)],
+    )
+
+
+@pytest.fixture
 def minimal_schema():
     """Smallest legal shape: the size variable plus one binary member variable."""
     return build_schema(household=[("hh_size*", 2)], individual=[("x", 2)])

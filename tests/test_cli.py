@@ -263,6 +263,10 @@ BAD_CONFIGS = [
     ("evaluate", "variable: own, code: 2}", "variable: own, code: 2, size: 2}", "size"),
     ("evaluate", "variable: color, size: 2", "variable: colour, size: 2", "colour"),
     ("risk", "draws: 4", "draws: 0", "draws"),
+    ("risk", "held_fixed: [role]", "held_fixed: [rol]", "held_fixed"),
+    ("risk", "held_fixed: [role]", "held_fixed: [role]\n  sizes: [7]", "sizes"),
+    ("simulate", "sample_households: 120", "sample_households: 500", "sample_households"),
+    ("simulate", "color: [0.4, 0.3, 0.2, 0.1]", "color: [0.4, 0.3, 0.3]", "marginals"),
 ]
 
 

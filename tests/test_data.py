@@ -151,6 +151,36 @@ def test_view_from_arrays_matches_from_dataset(toy_dataset):
     np.testing.assert_array_equal(rebuilt.hh_start, view.hh_start)
 
 
+def test_view_patterns_index_every_member(toy_dataset):
+    view = toy_dataset.to_view()
+    assert "mem_pattern" not in vars(view)  # computed on first use only
+    np.testing.assert_array_equal(view.patterns[view.mem_pattern], view.mem_codes)
+    want, inverse = np.unique(view.mem_codes, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(view.patterns, want)
+    np.testing.assert_array_equal(view.mem_pattern, inverse)
+    assert len(view.patterns) == 8 < view.n_individuals  # one repeated member row
+
+
+def test_view_patterns_of_the_empty_view():
+    view = DatasetView.from_arrays(np.zeros((0, 2)), np.zeros((0, 3)), [])
+    assert view.patterns.shape == (0, 3) and view.mem_pattern.shape == (0,)
+
+
+def test_view_patterns_when_the_radix_product_passes_int64():
+    # 24 columns of 7 categories: 7**24 > 2**63 possible rows
+    rng = np.random.default_rng(5)
+    base = rng.integers(7, size=(40, 24))
+    mem = base[rng.integers(40, size=300)]
+    flip = rng.random(300) < 0.5  # rows that differ only in the last column
+    mem[flip, -1] = (mem[flip, -1] + 1) % 7
+    view = DatasetView.from_arrays(np.zeros((300, 1)), mem, np.ones(300))
+    assert 7**24 > np.iinfo(np.int64).max
+    want, inverse = np.unique(mem, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(view.patterns, want)
+    np.testing.assert_array_equal(view.mem_pattern, inverse)
+    np.testing.assert_array_equal(view.patterns[view.mem_pattern], mem)
+
+
 def test_file_round_trip(tmp_path, toy_schema, toy_dataset):
     path = tmp_path / "data.csv"
     write_dataset(toy_dataset, path)

@@ -6,6 +6,8 @@ moments.  Class draws are checked against exact enumerated posteriors by
 replicating one record many times within a single call.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import digamma, logsumexp, polygamma
@@ -223,10 +225,10 @@ def test_household_class_draw_matches_exact_posterior(toy_params):
     members = [(0, 2), (1, 0)]
     B = 20000
     view = replicated_view(hh, members, B)
-    table = member_logliks(toy_params, view.mem_codes)
+    table = member_logliks(toy_params, view.patterns)
     draws = sample_household_classes(toy_params, view, table, substream(66, "gdraw"))
     one = replicated_view(hh, members, 1)
-    logw = class_posterior_logweights(toy_params, one, member_logliks(toy_params, one.mem_codes))
+    logw = class_posterior_logweights(toy_params, one, member_logliks(toy_params, one.patterns))
     logw = logw[:, 0]
     post = np.exp(logw - logsumexp(logw))
     freq = np.bincount(draws, minlength=3) / B
@@ -239,7 +241,7 @@ def test_member_class_draw_matches_exact_posterior(toy_params):
     B = 20000
     view = replicated_view((0, 0), [(1, 3)], B)
     hh_class = np.full(B, 2)
-    table = member_logliks(toy_params, view.mem_codes)
+    table = member_logliks(toy_params, view.patterns)
     draws = sample_member_classes(toy_params, view, table, hh_class, substream(66, "mdraw"))
     with np.errstate(divide="ignore"):  # a zero weight is part of the fixture
         logw = np.log(toy_params.mem_weights[2]).copy()
@@ -259,22 +261,43 @@ def test_class_draw_dominance(toy_schema):
     params.hh_kernels[0][0] = [1.0, 0.0]
     params.hh_kernels[0][1] = [0.0, 1.0]
     view = replicated_view((1, 0), [(0, 0)], 500)
-    table = member_logliks(params, view.mem_codes)
+    table = member_logliks(params, view.patterns)
     draws = sample_household_classes(params, view, table, substream(67, "domdraw"))
     assert (draws == 1).all()
 
 
-def test_class_draws_bitwise_match_oracle(toy_schema, toy_params):
-    # the logits and draws of the class updates that each built their own table
+def test_class_draws_bitwise_match_oracle(toy_schema, wide_schema):
+    # the logits and draws of the class updates that each built their own
+    # (F, S, N) table; S > 8 is where numpy's summation order could differ
+    for schema, F, S, n in [
+        (toy_schema, 3, 2, 400),
+        (toy_schema, 4, 12, 400),
+        (wide_schema, 3, 9, 60),
+        (wide_schema, 6, 16, 400),
+    ]:
+        _check_class_draws_against_oracle(schema, F, S, n, wide=schema is wide_schema)
+
+
+def _check_class_draws_against_oracle(schema, F, S, n, wide):
+    hyper = Hyperparams.uniform(schema, F, S)
+    base = prior_draw(hyper, substream(402, "fixture"))  # the toy_params fixture at (3, 2)
     rng = substream(69, "oracle-data")
-    hh, mem, sizes, _ = draw_households(toy_params, toy_schema, rng.integers(3, size=400), rng)
-    view = DatasetView.from_arrays(hh, mem, sizes)
-    sparse = toy_params.copy()
-    sparse.mem_weights[1] = [1.0, 0.0]  # zeros take the log floor
-    sparse.mem_kernels[0][2, 1] = [1.0, 0.0]
-    other = prior_draw(Hyperparams.uniform(toy_schema, 3, 2), substream(69, "prior"))
-    for params in (toy_params, sparse, other):
-        table = member_logliks(params, view.mem_codes)
+    hh, mem, sizes, _ = draw_households(base, schema, rng.integers(F, size=n), rng)
+    drawn = DatasetView.from_arrays(hh, mem, sizes)
+    if wide:  # more possible member rows than members
+        assert np.prod([v.cardinality for v in schema.individual_vars]) > drawn.n_individuals
+    # views whose members are all alike: one-column tables
+    alike = [
+        DatasetView.from_arrays(np.tile(hh[:1], (2, 1)), np.tile(row, (4, 1)), [2, 2])
+        for row in drawn.patterns[:40]
+    ]
+    assert all(len(view.patterns) == 1 for view in alike)
+    sparse = base.copy()
+    sparse.mem_weights[1] = np.eye(S)[0]  # zeros take the log floor
+    sparse.mem_kernels[0][2, 1] = np.eye(2)[0]
+    other = prior_draw(hyper, substream(69, "prior"))
+    for view, params in itertools.product([drawn, *alike], (base, sparse, other)):
+        table = member_logliks(params, view.patterns)
         got = class_posterior_logweights(params, view, table)
         want = oracles.household_class_logits(params, view)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -286,24 +309,33 @@ def test_class_draws_bitwise_match_oracle(toy_schema, toy_params):
         assert np.array_equal(mem_class.view(np.uint64), want_mem.view(np.uint64))
 
 
+def test_a_table_of_member_rows_is_refused(toy_params, toy_dataset):
+    view = toy_dataset.to_view()
+    with pytest.raises(ValueError, match="8 patterns"):
+        sample_household_classes(
+            toy_params, view, member_logliks(toy_params, view.mem_codes), substream(71, "g")
+        )
+
+
 def test_one_member_table_per_sweep(monkeypatch, toy_schema, toy_dataset):
     calls = []
 
-    def counted(params, mem_codes):
-        calls.append(mem_codes.shape[0])
-        return member_logliks(params, mem_codes)
+    def counted(params, patterns):
+        calls.append(patterns.shape[0])
+        return member_logliks(params, patterns)
 
     monkeypatch.setattr(gibbs, "member_logliks", counted)
     view = toy_dataset.to_view()
     hyper = Hyperparams.uniform(toy_schema, 3, 2)
     state = init_state(view, hyper, substream(70, "init"))
     gibbs_sweep(state, view, hyper, substream(70, "sweep"))
-    assert calls == [view.n_individuals]
+    assert len(view.patterns) < view.n_individuals
+    assert calls == [len(view.patterns)]
     calls.clear()
     rules = compile_rules("exactly_one role = 1", toy_schema)
     histogram = size_histogram(toy_dataset)
     truncated_sweep(state, view, toy_schema, hyper, rules, histogram, substream(70, "t"), 10**6)
-    assert calls == [view.n_individuals]
+    assert calls == [len(view.patterns)]
 
 
 def test_mcse_batch_means_iid_scale():

@@ -164,8 +164,8 @@ def test_dataset_loglik_is_sum_of_households(toy_params, toy_dataset):
     from scipy.special import logsumexp
 
     view = toy_dataset.to_view()
-    table = member_logliks(toy_params, view.mem_codes)
-    assert table.shape == (toy_params.n_hh_classes, toy_params.n_mem_classes, view.n_individuals)
+    table = member_logliks(toy_params, view.patterns)
+    assert table.shape == (toy_params.n_hh_classes, toy_params.n_mem_classes, len(view.patterns))
     logw = class_posterior_logweights(toy_params, view, table)
     assert logw.shape == (toy_params.n_hh_classes, view.n_households)
     per = logsumexp(logw, axis=0)

@@ -9,15 +9,19 @@ self-normalized ratio construction and are asserted at float precision.
 import numpy as np
 import pytest
 
+from hhsynth import risk
 from hhsynth.constraints import compile_rules
+from hhsynth.data import Dataset, DatasetView
 from hhsynth.gibbs import ChainConfig, run_chain
-from hhsynth.model import Hyperparams, prior_draw
+from hhsynth.model import Hyperparams, draw_households, prior_draw
 from hhsynth.rng import substream
 from hhsynth.risk import (
     RiskConfig,
+    RiskRow,
     TargetSupport,
     build_support_household,
     build_support_individual,
+    candidate_logliks,
     importance_posterior,
     importance_weights,
     replicate_likelihood,
@@ -159,18 +163,31 @@ def test_weights_truth_column_exactly_uniform(toy_schema, fitted_draws):
     assert (weights >= 0).all()
 
 
-def test_weights_bitwise_match_per_pair_oracle(toy_schema, toy_dataset, fitted_draws):
-    # one view per target scores every draw as one view per (target, draw) did
-    draws, _ = fitted_draws
-    rules = compile_rules("exactly_one role = 1", toy_schema)
-    view = toy_dataset.to_view()
+def _prior_draws_and_data(schema, F, S, n):
+    hyper = Hyperparams.uniform(schema, F, S)
+    draws = [prior_draw(hyper, substream(83, S, r)) for r in range(4)]
+    rng = substream(83, S, "data")
+    hh, mem, sizes, _ = draw_households(draws[0], schema, rng.integers(F, size=n), rng)
+    return draws, Dataset(schema, view=DatasetView.from_arrays(hh, mem, sizes))
+
+
+def test_weights_bitwise_match_per_pair_oracle(toy_schema, wide_schema, toy_dataset, fitted_draws):
+    # one view over all targets scores every draw as one view per (target, draw) did
+    _check_weights_against_oracle(toy_schema, fitted_draws[0], toy_dataset)
+    _check_weights_against_oracle(toy_schema, *_prior_draws_and_data(toy_schema, 3, 12, 8))
+    _check_weights_against_oracle(wide_schema, *_prior_draws_and_data(wide_schema, 3, 9, 8))
+
+
+def _check_weights_against_oracle(schema, draws, data):
+    rules = compile_rules("exactly_one role = 1", schema)
+    view = data.to_view()
     supports = [
-        build_support_individual(toy_schema, view.hh_codes[view.mem_hh[j]], view.mem_codes[j])
+        build_support_individual(schema, view.hh_codes[view.mem_hh[j]], view.mem_codes[j])
         for j in range(view.n_individuals)
     ]
     for i, members in enumerate(np.split(view.mem_codes, view.hh_start[1:])):
         for r in (None, rules):
-            supports.append(build_support_household(toy_schema, view.hh_codes[i], members, rules=r))
+            supports.append(build_support_household(schema, view.hh_codes[i], members, rules=r))
     for support in supports:
         got = importance_weights(support, draws)
         want = oracles.importance_weights(support, draws)
@@ -325,6 +342,45 @@ def test_risk_sweep_member_order_is_canonical(toy_schema, fitted_draws):
     rows_b = risk_sweep(b, [], draws, RiskConfig(kind="household")).rows
     assert rows_a[0].target_id == rows_b[0].target_id
     assert rows_a[0].rho_truth == rows_b[0].rho_truth
+
+
+@pytest.mark.parametrize(
+    "kind, with_rules", [("individual", False), ("household", False), ("household", True)]
+)
+@pytest.mark.parametrize("schema_name, S", [("toy_schema", None), ("wide_schema", 9)])
+def test_risk_sweep_matches_per_target_oracle(
+    monkeypatch, request, toy_dataset, fitted_draws, schema_name, S, kind, with_rules
+):
+    # every target scored in one pass gives the rows a per-target loop gives
+    schema = request.getfixturevalue(schema_name)
+    if S is None:
+        (draws, views), data = fitted_draws, toy_dataset
+    else:
+        draws, data = _prior_draws_and_data(schema, 3, S, 8)
+        views = [_prior_draws_and_data(schema, 3, S, 10)[1].to_view()]
+    replicates = [Dataset(schema, view=v) for v in views]
+    rules = compile_rules("exactly_one role = 1", schema) if with_rules else None
+    supports = []
+
+    def spy(targets, params_draws):
+        supports.extend(targets)
+        return candidate_logliks(targets, params_draws)
+
+    monkeypatch.setattr(risk, "candidate_logliks", spy)
+    rows = risk_sweep(data, replicates, draws, RiskConfig(kind, rules=rules)).rows
+    monkeypatch.setattr(risk, "importance_weights", oracles.importance_weights)
+    assert len(rows) == len(supports) > 1
+    if with_rules:  # the rules drop some target's candidates
+        assert any(
+            build_support_household(schema, s.hh_values[0], s.mem_values[0]).hh_values.shape[0]
+            > s.hh_values.shape[0]
+            for s in supports
+        )
+    for row, support in zip(rows, supports):
+        result = importance_posterior(support, views, draws)
+        want = RiskRow(row.target_id, support.hh_values.shape[0], result.rank_of_truth,
+                       result.truth_probability, result.top_probability)
+        assert repr(row) == repr(want)
 
 
 def test_risk_summary_csv(tmp_path, toy_schema, toy_dataset, fitted_draws):
