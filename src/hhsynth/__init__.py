@@ -1,38 +1,8 @@
-"""Synthesis of grouped categorical data with a nested mixture model."""
+"""Synthesis of grouped categorical data with a nested mixture model.
 
-from .constraints import RuleSet, compile_rules
-from .data import Dataset, DatasetView, Schema, load_dataset, load_schema, write_dataset
-from .gibbs import ChainConfig, run_chain
-from .inference import combine, estimate_proportion
-from .model import Hyperparams, Params, pair_probability, prior_draw
-from .risk import RiskConfig, risk_sweep
-from .rng import substream
-from .synthesis import synthesize_truncated, synthesize_untruncated, write_replicates
+The package root imports nothing, so that ``python -m hhsynth.cli --help``
+starts without numpy.  Import library names from their modules, e.g.
+``from hhsynth.gibbs import run_chain``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChainConfig",
-    "Dataset",
-    "DatasetView",
-    "Hyperparams",
-    "Params",
-    "RiskConfig",
-    "RuleSet",
-    "Schema",
-    "combine",
-    "compile_rules",
-    "estimate_proportion",
-    "load_dataset",
-    "load_schema",
-    "pair_probability",
-    "prior_draw",
-    "risk_sweep",
-    "run_chain",
-    "substream",
-    "synthesize_truncated",
-    "synthesize_untruncated",
-    "write_dataset",
-    "write_replicates",
-    "__version__",
-]

@@ -1,0 +1,450 @@
+"""The five pipeline commands and the config layer they share.
+
+One YAML config drives every command; --out selects the working directory
+and --seed overrides the config seed.  Paths in the config may embed "{out}"
+to reference files produced by earlier steps, everything else resolves
+relative to the config file.  A UsageError is a usage or config problem,
+found before the command writes a file; ``hhsynth.cli`` imports this module
+only once the arguments parse, and maps UsageError to exit 1 and any other
+exception to exit 2.
+"""
+
+from __future__ import annotations
+
+import logging
+from dataclasses import dataclass, field, replace
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import yaml
+
+from .checkpoints import read_checkpoints
+from .constraints import RuleSet, compile_rules
+from .data import Dataset, Schema, load_dataset, load_schema, size_histogram, write_dataset
+from .gibbs import ChainConfig, run_chain
+from .inference import (
+    HouseholdQuery,
+    all_members_equal,
+    cell_report,
+    exists_member,
+    household_report,
+    household_value,
+    member_count,
+    q_all,
+    write_report_csv,
+)
+from .model import Hyperparams
+from .risk import RiskConfig, risk_sweep
+from .rng import substream
+from .simulate import ToyConfig, marginal, sample_households, simulate_toy_population
+from .synthesis import (
+    read_replicates,
+    synthesize_truncated,
+    synthesize_untruncated,
+    write_replicates,
+)
+
+log = logging.getLogger("hhsynth")
+
+
+class UsageError(Exception):
+    """A malformed config, or an input the command needs that is missing."""
+
+
+def _positive(value) -> int:
+    """A count the library takes unchecked: an integer >= 1."""
+    n = int(value)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
+
+
+def _open_unit(value) -> float:
+    p = float(value)
+    if not 0.0 < p < 1.0:
+        raise ValueError("must lie in (0, 1)")
+    return p
+
+
+def _or_none(parse):
+    """parse, except that an empty value (null, 0, []) keeps the library's None."""
+    return lambda value: parse(value) if value else None
+
+
+def _mapping(parse_key, parse_value):
+    return lambda doc: {parse_key(k): parse_value(v) for k, v in dict(doc).items()}
+
+
+def _kernel_prior(value) -> str:
+    if value not in ("empirical", "uniform"):
+        raise ValueError("must be 'empirical' or 'uniform'")
+    return value
+
+
+# Each section's table maps a YAML key to (library keyword, parser).  Codes in
+# the YAML are 1-based; the library's are 0-based.
+_SIMULATE = {
+    "population_households": ("n_households", int),
+    "sample_households": ("sample_households", int),
+    "size_distribution": ("size_probs", _mapping(int, float)),
+    "copy_variable": ("copy_variable", str),
+    "copy_prob": ("copy_prob", float),
+    "role_variable": ("role_variable", _or_none(str)),
+    "head_code": ("head_code", lambda code: int(code) - 1),
+    "other_code": ("other_code", lambda code: int(code) - 1),
+    "marginals": ("marginals", _mapping(str, partial(np.asarray, dtype=float))),
+}
+_MODEL = {
+    "household_classes": ("n_hh_classes", int),
+    "individual_classes": ("n_mem_classes", int),
+    "kernel_prior": ("kernel_prior", _kernel_prior),
+    "hh_conc_shape": ("hh_conc_shape", float),
+    "hh_conc_rate": ("hh_conc_rate", float),
+    "mem_conc_shape": ("mem_conc_shape", float),
+    "mem_conc_rate": ("mem_conc_rate", float),
+    "per_class_mem_conc": ("per_class_mem_conc", bool),
+}
+_CHAIN = {
+    "iterations": ("n_iterations", int),
+    "burn_in": ("burn_in", int),
+    "thin": ("thin", int),
+    "candidate_cap": ("candidate_cap", _or_none(int)),
+}
+_EVALUATE = {
+    "max_order": ("max_order", _positive),
+    "min_expected": ("min_expected", float),
+    "confidence": ("gamma", _open_unit),
+    "household_queries": ("household_queries", list),
+}
+_RISK = {
+    "kind": ("kind", str),
+    "draws": ("draws", _positive),
+    "held_fixed": ("held_fixed", tuple),
+    "sizes": ("sizes", _or_none(lambda sizes: tuple(int(s) for s in sizes))),
+}
+_SECTIONS = {
+    "simulate": _SIMULATE,
+    "model": _MODEL,
+    "chain": _CHAIN,
+    "synthesis": {"replicates": ("replicates", _positive)},
+    "evaluate": _EVALUATE,
+    "risk": _RISK,
+}
+# the keys a section must give when it is present
+_REQUIRED = ("population_households", "sample_households", "size_distribution", "copy_variable",
+             "copy_prob", "household_classes", "individual_classes", "iterations", "burn_in")
+# keywords no library object takes; they become RunConfig fields
+_PLAIN = ("sample_households", "replicates", "household_queries", "draws")
+
+
+@dataclass
+class RunConfig:
+    """The library's config objects for one run, plus the values they have no field for."""
+
+    seed: int
+    schema_path: Path
+    config_dir: Path
+    risk: RiskConfig
+    data_path: str | None = None
+    rules_path: Path | None = None
+    population_path: str | None = None
+    toy: ToyConfig | None = None
+    sample_households: int | None = None
+    model: dict | None = None  # Hyperparams keywords, plus kernel_prior
+    chain: ChainConfig | None = None
+    replicates: int = 5
+    cells: dict = field(default_factory=dict)  # cell_report keywords
+    household_queries: list = field(default_factory=list)
+    draws: int = 25
+
+
+def _require(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise UsageError(f"config: missing {key!r} in {where}")
+    return doc[key]
+
+
+def _check_keys(where: str, doc, allowed) -> None:
+    if not isinstance(doc, dict):
+        raise UsageError(f"config: {where} must be a mapping")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise UsageError(f"config: unknown keys {sorted(unknown, key=str)} in {where}")
+
+
+def _value(where: str, parse, value):
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config: {where}: {exc}") from exc
+
+
+def _parse(section: str, doc) -> dict:
+    """One YAML section read through its table: {library keyword: parsed value}."""
+    table = _SECTIONS[section]
+    _check_keys(section, doc, table)
+    for key in _REQUIRED:
+        if key in table:
+            _require(doc, key, section)
+    return {table[key][0]: _value(f"{section}.{key}", table[key][1], v) for key, v in doc.items()}
+
+
+def _build(section: str, make, kw: dict):
+    """make(**kw); a value the library rejects is reported with the YAML keys that set kw."""
+    try:
+        return make(**kw)
+    except (TypeError, ValueError) as exc:
+        keys = ", ".join(key for key, (name, _) in _SECTIONS[section].items() if name in kw)
+        raise UsageError(f"config: {section}: {exc} (set by {keys})") from exc
+
+
+def load_config(path: Path, seed_override: int | None) -> RunConfig:
+    if not path.is_file():
+        raise UsageError(f"config file not found: {path}")
+    try:
+        doc = yaml.safe_load(path.read_text(encoding="utf8"))
+    except yaml.YAMLError as exc:
+        raise UsageError(f"config is not valid YAML: {exc}") from exc
+    _check_keys("the top level", doc, {"seed", "schema", "rules", "data", "population", *_SECTIONS})
+    config_dir = path.parent.resolve()
+
+    seed = seed_override if seed_override is not None else doc.get("seed")
+    if seed is None:
+        raise UsageError("config: a 'seed' is required (or pass --seed)")
+    seed = _value("seed", int, seed)
+
+    schema_rel = _require(doc, "schema", "the top level")
+    schema_path = (config_dir / schema_rel).resolve()
+    if not schema_path.is_file():
+        raise UsageError(f"schema file not found: {schema_path}")
+
+    rules_path = None
+    if doc.get("rules"):
+        rules_path = (config_dir / doc["rules"]).resolve()
+        if not rules_path.is_file():
+            raise UsageError(f"rules file not found: {rules_path}")
+
+    sections = {name: _parse(name, doc[name]) for name in _SECTIONS if name in doc}
+    plain = {key: kw.pop(key) for kw in sections.values() for key in _PLAIN if key in kw}
+    toy, chain = sections.get("simulate"), sections.get("chain")
+    return RunConfig(
+        seed=seed,
+        schema_path=schema_path,
+        config_dir=config_dir,
+        risk=_build("risk", RiskConfig, {"kind": "individual", **sections.get("risk", {})}),
+        data_path=doc.get("data"),
+        rules_path=rules_path,
+        population_path=doc.get("population"),
+        toy=None if toy is None else _build("simulate", ToyConfig, toy),
+        model=sections.get("model"),
+        chain=None if chain is None else _build("chain", ChainConfig, {**chain, "seed": seed}),
+        cells=sections.get("evaluate", {}),
+        **plain,
+    )
+
+
+def _resolve(cfg: RunConfig, raw: str | None, out_dir: Path, what: str) -> Path:
+    if raw is None:
+        raise UsageError(f"config: a {what!r} path is required for this command")
+    text = str(raw).replace("{out}", str(out_dir))
+    p = Path(text)
+    if not p.is_absolute():
+        p = cfg.config_dir / p
+    if not p.is_file():
+        raise UsageError(f"{what} file not found: {p}")
+    return p
+
+
+def _load_rules(cfg: RunConfig, schema: Schema) -> RuleSet | None:
+    if cfg.rules_path is None:
+        return None
+    return compile_rules(cfg.rules_path.read_text(encoding="utf8"), schema)
+
+
+def _hyperparams(cfg: RunConfig, schema: Schema, dataset: Dataset) -> Hyperparams:
+    if cfg.model is None:
+        raise UsageError("config: a 'model' section is required for this command")
+    kw = dict(cfg.model)
+    if kw.pop("kernel_prior", "empirical") == "uniform":
+        return _build("model", partial(Hyperparams.uniform, schema), kw)
+    return _build("model", partial(Hyperparams.empirical, schema, dataset.to_view()), kw)
+
+
+def _output_of(stage: str, what: str, path: Path) -> Path:
+    """path, which an earlier stage writes; a usage error if that stage has not run."""
+    if not path.is_file():
+        raise UsageError(f"no {what} at {path}; run {stage} first")
+    return path
+
+
+def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
+    if cfg.toy is None:
+        raise UsageError("config: a 'simulate' section is required")
+    schema = load_schema(cfg.schema_path)
+    if cfg.sample_households > cfg.toy.n_households:
+        raise UsageError(
+            f"config: simulate.sample_households: {cfg.sample_households} is above "
+            f"population_households {cfg.toy.n_households}"
+        )
+    for name in cfg.toy.marginals:
+        _value(f"simulate.marginals.{name}", partial(marginal, cfg.toy, schema), name)
+    population = simulate_toy_population(
+        schema, cfg.toy, substream(cfg.seed, "simulate", "population")
+    )
+    sample = sample_households(
+        population, cfg.sample_households, substream(cfg.seed, "simulate", "sample")
+    )
+    write_dataset(population, out_dir / "population.csv")
+    write_dataset(sample, out_dir / "sample.csv")
+    log.info(
+        "simulate: %d population households, %d sampled", population.n_households,
+        sample.n_households,
+    )
+
+
+def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
+    if cfg.chain is None:
+        raise UsageError("config: a 'chain' section is required")
+    schema = load_schema(cfg.schema_path)
+    data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
+    dataset = load_dataset(data_path, schema)
+    rules = _load_rules(cfg, schema)
+    hyper = _hyperparams(cfg, schema, dataset)
+    log.info(
+        "fit: %d households, %d individuals, mode=%s",
+        dataset.n_households,
+        dataset.n_individuals,
+        "truncated" if rules else "untruncated",
+    )
+    result = run_chain(
+        dataset, hyper, cfg.chain, rules=rules,
+        checkpoint_path=out_dir / "checkpoints.jsonl",
+    )
+    result.diagnostics.to_csv(out_dir / "diagnostics.csv")
+    log.info(
+        "fit: %d checkpoints, occupied classes at final sweep %d/%d",
+        result.n_checkpoints,
+        result.diagnostics.occupied_hh[-1],
+        result.diagnostics.occupied_mem[-1],
+    )
+    if result.diagnostics.cap_exceeded:
+        log.warning(
+            "fit: candidate cap exceeded on %d sweeps; previous batches reused",
+            result.diagnostics.cap_exceeded,
+        )
+
+
+def cmd_synthesize(cfg: RunConfig, out_dir: Path) -> None:
+    schema = load_schema(cfg.schema_path)
+    ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")
+    meta, records = read_checkpoints(ckpt_path)
+    if meta["mode"] == "truncated":
+        reps = synthesize_truncated(schema, records, cfg.replicates)
+    else:
+        data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
+        dataset = load_dataset(data_path, schema)
+        reps = synthesize_untruncated(dataset, records, cfg.replicates, cfg.seed)
+    manifest = write_replicates(reps, out_dir)
+    log.info(
+        "synthesize: %d replicates from iterations %s",
+        manifest["n_replicates"],
+        manifest["source_iterations"],
+    )
+
+
+# query kind -> the keys its spec may give besides kind, name and size
+_QUERY_KEYS = {
+    "all_equal": {"variable"},
+    "exists": {"literals"},
+    "count": {"variable", "code", "min", "max"},
+    "hh_value": {"variable", "code"},
+    "and": {"of"},
+}
+
+
+def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery | object:
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _QUERY_KEYS:
+        raise UsageError(f"config: unknown query kind {kind!r}")
+    where = f"query {spec.get('name', kind)!r}"
+    _check_keys(where, spec, {"kind", *_QUERY_KEYS[kind], *(("name", "size") if top else ())})
+    if kind == "all_equal":
+        pred = all_members_equal(schema, _require(spec, "variable", where))
+    elif kind == "exists":
+        literals = _require(spec, "literals", where)
+        pred = exists_member(schema, **{k: int(v) - 1 for k, v in literals.items()})
+    elif kind == "count":
+        pred = member_count(
+            schema,
+            _require(spec, "variable", where),
+            int(_require(spec, "code", where)) - 1,
+            min_count=int(spec.get("min", 0)),
+            max_count=int(spec["max"]) if "max" in spec else None,
+        )
+    elif kind == "hh_value":
+        pred = household_value(
+            schema, _require(spec, "variable", where), int(_require(spec, "code", where)) - 1
+        )
+    else:
+        pred = q_all(*[_build_query(schema, sub, top=False) for sub in _require(spec, "of", where)])
+    if not top:
+        return pred
+    return HouseholdQuery(
+        name=str(spec.get("name", kind)),
+        predicate=pred,
+        size=int(spec["size"]) if "size" in spec else None,
+    )
+
+
+def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
+    schema = load_schema(cfg.schema_path)
+    build = partial(_build_query, schema)
+    queries = [_value("evaluate.household_queries", build, spec) for spec in cfg.household_queries]
+    data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
+    original = load_dataset(data_path, schema)
+    _output_of("synthesize", "replicates", out_dir / "manifest.json")
+    reps = read_replicates(out_dir, schema)
+    population = None
+    if cfg.population_path:
+        population = load_dataset(
+            _resolve(cfg, cfg.population_path, out_dir, "population"), schema
+        )
+    rows = cell_report(original, reps.replicates, population=population, **cfg.cells)
+    write_report_csv(rows, out_dir / "cells.csv")
+    log.info("evaluate: %d cells reported", len(rows))
+    if queries:
+        gamma = {k: v for k, v in cfg.cells.items() if k == "gamma"}
+        qrows = household_report(original, reps.replicates, queries, population=population, **gamma)
+        write_report_csv(qrows, out_dir / "household_queries.csv")
+        log.info("evaluate: %d household queries reported", len(qrows))
+
+
+def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
+    from .synthesis import select_records
+
+    schema = load_schema(cfg.schema_path)
+    for name in cfg.risk.held_fixed:
+        _value("risk.held_fixed", schema.variable, name)
+    data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
+    original = load_dataset(data_path, schema)
+    observed = size_histogram(original) if cfg.risk.sizes else {}
+    for h in cfg.risk.sizes or ():
+        if h not in observed:
+            raise UsageError(f"config: risk.sizes: no household of size {h} in {data_path}")
+    _output_of("synthesize", "replicates", out_dir / "manifest.json")
+    reps = read_replicates(out_dir, schema)
+    _, records = read_checkpoints(_output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl"))
+    draws = [r.params for r in select_records(records, min(cfg.draws, len(records)))]
+    rules = _load_rules(cfg, schema)
+    config = replace(cfg.risk, rules=rules if cfg.risk.kind == "household" else None)
+    summary = risk_sweep(original, reps.replicates, draws, config)
+    summary.to_csv(out_dir / "risk_summary.csv")
+    summary.histogram_to_csv(out_dir / "rank_histogram.csv")
+    correct = sum(1 for r in summary.rows if r.rank_of_truth == 1)
+    log.info(
+        "risk: %d targets, truth ranked first for %d (%.1f%%)",
+        len(summary.rows),
+        correct,
+        100.0 * correct / max(len(summary.rows), 1),
+    )

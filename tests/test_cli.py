@@ -1,7 +1,8 @@
 """Command line behavior: exit codes, the full pipeline, and reproducibility.
 
-Everything runs in-process through main(), against self-contained config,
-schema, and rule files written into the test's temporary directory.
+Most tests run in-process through main(); the import-graph and `python -m`
+tests start a fresh interpreter.  All use self-contained config, schema, and
+rule files written into the test's temporary directory.
 """
 
 import csv
@@ -17,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import hhsynth
-from hhsynth.cli import UsageError, _build_query, _hyperparams, load_config, main
+from hhsynth.cli import main
+from hhsynth.commands import UsageError, _build_query, _hyperparams, load_config
 from hhsynth.data import load_schema
 from hhsynth.gibbs import ChainConfig
 from hhsynth.risk import RiskConfig
@@ -96,6 +98,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 def write_workspace(root, config_text=CONFIG_YAML):
     (root / "schema.yaml").write_text(SCHEMA_YAML)
+    # room for households of four members, which no sample of CONFIG_YAML has
+    (root / "schema4.yaml").write_text(SCHEMA_YAML.replace("cardinality: 3", "cardinality: 4"))
     (root / "rules.txt").write_text(RULES_TXT)
     (root / "run.yaml").write_text(config_text)
     return root / "run.yaml"
@@ -175,13 +179,15 @@ def test_synthesize_without_fit_exits_1(tmp_path, capsys):
     assert "run fit first" in capsys.readouterr().err
 
 
+# color 9 is outside the schema's four codes
+CORRUPT_SAMPLE = "household_id,own,hh_size,person_index,role,color\nh1,1,1,1,1,9\n"
+
+
 def test_corrupt_data_exits_2(tmp_path, capsys):
     config = write_workspace(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
-    (out / "sample.csv").write_text(
-        "household_id,own,hh_size,person_index,role,color\nh1,1,1,1,1,9\n"
-    )
+    (out / "sample.csv").write_text(CORRUPT_SAMPLE)
     assert run("fit", config, out) == 2
     assert "error" in capsys.readouterr().err
 
@@ -247,7 +253,8 @@ def test_bundled_configs_load(path):
     assert cfg.toy is not None and cfg.model is not None and cfg.chain is not None
 
 
-# (command, text in CONFIG_YAML, its replacement, the key stderr must name)
+# (command, text in CONFIG_YAML, its replacement, the key stderr must name); a row
+# that edits several places gives tuples of texts and replacements
 BAD_CONFIGS = [
     ("fit", "burn_in: 30", "burn_in: 60", "burn_in"),
     ("fit", "iterations: 60", "iterations: six", "iterations"),
@@ -265,6 +272,12 @@ BAD_CONFIGS = [
     ("risk", "draws: 4", "draws: 0", "draws"),
     ("risk", "held_fixed: [role]", "held_fixed: [rol]", "held_fixed"),
     ("risk", "held_fixed: [role]", "held_fixed: [role]\n  sizes: [7]", "sizes"),
+    (
+        "risk",
+        ("schema: schema.yaml", "kind: individual"),
+        ("schema: schema4.yaml", "kind: household\n  sizes: [4]"),
+        "risk.sizes",
+    ),
     ("simulate", "sample_households: 120", "sample_households: 500", "sample_households"),
     ("simulate", "color: [0.4, 0.3, 0.2, 0.1]", "color: [0.4, 0.3, 0.3]", "marginals"),
 ]
@@ -276,8 +289,11 @@ BAD_CONFIGS = [
 def test_config_error_exits_1_and_writes_nothing(
     pipeline, tmp_path, capsys, command, old, new, key
 ):
-    assert CONFIG_YAML.count(old) == 1
-    config = write_workspace(tmp_path, CONFIG_YAML.replace(old, new))
+    text = CONFIG_YAML
+    for one_old, one_new in zip(old, new) if isinstance(old, tuple) else [(old, new)]:
+        assert text.count(one_old) == 1
+        text = text.replace(one_old, one_new)
+    config = write_workspace(tmp_path, text)
     out = tmp_path / "out"
     shutil.copytree(pipeline[1], out)  # every input the command reads is there
 
@@ -405,31 +421,82 @@ def test_untruncated_diagnostics_cells_parse(tmp_path):
     assert_cells_are_finite_floats(path)
 
 
-def fresh_python(*args):
-    """Run a new interpreter that imports this hhsynth; return its stdout and stderr."""
+def fresh_python(*args, code=0):
+    """Run a new interpreter that imports this hhsynth; check that it exits with
+    code, and return its stdout and stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(hhsynth.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
-    )
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
     return proc.stdout, proc.stderr
 
 
 def test_cli_import_loads_no_scipy():
     stdout, _ = fresh_python(
         "-c",
-        "import sys, hhsynth.cli; "
+        "import sys, hhsynth.cli, hhsynth.commands; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     )
     assert stdout.strip() == "[]"
 
 
-def test_cli_help_loads_no_scipy():
+def start_cli(*args, code):
+    """stdout, stderr and the imported modules of a fresh `python -m hhsynth.cli ARGS`."""
     # -X importtime lists every module the process imports on stderr
-    stdout, stderr = fresh_python("-X", "importtime", "-m", "hhsynth.cli", "--help")
+    stdout, stderr = fresh_python("-X", "importtime", "-m", "hhsynth.cli", *args, code=code)
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    # runpy runs hhsynth.cli as __main__, which the listing leaves out; argparse,
+    # which only hhsynth.cli imports, shows that the listing covers it
+    assert "hhsynth" in imported and "argparse" in imported
+    return stdout, stderr, imported
+
+
+def assert_standard_library_only(imported):
+    assert [m for m in imported if m.split(".")[0] in ("numpy", "yaml", "scipy")] == []
+    assert {m for m in imported if m.split(".")[0] == "hhsynth"} <= {"hhsynth", "hhsynth.cli"}
+
+
+def test_cli_help_loads_no_scipy():
+    stdout, _, imported = start_cli("--help", code=0)
     assert "simulate" in stdout
-    imported = [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()]
-    assert "hhsynth.gibbs" in imported
-    assert [m for m in imported if m == "scipy" or m.startswith("scipy.")] == []
+    assert_standard_library_only(imported)
+
+
+def test_cli_usage_error_loads_no_numpy():
+    _, stderr, imported = start_cli("transmogrify", code=1)
+    assert "usage error: argument command: invalid choice: 'transmogrify'" in stderr
+    assert_standard_library_only(imported)
+
+
+def run_fresh(command, config, out, code):
+    """Run one command under `python -m hhsynth.cli`, where the module is __main__."""
+    args = ("-m", "hhsynth.cli", command, "--config", str(config), "--out", str(out))
+    return fresh_python(*args, code=code)[1]
+
+
+def test_config_error_exits_1_under_python_m(tmp_path):
+    config = write_workspace(tmp_path, CONFIG_YAML.replace("seed: 4242\n", ""))
+    assert "usage error: config: a 'seed' is required" in run_fresh(
+        "simulate", config, tmp_path / "out", code=1
+    )
+    assert not (tmp_path / "out" / "sample.csv").exists()
+
+
+def test_corrupt_data_exits_2_under_python_m(tmp_path):
+    config = write_workspace(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sample.csv").write_text(CORRUPT_SAMPLE)
+    assert "error: " in run_fresh("fit", config, out, code=2)
+
+
+def test_simulate_exits_0_under_python_m(tmp_path):
+    config = write_workspace(tmp_path)
+    run_fresh("simulate", config, tmp_path / "out", code=0)
+    assert (tmp_path / "out" / "sample.csv").is_file()
 
 
 def test_pipeline_repeat_is_bitwise_identical(pipeline, tmp_path):

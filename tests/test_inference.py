@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 import oracles
-from hhsynth.cli import _build_query
+from hhsynth.commands import _build_query
 
 from hhsynth.data import Dataset
 from hhsynth.inference import (
