@@ -13,11 +13,19 @@ errors never load numpy: the commands live in ``hhsynth.commands``, which
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 from pathlib import Path
 
-COMMANDS = ("simulate", "fit", "synthesize", "evaluate", "risk")
+# each command, with what it reads and writes, for --help
+COMMANDS = {
+    "simulate": "draw a toy population and a sample; writes population.csv, sample.csv",
+    "fit": "fit the model to the data; writes checkpoints.jsonl, diagnostics.csv",
+    "synthesize": "read checkpoints.jsonl; writes synthetic_<l>.csv, manifest.json",
+    "evaluate": "compare replicates with the data; writes cells.csv, household_queries.csv",
+    "risk": "read replicates, checkpoints; writes risk_summary.csv, rank_histogram.csv",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Household synthesis: fit, synthesize, evaluate, risk, simulate.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=None)  # a help keyword lists the command in --help
+    for name, what in COMMANDS.items():
+        p = sub.add_parser(name, help=what, description=what)
         p.add_argument("--config", required=True, type=Path, help="YAML run configuration")
         p.add_argument("--out", required=True, type=Path, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -65,5 +73,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry, for ``python -m hhsynth.cli`` and the console script.
+
+    The process ends once main returns, so its objects are frozen first:
+    interpreter shutdown then skips the last collection over them.  main
+    itself never freezes, because callers such as tests run it in-process.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

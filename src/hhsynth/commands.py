@@ -7,6 +7,9 @@ relative to the config file.  A UsageError is a usage or config problem,
 found before the command writes a file; ``hhsynth.cli`` imports this module
 only once the arguments parse, and maps UsageError to exit 1 and any other
 exception to exit 2.
+
+Each command imports the library modules it uses when it runs, so a stage
+process loads only those (the README lists them per command).
 """
 
 from __future__ import annotations
@@ -15,35 +18,18 @@ import logging
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
-from .checkpoints import read_checkpoints
-from .constraints import RuleSet, compile_rules
-from .data import Dataset, Schema, load_dataset, load_schema, size_histogram, write_dataset
-from .gibbs import ChainConfig, run_chain
-from .inference import (
-    HouseholdQuery,
-    all_members_equal,
-    cell_report,
-    exists_member,
-    household_report,
-    household_value,
-    member_count,
-    q_all,
-    write_report_csv,
-)
-from .model import Hyperparams
-from .risk import RiskConfig, risk_sweep
-from .rng import substream
-from .simulate import ToyConfig, marginal, sample_households, simulate_toy_population
-from .synthesis import (
-    read_replicates,
-    synthesize_truncated,
-    synthesize_untruncated,
-    write_replicates,
-)
+from .config import ChainConfig, RiskConfig, ToyConfig
+
+if TYPE_CHECKING:
+    from .constraints import RuleSet
+    from .data import Dataset, Schema
+    from .inference import HouseholdQuery
+    from .model import Hyperparams
 
 log = logging.getLogger("hhsynth")
 
@@ -259,12 +245,16 @@ def _resolve(cfg: RunConfig, raw: str | None, out_dir: Path, what: str) -> Path:
 def _load_rules(cfg: RunConfig, schema: Schema) -> RuleSet | None:
     if cfg.rules_path is None:
         return None
+    from .constraints import compile_rules
+
     return compile_rules(cfg.rules_path.read_text(encoding="utf8"), schema)
 
 
 def _hyperparams(cfg: RunConfig, schema: Schema, dataset: Dataset) -> Hyperparams:
     if cfg.model is None:
         raise UsageError("config: a 'model' section is required for this command")
+    from .model import Hyperparams
+
     kw = dict(cfg.model)
     if kw.pop("kernel_prior", "empirical") == "uniform":
         return _build("model", partial(Hyperparams.uniform, schema), kw)
@@ -281,6 +271,10 @@ def _output_of(stage: str, what: str, path: Path) -> Path:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.toy is None:
         raise UsageError("config: a 'simulate' section is required")
+    from .data import load_schema, write_dataset
+    from .rng import substream
+    from .simulate import marginal, sample_households, simulate_toy_population
+
     schema = load_schema(cfg.schema_path)
     if cfg.sample_households > cfg.toy.n_households:
         raise UsageError(
@@ -306,6 +300,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.chain is None:
         raise UsageError("config: a 'chain' section is required")
+    from .data import load_dataset, load_schema
+    from .gibbs import run_chain
+
     schema = load_schema(cfg.schema_path)
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     dataset = load_dataset(data_path, schema)
@@ -336,6 +333,10 @@ def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_synthesize(cfg: RunConfig, out_dir: Path) -> None:
+    from .checkpoints import read_checkpoints
+    from .data import load_dataset, load_schema
+    from .synthesis import synthesize_truncated, synthesize_untruncated, write_replicates
+
     schema = load_schema(cfg.schema_path)
     ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")
     meta, records = read_checkpoints(ckpt_path)
@@ -364,6 +365,15 @@ _QUERY_KEYS = {
 
 
 def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery | object:
+    from .inference import (
+        HouseholdQuery,
+        all_members_equal,
+        exists_member,
+        household_value,
+        member_count,
+        q_all,
+    )
+
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in _QUERY_KEYS:
         raise UsageError(f"config: unknown query kind {kind!r}")
@@ -398,6 +408,10 @@ def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
+    from .data import load_dataset, load_schema
+    from .inference import cell_report, household_report, write_report_csv
+    from .synthesis import read_replicates
+
     schema = load_schema(cfg.schema_path)
     build = partial(_build_query, schema)
     queries = [_value("evaluate.household_queries", build, spec) for spec in cfg.household_queries]
@@ -421,7 +435,10 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
-    from .synthesis import select_records
+    from .checkpoints import read_checkpoints
+    from .data import load_dataset, load_schema, size_histogram
+    from .risk import risk_sweep
+    from .synthesis import read_replicates, select_records
 
     schema = load_schema(cfg.schema_path)
     for name in cfg.risk.held_fixed:

@@ -83,7 +83,7 @@ class Schema:
         if len(sizes) != 1:
             raise SchemaError("exactly one household variable must be marked as the size")
 
-    @property
+    @cached_property
     def size_index(self) -> int:
         return next(i for i, v in enumerate(self.household_vars) if v.is_size)
 

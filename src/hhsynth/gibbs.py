@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .checkpoints import CheckpointRecord, CheckpointWriter, hyper_meta
+from .config import ChainConfig
 from .data import Dataset, DatasetView, Schema, size_histogram
 from .model import (
     Hyperparams,
@@ -31,23 +32,6 @@ from .rng import substream
 
 if TYPE_CHECKING:
     from .truncated import AugmentedBatch
-
-
-@dataclass
-class ChainConfig:
-    n_iterations: int
-    burn_in: int
-    thin: int = 1
-    seed: int = 0
-    candidate_cap: int | None = None  # truncated mode; defaults to 1000 * n
-
-    def __post_init__(self):
-        if self.n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
-        if not 0 <= self.burn_in < self.n_iterations:
-            raise ValueError("burn_in must lie in [0, n_iterations)")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
 
 
 @dataclass
@@ -159,17 +143,22 @@ def sample_classes(state: ChainState, view: DatasetView, rng: np.random.Generato
     state.mem_class = sample_member_classes(state.params, view, table, state.hh_class, rng)
 
 
-def gamma_log_draws(shape: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Log of Gamma(shape, 1) draws, finite even where the draw underflows.
+def stick_gamma_logs(
+    kept: np.ndarray, rest: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Logs of Gamma(kept, 1) and Gamma(rest, 1) draws, the rest finite even
+    where a draw underflows.
 
-    Gamma(a) equals Gamma(a + 1) times U^(1/a) in distribution; taking the
-    log first keeps draws representable for the tiny shapes a small
-    concentration produces, where a linear draw flushes to zero.
+    kept shapes are >= 1, so their draws never underflow.  Gamma(a) equals
+    Gamma(a + 1) times U^(1/a) in distribution; taking the log first keeps
+    draws representable for the tiny shapes a small concentration produces,
+    where a linear draw flushes to zero.  One gamma call draws the kept and
+    the boosted rest draws, then one block draws the uniforms.
     """
-    shape = np.asarray(shape, dtype=float)
-    boost = rng.gamma(shape + 1.0)
-    u = 1.0 - rng.random(size=shape.shape)  # in (0, 1], so the log is finite
-    return np.log(boost) + np.log(u) / shape
+    draws = rng.gamma(np.concatenate((kept, rest + 1.0), axis=None))
+    u = 1.0 - rng.random(size=rest.shape)  # in (0, 1], so the log is finite
+    log_kept = np.log(draws[: kept.size].reshape(kept.shape))
+    return log_kept, np.log(draws[kept.size :].reshape(rest.shape)) + np.log(u) / rest
 
 
 def sample_household_sticks(
@@ -188,8 +177,7 @@ def sample_household_sticks(
     log1m = np.zeros(0)
     if F > 1:
         greater = counts[::-1].cumsum()[::-1] - counts
-        log_kept = np.log(rng.gamma(1.0 + counts[:-1]))  # shape >= 1 never underflows
-        log_rest = gamma_log_draws(hh_conc + greater[:-1], rng)
+        log_kept, log_rest = stick_gamma_logs(1.0 + counts[:-1], hh_conc + greater[:-1], rng)
         log_total = np.logaddexp(log_kept, log_rest)
         sticks[:-1] = np.exp(log_kept - log_total)
         log1m = log_rest - log_total
@@ -210,8 +198,9 @@ def sample_member_sticks(
     if S > 1:
         greater = counts[:, ::-1].cumsum(axis=1)[:, ::-1] - counts
         conc = np.broadcast_to(np.asarray(mem_conc, dtype=float), (F,))[:, None]
-        log_kept = np.log(rng.gamma(1.0 + counts[:, :-1]))
-        log_rest = gamma_log_draws(conc + greater[:, :-1], rng)
+        log_kept, log_rest = stick_gamma_logs(
+            1.0 + counts[:, :-1], conc + greater[:, :-1], rng
+        )
         log_total = np.logaddexp(log_kept, log_rest)
         sticks[:, :-1] = np.exp(log_kept - log_total)
         log1m = log_rest - log_total
@@ -245,8 +234,8 @@ def member_kernel_counts(
 def sample_kernels(
     counts: list[np.ndarray], prior: list[np.ndarray], rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Dirichlet draws with prior weights plus observed counts."""
-    return [dirichlet_rows(w + c, rng) for w, c in zip(prior, counts)]
+    """Dirichlet draws with prior weights plus observed counts, from one gamma call."""
+    return dirichlet_rows([w + c for w, c in zip(prior, counts)], rng)
 
 
 def sample_hh_concentration(
@@ -293,14 +282,13 @@ def resample_parameters(
     mem_sticks, mem_weights, mem_log1m = sample_member_sticks(pair_counts, params.mem_conc, rng)
     hh_dims = [w.shape[0] for w in hyper.hh_kernel_prior]
     mem_dims = [w.shape[0] for w in hyper.mem_kernel_prior]
-    hh_kernels = sample_kernels(
-        household_kernel_counts(hh_codes, hh_class, F, hh_dims), hyper.hh_kernel_prior, rng
-    )
-    mem_kernels = sample_kernels(
-        member_kernel_counts(mem_codes, mem_hh_class, mem_class, F, S, mem_dims),
-        hyper.mem_kernel_prior,
+    kernels = sample_kernels(
+        household_kernel_counts(hh_codes, hh_class, F, hh_dims)
+        + member_kernel_counts(mem_codes, mem_hh_class, mem_class, F, S, mem_dims),
+        [*hyper.hh_kernel_prior, *hyper.mem_kernel_prior],
         rng,
     )
+    hh_kernels, mem_kernels = kernels[: len(hh_dims)], kernels[len(hh_dims) :]
     hh_conc = sample_hh_concentration(hh_log1m, hyper.hh_conc_shape, hyper.hh_conc_rate, rng)
     mem_conc = sample_mem_concentration(
         mem_log1m, hyper.mem_conc_shape, hyper.mem_conc_rate, hyper.per_class_mem_conc, rng

@@ -11,6 +11,7 @@ priors on their concentrations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,11 +183,19 @@ class Params:
         assert np.all(np.asarray(self.mem_conc) > 0)
 
 
-def dirichlet_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Dirichlet draws along the last axis of a positive shape array."""
-    draws = rng.gamma(shape=weights)
+def dirichlet_rows(weights: list[np.ndarray], rng: np.random.Generator) -> list[np.ndarray]:
+    """Dirichlet draws along the last axis of each positive shape array.
+
+    One gamma call draws every array's entries in turn, as consecutive calls
+    would, and leaves the stream where they would.
+    """
+    draws = rng.gamma(shape=np.concatenate([np.ravel(w) for w in weights]))
     draws = np.maximum(draws, LOG_FLOOR)  # guard against all-zero underflow
-    return draws / draws.sum(axis=-1, keepdims=True)
+    out = []
+    for piece, w in zip(np.split(draws, np.cumsum([np.size(w) for w in weights])[:-1]), weights):
+        piece = piece.reshape(np.shape(w))
+        out.append(piece / piece.sum(axis=-1, keepdims=True))
+    return out
 
 
 def prior_draw(hyper: Hyperparams, rng: np.random.Generator) -> Params:
@@ -204,20 +213,19 @@ def prior_draw(hyper: Hyperparams, rng: np.random.Generator) -> Params:
     if S > 1:
         rates = np.broadcast_to(np.asarray(mem_conc, dtype=float), (F,))
         mem_sticks[:, :-1] = rng.beta(1.0, rates[:, None], size=(F, S - 1))
-    hh_kernels = [
-        dirichlet_rows(np.broadcast_to(w, (F, len(w))), rng) for w in hyper.hh_kernel_prior
-    ]
-    mem_kernels = [
-        dirichlet_rows(np.broadcast_to(w, (F, S, len(w))), rng)
-        for w in hyper.mem_kernel_prior
-    ]
+    q = len(hyper.hh_kernel_prior)
+    kernels = dirichlet_rows(
+        [np.broadcast_to(w, (F, len(w))) for w in hyper.hh_kernel_prior]
+        + [np.broadcast_to(w, (F, S, len(w))) for w in hyper.mem_kernel_prior],
+        rng,
+    )
     return Params(
         hh_sticks=hh_sticks,
         hh_weights=stick_break(hh_sticks),
         mem_sticks=mem_sticks,
         mem_weights=stick_break(mem_sticks),
-        hh_kernels=hh_kernels,
-        mem_kernels=mem_kernels,
+        hh_kernels=kernels[:q],
+        mem_kernels=kernels[q:],
         hh_conc=float(hh_conc),
         mem_conc=mem_conc,
     )
@@ -290,38 +298,114 @@ def size_class_probs(params: Params, schema: Schema, h: int) -> np.ndarray:
     return weights / total
 
 
+class CDFTable(NamedTuple):
+    """Cumulative category probabilities of k categorical variables, (R, k, D).
+
+    Each row is np.cumsum of one variable's probabilities in one of R
+    settings, so a gathered row is the cumsum of the gathered probabilities,
+    bit for bit.  Columns past a variable's last category hold +inf.  last
+    holds each row's final sum, (R, k).
+    """
+
+    cdf: np.ndarray
+    last: np.ndarray
+
+    @classmethod
+    def of(cls, probs: list[np.ndarray], n_rows: int) -> CDFTable:
+        """The table of probability arrays, each reshaped to (n_rows, d_k)."""
+        width = max((p.shape[-1] for p in probs), default=1)
+        cdf = np.empty((n_rows, len(probs), width))
+        last = np.empty((n_rows, len(probs)))
+        for k, p in enumerate(probs):
+            d = p.shape[-1]
+            np.cumsum(p.reshape(n_rows, d), axis=-1, out=cdf[:, k, :d])
+            if d < width:
+                cdf[:, k, d:] = np.inf
+            last[:, k] = cdf[:, k, d - 1]
+        return cls(cdf, last)
+
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF codes (n, k) of the n table rows named by rows, from
+        n * k uniforms in stream order: all n of the first variable, then the next.
+
+        A code is the number of cumulative sums below u * last.  The sums
+        rise along a row and u < 1, so that is the first column at or above
+        u * last, which is never past the last category.
+        """
+        last = self.last.take(rows, axis=0)
+        x = u.reshape(last.shape[::-1]).T * last
+        return (x[..., None] <= self.cdf.take(rows, axis=0)).argmax(axis=-1)
+
+
+class DrawTables:
+    """The CDF tables of one parameter draw that household generation reads."""
+
+    def __init__(self, params: Params, schema: Schema):
+        self.F, self.S = params.n_hh_classes, params.n_mem_classes
+        self.mem_class = CDFTable.of([params.mem_weights], self.F)  # row g: household class g
+        self.mem = CDFTable.of(params.mem_kernels, self.F * self.S)  # row g * S + m
+        self._hh_kernels = params.hh_kernels
+        self._size_index = schema.size_index
+        self._hh: dict[bool, CDFTable] = {}
+
+    def hh(self, with_size: bool) -> CDFTable:
+        """The household variables, the size included or not; built on first use."""
+        if with_size not in self._hh:
+            kernels = list(self._hh_kernels)
+            if not with_size:
+                del kernels[self._size_index]
+            self._hh[with_size] = CDFTable.of(kernels, self.F)
+        return self._hh[with_size]
+
+    def members(self, mem_g: np.ndarray, mem_class: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Individual-variable codes (M, p) of members of the given classes."""
+        return self.mem.draw(mem_g * self.S + mem_class, u)
+
+
 def draw_households(
     params: Params,
     schema: Schema,
     hh_class: np.ndarray,
     rng: np.random.Generator,
     sizes: np.ndarray | None = None,
+    tables: DrawTables | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Generate households given their classes.
 
     Draws household variables (size included unless sizes is passed, in which
-    case the size code is forced), then member classes and member variables.
-    Returns (hh_codes, mem_codes, sizes, mem_class) with member rows grouped
-    by household in order.
+    case the size code is forced), then member classes and member variables,
+    each variable over all rows in turn.  The uniforms come in one block, or
+    in two when the sizes are drawn.  tables, if given, are
+    DrawTables(params, schema).  Returns (hh_codes, mem_codes, sizes,
+    mem_class) with member rows grouped by household in order.
     """
-    B = hh_class.shape[0]
-    q = len(schema.household_vars)
-    hh_codes = np.zeros((B, q), dtype=np.int64)
-    for k in range(q):
-        if sizes is not None and k == schema.size_index:
-            hh_codes[:, k] = np.asarray(sizes) - 1
-        else:
-            hh_codes[:, k] = rows_categorical(params.hh_kernels[k][hh_class], rng)
-    out_sizes = hh_codes[:, schema.size_index] + 1
-    mem_hh = np.repeat(np.arange(B), out_sizes)
-    mem_class = rows_categorical(params.mem_weights[hh_class][mem_hh], rng)
-    p = len(schema.individual_vars)
-    mem_codes = np.zeros((mem_hh.shape[0], p), dtype=np.int64)
-    for k in range(p):
-        mem_codes[:, k] = rows_categorical(
-            params.mem_kernels[k][hh_class[mem_hh], mem_class], rng
-        )
-    return hh_codes, mem_codes, out_sizes.astype(np.int64), mem_class
+    tables = DrawTables(params, schema) if tables is None else tables
+    B, p = hh_class.shape[0], len(params.mem_kernels)
+    s = schema.size_index
+    if sizes is None:
+        hh_codes = tables.hh(with_size=True).draw(hh_class, rng.random(B * len(params.hh_kernels)))
+        sizes = hh_codes[:, s] + 1
+        u = rng.random(int(sizes.sum()) * (1 + p))
+    else:
+        sizes = np.full(B, sizes, dtype=np.int64)
+        n_free = B * (len(params.hh_kernels) - 1)
+        u = rng.random(n_free + int(sizes.sum()) * (1 + p))
+        free = tables.hh(with_size=False).draw(hh_class, u[:n_free])
+        hh_codes = with_size_column(free, s, sizes - 1)
+        u = u[n_free:]
+    mem_g = hh_class[np.repeat(np.arange(B), sizes)]
+    M = mem_g.shape[0]
+    mem_class = tables.mem_class.draw(mem_g, u[:M])[:, 0]
+    return hh_codes, tables.members(mem_g, mem_class, u[M:]), sizes, mem_class
+
+
+def with_size_column(free: np.ndarray, size_index: int, size_codes: np.ndarray) -> np.ndarray:
+    """Household codes (n, q) from the other variables' codes (n, q - 1) and the size codes."""
+    out = np.empty((free.shape[0], free.shape[1] + 1), dtype=np.int64)
+    out[:, :size_index] = free[:, :size_index]
+    out[:, size_index] = size_codes
+    out[:, size_index + 1 :] = free[:, size_index:]
+    return out
 
 
 def rows_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RiskConfig
 from .constraints import RuleSet, check_batch
 from .data import Dataset, DatasetView, Schema
 from .model import (
@@ -96,27 +97,59 @@ class RiskSummary:
                 writer.writerow([rank, count])
 
 
-@dataclass
-class RiskConfig:
-    kind: str  # "individual" or "household"
-    held_fixed: tuple[str, ...] = ()
-    sizes: tuple[int, ...] | None = None  # household targets only
-    rules: RuleSet | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("individual", "household"):
-            raise ValueError(f"unknown target kind {self.kind!r}")
-
-
 def _changes(values: np.ndarray, variables, fixed) -> np.ndarray:
-    """Copies of values with one code changed, for each variable not named in
-    fixed: variables in order, codes ascending."""
-    out = [np.empty((0, len(values)), dtype=np.int64)]
+    """For each row of values (T, k), copies with one code changed, for each
+    variable not named in fixed: variables in order, codes ascending; (T, A, k)."""
+    out = [np.empty((len(values), 0, values.shape[1]), dtype=np.int64)]
     for k, var in enumerate(variables):
         if var.name not in fixed:
-            out.append(np.repeat(values[None], var.cardinality - 1, axis=0))
-            out[-1][:, k] = np.delete(np.arange(var.cardinality), values[k])
-    return np.concatenate(out)
+            out.append(np.repeat(values[:, None], var.cardinality - 1, axis=1))
+            alt = np.arange(var.cardinality - 1)
+            out[-1][:, :, k] = alt + (alt >= values[:, k, None])
+    return np.concatenate(out, axis=1)
+
+
+def _individual_supports(
+    schema: Schema, hh_values: np.ndarray, mem_values: np.ndarray, held_fixed
+) -> list[TargetSupport]:
+    """build_support_individual for each row of hh_values (T, q) and mem_values (T, p)."""
+    hh_alt = _changes(hh_values, schema.household_vars, held_fixed)
+    mem_alt = _changes(mem_values, schema.individual_vars, held_fixed)
+    hh = np.concatenate(
+        [hh_values[:, None], hh_alt, np.repeat(hh_values[:, None], mem_alt.shape[1], axis=1)],
+        axis=1,
+    )
+    mem = np.concatenate(
+        [np.repeat(mem_values[:, None], 1 + hh_alt.shape[1], axis=1), mem_alt], axis=1
+    )
+    return [TargetSupport("individual", h, m) for h, m in zip(hh, mem)]
+
+
+def _household_supports(
+    schema: Schema, hh_values: np.ndarray, members: np.ndarray, held_fixed, rules
+) -> list[TargetSupport]:
+    """build_support_household for each row of hh_values (T, q) and members (T, h, p)."""
+    T, h, p = members.shape
+    hh_alt = _changes(hh_values, schema.household_vars, (*held_fixed, schema.size_var.name))
+    mem = [np.repeat(members[:, None], 1 + hh_alt.shape[1], axis=1)]
+    for j in range(h):
+        rows = _changes(members[:, j], schema.individual_vars, held_fixed)
+        mem.append(np.repeat(members[:, None], rows.shape[1], axis=1))
+        mem[-1][:, :, j] = rows
+    mem = np.concatenate(mem, axis=1)
+    C = mem.shape[1]
+    n_same = C - 1 - hh_alt.shape[1]  # member changes keep the true household values
+    hh = np.concatenate(
+        [hh_values[:, None], hh_alt, np.repeat(hh_values[:, None], n_same, axis=1)], axis=1
+    )
+    if rules is None or not rules:
+        return [TargetSupport("household", a, b) for a, b in zip(hh, mem)]
+    keep = check_batch(rules, hh.reshape(T * C, -1), mem.reshape(T * C, h, p)).reshape(T, C)
+    keep[:, 0] = True  # observed truth stays regardless
+    bounds = np.cumsum(keep.sum(axis=1))[:-1]
+    hh = np.split(hh[keep], bounds)
+    mem = np.split(mem[keep], bounds)
+    return [TargetSupport("household", a, b) for a, b in zip(hh, mem)]
 
 
 def build_support_individual(
@@ -133,15 +166,9 @@ def build_support_individual(
     Candidate order: truth, then household variables in schema order, then
     individual variables, alternative codes ascending.
     """
-    hh_values = np.asarray(hh_values, dtype=np.int64)
-    mem_values = np.asarray(mem_values, dtype=np.int64)
-    hh_alt = _changes(hh_values, schema.household_vars, held_fixed)
-    mem_alt = _changes(mem_values, schema.individual_vars, held_fixed)
-    return TargetSupport(
-        kind="individual",
-        hh_values=np.concatenate([hh_values[None], hh_alt, np.tile(hh_values, (len(mem_alt), 1))]),
-        mem_values=np.concatenate([np.tile(mem_values, (1 + len(hh_alt), 1)), mem_alt]),
-    )
+    hh_values = np.asarray(hh_values, dtype=np.int64)[None]
+    mem_values = np.asarray(mem_values, dtype=np.int64)[None]
+    return _individual_supports(schema, hh_values, mem_values, held_fixed)[0]
 
 
 def build_support_household(
@@ -160,23 +187,9 @@ def build_support_household(
     order: truth, household variables, then member 1's variables, member 2's,
     and so on, alternative codes ascending.
     """
-    hh_values = np.asarray(hh_values, dtype=np.int64)
-    members = np.asarray(members, dtype=np.int64)
-    hh_alt = _changes(hh_values, schema.household_vars, (*held_fixed, schema.size_var.name))
-    mem_alt = [np.tile(members, (1 + len(hh_alt), 1, 1))]
-    for j, member in enumerate(members):
-        rows = _changes(member, schema.individual_vars, held_fixed)
-        mem_alt.append(np.tile(members, (len(rows), 1, 1)))
-        mem_alt[-1][:, j] = rows
-    mem_arr = np.concatenate(mem_alt)
-    n_same = len(mem_arr) - 1 - len(hh_alt)  # member changes keep the true household values
-    hh_arr = np.concatenate([hh_values[None], hh_alt, np.tile(hh_values, (n_same, 1))])
-    if rules is not None and rules:
-        keep = check_batch(rules, hh_arr, mem_arr)
-        keep[0] = True  # observed truth stays regardless
-        hh_arr = hh_arr[keep]
-        mem_arr = mem_arr[keep]
-    return TargetSupport(kind="household", hh_values=hh_arr, mem_values=mem_arr)
+    hh_values = np.asarray(hh_values, dtype=np.int64)[None]
+    members = np.asarray(members, dtype=np.int64)[None]
+    return _household_supports(schema, hh_values, members, held_fixed, rules)[0]
 
 
 def replicate_likelihood(params: Params, replicate: Dataset | DatasetView) -> float:
@@ -207,17 +220,19 @@ def candidate_logliks(supports: list[TargetSupport], params_draws: list[Params])
     return np.split(cand, np.cumsum(counts)[:-1], axis=1)
 
 
-def _self_normalize(cand: np.ndarray, truth_index: int) -> np.ndarray:
-    log_ratio = cand - cand[:, [truth_index]]
-    peak = np.maximum(log_ratio.max(axis=0, keepdims=True), 0.0)
+def _self_normalize(cand: np.ndarray, truth_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (..., R, C) from candidate log-likelihoods (..., R, C), and the
+    mask (..., C) of candidates whose ratios all underflowed to zero."""
+    log_ratio = cand - cand[..., [truth_index]]
+    peak = np.maximum(log_ratio.max(axis=-2, keepdims=True), 0.0)
     ratios = np.exp(log_ratio - peak)
-    totals = ratios.sum(axis=0, keepdims=True)
-    dead = totals[0] == 0.0
-    if dead.any():
-        raise ValueError(
-            f"importance weights underflowed for candidate {int(np.flatnonzero(dead)[0])}"
-        )
-    return ratios / totals
+    totals = ratios.sum(axis=-2, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        return ratios / totals, totals[..., 0, :] == 0.0
+
+
+def _underflow(candidate: int) -> ValueError:
+    return ValueError(f"importance weights underflowed for candidate {candidate}")
 
 
 def importance_weights(support: TargetSupport, params_draws: list[Params]) -> np.ndarray:
@@ -229,7 +244,12 @@ def importance_weights(support: TargetSupport, params_draws: list[Params]) -> np
     exponentiating; a candidate whose ratios all underflow to zero is
     structurally impossible under every draw and raises.
     """
-    return _self_normalize(candidate_logliks([support], params_draws)[0], support.truth_index)
+    weights, dead = _self_normalize(
+        candidate_logliks([support], params_draws)[0], support.truth_index
+    )
+    if dead.any():
+        raise _underflow(int(np.flatnonzero(dead)[0]))
+    return weights
 
 
 def importance_posterior(
@@ -247,28 +267,38 @@ def importance_posterior(
         log_p = np.array(
             [[replicate_likelihood(params, z) for z in replicates] for params in params_draws]
         )
-    return _posterior(support, importance_weights(support, params_draws), log_p)
-
-
-def _posterior(support: TargetSupport, weights: np.ndarray, log_p: np.ndarray) -> RiskResult:
-    """importance_posterior given the target's (R, C) weights."""
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(weights)  # (R, C)
-    # per replicate and candidate: log sum_r exp(log_p + log_weight)
-    per_rep = logsumexp(log_p[:, :, None] + log_weights[:, None, :], axis=0)  # (L, C)
-    scores = per_rep.sum(axis=0)
-    if support.log_prior is not None:
-        scores = scores + support.log_prior
-    rho = np.exp(scores - logsumexp(scores))
-    rho = rho / rho.sum()
-    order = np.argsort(-rho, kind="stable")
-    rank = int(np.flatnonzero(order == support.truth_index)[0]) + 1
+    weights = importance_weights(support, params_draws)[None]
+    log_prior = None if support.log_prior is None else support.log_prior[None]
+    rho, rank = _posteriors(weights, log_p, support.truth_index, log_prior)
     return RiskResult(
-        posterior=rho,
-        rank_of_truth=rank,
-        top_probability=float(rho[order[0]]),
-        truth_probability=float(rho[support.truth_index]),
+        posterior=rho[0],
+        rank_of_truth=int(rank[0]),
+        top_probability=float(rho[0].max()),
+        truth_probability=float(rho[0, support.truth_index]),
     )
+
+
+def _posteriors(
+    weights: np.ndarray, log_p: np.ndarray, truth_index: int, log_prior: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors (T, C) and ranks of the truth (T,) of T targets of C candidates each.
+
+    weights is (T, R, C).  Every reduction runs along the axis the one-target
+    form reduces, and each target's sums over its candidates run along the
+    last axis of a (T, C) array, so each target gets the floats it would get
+    alone.
+    """
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(weights)
+    # per target, replicate and candidate: log sum_r exp(log_p + log_weight)
+    per_rep = logsumexp(log_p[None, :, :, None] + log_weights[:, :, None, :], axis=1)
+    scores = per_rep.sum(axis=1)  # (T, C)
+    if log_prior is not None:
+        scores = scores + log_prior
+    rho = np.exp(scores - logsumexp(scores, axis=1)[:, None])
+    rho = rho / rho.sum(axis=1, keepdims=True)
+    order = np.argsort(-rho, axis=1, kind="stable")
+    return rho, np.argmax(order == truth_index, axis=1) + 1
 
 
 def _target_id(variables, codes) -> str:
@@ -288,48 +318,54 @@ def risk_sweep(
         [[replicate_likelihood(params, v) for v in rep_views] for params in params_draws]
     )
 
-    tasks = []  # (target_id, support)
     view = original.to_view()
     if config.kind == "individual":
         q = view.hh_codes.shape[1]
         combined = np.concatenate([view.hh_codes[view.mem_hh], view.mem_codes], axis=1)
-        for row in np.unique(combined, axis=0):
-            tasks.append(
-                (
-                    _target_id(schema.household_vars + schema.individual_vars, row),
-                    build_support_individual(schema, row[:q], row[q:], config.held_fixed),
-                )
-            )
+        targets = np.unique(combined, axis=0)
+        ids = [_target_id(schema.household_vars + schema.individual_vars, row) for row in targets]
+        supports = _individual_supports(schema, targets[:, :q], targets[:, q:], config.held_fixed)
     else:
-        seen = set()
+        # distinct (household values, sorted member rows), in order of first appearance
         members_of = np.split(view.mem_codes, view.hh_start[1:])
-        for hh_row, member_rows in zip(view.hh_codes.tolist(), members_of):
-            if config.sizes is not None and len(member_rows) not in config.sizes:
-                continue
-            key = (tuple(hh_row), tuple(sorted(map(tuple, member_rows.tolist()))))
-            if key in seen:
-                continue
-            seen.add(key)
-            hh_values = np.asarray(key[0], dtype=np.int64)
-            members = np.asarray(key[1], dtype=np.int64)
-            mem_ids = "".join(f"[{_target_id(schema.individual_vars, m)}]" for m in members)
-            tasks.append(
-                (
-                    _target_id(schema.household_vars, hh_values) + "|" + mem_ids,
-                    build_support_household(
-                        schema, hh_values, members, config.held_fixed, config.rules
-                    ),
-                )
-            )
+        keys = list(dict.fromkeys(
+            (tuple(hh_row), tuple(sorted(map(tuple, rows.tolist()))))
+            for hh_row, rows in zip(view.hh_codes.tolist(), members_of)
+            if config.sizes is None or len(rows) in config.sizes
+        ))
+        ids = [
+            _target_id(schema.household_vars, hh_values) + "|"
+            + "".join(f"[{_target_id(schema.individual_vars, m)}]" for m in members)
+            for hh_values, members in keys
+        ]
+        # the supports of each household size are built as one array
+        supports = [None] * len(keys)
+        sizes = np.array([len(members) for _, members in keys])
+        for h in np.unique(sizes):
+            group = np.flatnonzero(sizes == h)
+            hh = np.array([keys[i][0] for i in group], dtype=np.int64)
+            members = np.array([keys[i][1] for i in group], dtype=np.int64)
+            built = _household_supports(schema, hh, members, config.held_fixed, config.rules)
+            for i, support in zip(group, built):
+                supports[i] = support
 
-    blocks = candidate_logliks([support for _, support in tasks], params_draws)
-    rows = []
-    for (target_id, support), cand in zip(tasks, blocks):
-        result = _posterior(support, _self_normalize(cand, support.truth_index), log_p)
-        rows.append(
-            RiskRow(target_id, cand.shape[1], result.rank_of_truth, result.truth_probability,
-                    result.top_probability)
-        )
+    # targets with equal candidate counts are scored as one (T, R, C) block
+    blocks = candidate_logliks(supports, params_draws)
+    counts = np.array([cand.shape[1] for cand in blocks])
+    rho_truth, rho_max, ranks = (np.empty(len(blocks)) for _ in range(3))
+    dead = []  # (target, candidate) pairs whose weights underflowed
+    for C in np.unique(counts):
+        group = np.flatnonzero(counts == C)
+        weights, gone = _self_normalize(np.stack([blocks[t] for t in group]), 0)
+        dead += [(group[t], c) for t, c in np.argwhere(gone)]
+        rho, rank = _posteriors(weights, log_p, 0)
+        rho_truth[group], rho_max[group], ranks[group] = rho[:, 0], rho.max(axis=1), rank
+    if dead:
+        raise _underflow(int(min(dead)[1]))
+    rows = [
+        RiskRow(target_id, int(C), int(rank), float(truth), float(top))
+        for target_id, C, rank, truth, top in zip(ids, counts, ranks, rho_truth, rho_max)
+    ]
     summary = RiskSummary(rows=rows)
     summary.finalize()
     return summary

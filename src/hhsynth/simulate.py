@@ -9,40 +9,10 @@ draws, so closed-form check values exist for within-household statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .config import ToyConfig
 from .data import Dataset, DatasetView, Schema, SchemaError
-
-
-@dataclass
-class ToyConfig:
-    """Generator settings.  Codes are 0-based, like everything in memory.
-
-    size_probs maps household size to probability.  marginals optionally fixes
-    per-variable category marginals (defaults to uniform).  If role_variable
-    is set, member 1 receives head_code and everyone else other_code, which
-    makes the output satisfy an exactly-one-head rule by construction.
-    """
-
-    n_households: int
-    size_probs: dict[int, float]
-    copy_variable: str
-    copy_prob: float
-    marginals: dict[str, np.ndarray] = field(default_factory=dict)
-    role_variable: str | None = None
-    head_code: int = 0
-    other_code: int = 1
-
-    def __post_init__(self):
-        if self.n_households < 1:
-            raise ValueError("n_households must be >= 1")
-        if not 0.0 <= self.copy_prob <= 1.0:
-            raise ValueError("copy_prob must lie in [0, 1]")
-        probs = list(self.size_probs.values())
-        if not probs or any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError("size_probs must be nonnegative and sum to 1")
 
 
 def marginal(config: ToyConfig, schema: Schema, name: str) -> np.ndarray:

@@ -13,12 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .checkpoints import CheckpointRecord
 from .data import Dataset, DatasetView, Schema, load_dataset, write_dataset
-from .rng import substream
+
+if TYPE_CHECKING:
+    from .checkpoints import CheckpointRecord
 
 
 @dataclass
@@ -47,29 +49,28 @@ def synthesize_untruncated(
     n_replicates: int,
     seed: int,
 ) -> SyntheticReplicates:
-    """Partially synthetic replicates: sizes and class assignments kept."""
-    from .model import rows_categorical
+    """Partially synthetic replicates: sizes and class assignments kept.
+
+    Each replicate draws its household variables but the size, then its
+    member variables, from one block of uniforms.
+    """
+    from .model import DrawTables, with_size_column
+    from .rng import substream
 
     schema = dataset.schema
     view = dataset.to_view()
+    s = schema.size_index
+    n_free = view.n_households * (len(schema.household_vars) - 1)
     chosen = select_records(records, n_replicates)
     replicates = []
     for l, record in enumerate(chosen):
         rng = substream(seed, "synthesize", l)
-        params = record.params
+        tables = DrawTables(record.params, schema)
         g = record.hh_class
-        g_mem = g[view.mem_hh]
-        hh_codes = np.zeros_like(view.hh_codes)
-        for k in range(len(schema.household_vars)):
-            if k == schema.size_index:
-                hh_codes[:, k] = view.hh_codes[:, k]  # size is copied, never redrawn
-            else:
-                hh_codes[:, k] = rows_categorical(params.hh_kernels[k][g], rng)
-        mem_codes = np.zeros_like(view.mem_codes)
-        for k in range(len(schema.individual_vars)):
-            mem_codes[:, k] = rows_categorical(
-                params.mem_kernels[k][g_mem, record.mem_class], rng
-            )
+        u = rng.random(n_free + view.n_individuals * len(schema.individual_vars))
+        free = tables.hh(with_size=False).draw(g, u[:n_free])
+        hh_codes = with_size_column(free, s, view.hh_codes[:, s])  # size copied, never redrawn
+        mem_codes = tables.members(g[view.mem_hh], record.mem_class, u[n_free:])
         synthetic = DatasetView.from_arrays(hh_codes, mem_codes, view.sizes)
         replicates.append(Dataset(schema, view=synthetic, ids=dataset.ids))
     return SyntheticReplicates(

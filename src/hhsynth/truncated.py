@@ -17,7 +17,7 @@ from .checkpoints import FeasibleDraws
 from .constraints import RuleSet, check_batch
 from .data import DatasetView, Schema
 from .gibbs import ChainState, resample_parameters, sample_classes
-from .model import Hyperparams, Params, draw_households, size_class_probs
+from .model import DrawTables, Hyperparams, Params, draw_households, size_class_probs
 
 
 class CapExceededError(RuntimeError):
@@ -108,6 +108,7 @@ def generate_augmented(
     all strata passes cap.
     """
     p = len(schema.individual_vars)
+    tables = DrawTables(params, schema)
     strata: dict[int, StratumDraws] = {}
     drawn_total = 0
     for h in sorted(histogram):
@@ -117,7 +118,7 @@ def generate_augmented(
         except ValueError as exc:
             raise CapExceededError(f"{exc}; candidate generation cannot terminate") from None
         cdf = np.cumsum(class_probs)
-        hh_parts, mem_parts, class_parts, mem_class_parts, mask_parts = [], [], [], [], []
+        batches = []  # (classes, hh codes, member codes, member classes, feasible) per batch
         n_feasible = 0
         n_drawn_h = 0
         while n_feasible < target:
@@ -132,33 +133,29 @@ def generate_augmented(
             classes = np.searchsorted(cdf, rng.random(batch) * cdf[-1]).astype(np.int64)
             classes = np.minimum(classes, len(cdf) - 1)
             hh, mem, _, mem_class = draw_households(
-                params, schema, classes, rng, sizes=np.full(batch, h)
+                params, schema, classes, rng, sizes=np.full(batch, h), tables=tables
             )
             mask = check_batch(rules, hh, mem.reshape(batch, h, p))
-            hh_parts.append(hh)
-            mem_parts.append(mem)
-            class_parts.append(classes)
-            mem_class_parts.append(mem_class)
-            mask_parts.append(mask)
+            batches.append((classes, hh, mem, mem_class, mask))
             n_feasible += int(mask.sum())
             n_drawn_h += batch
-        hh_all = np.concatenate(hh_parts, axis=0)
-        mem_all = np.concatenate(mem_parts, axis=0).reshape(-1, h, p)
-        class_all = np.concatenate(class_parts)
-        mem_class_all = np.concatenate(mem_class_parts).reshape(-1, h)
-        mask_all = np.concatenate(mask_parts)
+        if len(batches) == 1:
+            classes, hh, mem, mem_class, mask = batches[0]
+        else:
+            classes, hh, mem, mem_class, mask = (np.concatenate(a) for a in zip(*batches))
         # keep everything up to and including the target-th feasible candidate
-        cut = int(np.searchsorted(np.cumsum(mask_all), target))
-        keep = slice(0, cut + 1)
-        mask_kept = mask_all[keep]
+        cut = int(np.searchsorted(np.cumsum(mask), target))
+        feasible = np.flatnonzero(mask[: cut + 1])
+        infeasible = np.flatnonzero(~mask[: cut + 1])
+        mem = mem.reshape(-1, h, p)
         strata[h] = StratumDraws(
             size=h,
-            feasible_hh=hh_all[keep][mask_kept],
-            feasible_mem=mem_all[keep][mask_kept].reshape(-1, p),
-            infeasible_hh=hh_all[keep][~mask_kept],
-            infeasible_mem=mem_all[keep][~mask_kept].reshape(-1, p),
-            infeasible_hh_class=class_all[keep][~mask_kept],
-            infeasible_mem_class=mem_class_all[keep][~mask_kept].reshape(-1),
+            feasible_hh=hh[feasible],
+            feasible_mem=mem[feasible].reshape(-1, p),
+            infeasible_hh=hh[infeasible],
+            infeasible_mem=mem[infeasible].reshape(-1, p),
+            infeasible_hh_class=classes[infeasible],
+            infeasible_mem_class=mem_class.reshape(-1, h)[infeasible].reshape(-1),
             n_candidates=cut + 1,
         )
     return AugmentedBatch(strata=strata)

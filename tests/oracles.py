@@ -3,8 +3,10 @@
 The tests compare the library against these: a dataset's households as
 HouseholdRecord tuples, cell and household-query proportions counted one
 household at a time, the household predicates written per record, the
-feasibility of one household, one household's marginal likelihood, and the
-class logits and candidate likelihoods each caller once built for itself.
+feasibility of one household, one household's marginal likelihood, the
+class logits and candidate likelihoods each caller once built for itself, and
+the draws of households and parameters made one variable or one kernel per
+random call.
 """
 
 import itertools
@@ -13,8 +15,23 @@ import numpy as np
 
 from hhsynth.constraints import check_batch
 from hhsynth.data import HOUSEHOLD, DatasetView, HouseholdRecord
+from hhsynth.gibbs import (
+    household_kernel_counts,
+    member_kernel_counts,
+    sample_hh_concentration,
+    sample_mem_concentration,
+)
 from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine, normal_interval
-from hhsynth.model import LOG_FLOOR, dataset_loglik, logsumexp
+from hhsynth.model import (
+    LOG_FLOOR,
+    Params,
+    dataset_loglik,
+    logsumexp,
+    size_class_probs,
+    stick_break,
+)
+from hhsynth.synthesis import select_records
+from hhsynth.truncated import AugmentedBatch, CapExceededError, StratumDraws
 
 
 def records_of(dataset) -> list[HouseholdRecord]:
@@ -253,3 +270,231 @@ def importance_weights(support, params_draws):
     peak = np.maximum(log_ratio.max(axis=0, keepdims=True), 0.0)
     ratios = np.exp(log_ratio - peak)
     return ratios / ratios.sum(axis=0, keepdims=True)
+
+
+
+def posterior(support, weights, log_p):
+    """(rank of truth, truth probability, top probability) of one target from
+    its (R, C) weights, with 1-D sums over its candidates."""
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(weights)
+    per_rep = logsumexp(log_p[:, :, None] + log_weights[:, None, :], axis=0)  # (L, C)
+    scores = per_rep.sum(axis=0)
+    if support.log_prior is not None:
+        scores = scores + support.log_prior
+    rho = np.exp(scores - logsumexp(scores))
+    rho = rho / rho.sum()
+    order = np.argsort(-rho, kind="stable")
+    rank = int(np.flatnonzero(order == support.truth_index)[0]) + 1
+    return rank, float(rho[support.truth_index]), float(rho[order[0]])
+
+# ---------------------------------------------------------------------------
+# one random call per variable, kernel or stick set
+
+
+def rows_categorical(probs, rng):
+    """One categorical draw per row of a (B, d) array, from its own cumsum."""
+    cdf = np.cumsum(probs, axis=1)
+    u = rng.random(probs.shape[0]) * cdf[:, -1]
+    return np.minimum((u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1).astype(np.int64)
+
+
+def draw_households(params, schema, hh_class, rng, sizes=None):
+    """Household generation with one rows_categorical call per variable."""
+    B = hh_class.shape[0]
+    q = len(schema.household_vars)
+    hh_codes = np.zeros((B, q), dtype=np.int64)
+    for k in range(q):
+        if sizes is not None and k == schema.size_index:
+            hh_codes[:, k] = np.asarray(sizes) - 1
+        else:
+            hh_codes[:, k] = rows_categorical(params.hh_kernels[k][hh_class], rng)
+    out_sizes = hh_codes[:, schema.size_index] + 1
+    mem_hh = np.repeat(np.arange(B), out_sizes)
+    mem_class = rows_categorical(params.mem_weights[hh_class][mem_hh], rng)
+    p = len(schema.individual_vars)
+    mem_codes = np.zeros((mem_hh.shape[0], p), dtype=np.int64)
+    for k in range(p):
+        mem_codes[:, k] = rows_categorical(
+            params.mem_kernels[k][hh_class[mem_hh], mem_class], rng
+        )
+    return hh_codes, mem_codes, out_sizes.astype(np.int64), mem_class
+
+
+def generate_augmented(params, schema, rules, histogram, rng, cap):
+    """Rejection generation keeping every batch and selecting with masks."""
+    p = len(schema.individual_vars)
+    strata = {}
+    drawn_total = 0
+    for h in sorted(histogram):
+        target = histogram[h]
+        try:
+            class_probs = size_class_probs(params, schema, h)
+        except ValueError as exc:
+            raise CapExceededError(f"{exc}; candidate generation cannot terminate") from None
+        cdf = np.cumsum(class_probs)
+        hh_parts, mem_parts, class_parts, mem_class_parts, mask_parts = [], [], [], [], []
+        n_feasible = 0
+        n_drawn_h = 0
+        while n_feasible < target:
+            accept = (n_feasible + 1.0) / (n_drawn_h + 2.0)
+            batch = int(np.clip(np.ceil(1.5 * (target - n_feasible) / accept), 64, 1 << 22))
+            drawn_total += batch
+            if drawn_total > cap:
+                raise CapExceededError(
+                    f"generated more than {cap} candidate households in one sweep"
+                )
+            classes = np.searchsorted(cdf, rng.random(batch) * cdf[-1]).astype(np.int64)
+            classes = np.minimum(classes, len(cdf) - 1)
+            hh, mem, _, mem_class = draw_households(
+                params, schema, classes, rng, sizes=np.full(batch, h)
+            )
+            mask = check_batch(rules, hh, mem.reshape(batch, h, p))
+            hh_parts.append(hh)
+            mem_parts.append(mem)
+            class_parts.append(classes)
+            mem_class_parts.append(mem_class)
+            mask_parts.append(mask)
+            n_feasible += int(mask.sum())
+            n_drawn_h += batch
+        hh_all = np.concatenate(hh_parts, axis=0)
+        mem_all = np.concatenate(mem_parts, axis=0).reshape(-1, h, p)
+        class_all = np.concatenate(class_parts)
+        mem_class_all = np.concatenate(mem_class_parts).reshape(-1, h)
+        mask_all = np.concatenate(mask_parts)
+        cut = int(np.searchsorted(np.cumsum(mask_all), target))
+        keep = slice(0, cut + 1)
+        mask_kept = mask_all[keep]
+        strata[h] = StratumDraws(
+            size=h,
+            feasible_hh=hh_all[keep][mask_kept],
+            feasible_mem=mem_all[keep][mask_kept].reshape(-1, p),
+            infeasible_hh=hh_all[keep][~mask_kept],
+            infeasible_mem=mem_all[keep][~mask_kept].reshape(-1, p),
+            infeasible_hh_class=class_all[keep][~mask_kept],
+            infeasible_mem_class=mem_class_all[keep][~mask_kept].reshape(-1),
+            n_candidates=cut + 1,
+        )
+    return AugmentedBatch(strata=strata)
+
+
+def synthesize_untruncated(dataset, records, n_replicates, seed):
+    """The replicates' arrays, one rows_categorical call per variable."""
+    from hhsynth.rng import substream
+
+    schema = dataset.schema
+    view = dataset.to_view()
+    out = []
+    for l, record in enumerate(select_records(records, n_replicates)):
+        rng = substream(seed, "synthesize", l)
+        g = record.hh_class
+        hh_codes = np.zeros_like(view.hh_codes)
+        for k in range(len(schema.household_vars)):
+            if k == schema.size_index:
+                hh_codes[:, k] = view.hh_codes[:, k]
+            else:
+                hh_codes[:, k] = rows_categorical(record.params.hh_kernels[k][g], rng)
+        mem_codes = np.zeros_like(view.mem_codes)
+        for k in range(len(schema.individual_vars)):
+            mem_codes[:, k] = rows_categorical(
+                record.params.mem_kernels[k][g[view.mem_hh], record.mem_class], rng
+            )
+        out.append((hh_codes, mem_codes))
+    return out
+
+
+def dirichlet_rows(weights, rng):
+    draws = rng.gamma(shape=weights)
+    draws = np.maximum(draws, LOG_FLOOR)
+    return draws / draws.sum(axis=-1, keepdims=True)
+
+
+def prior_draw(hyper, rng):
+    """The prior draw with one gamma call per kernel."""
+    F, S = hyper.n_hh_classes, hyper.n_mem_classes
+    hh_conc = rng.gamma(hyper.hh_conc_shape, 1.0 / hyper.hh_conc_rate)
+    if hyper.per_class_mem_conc:
+        mem_conc = rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate, size=F)
+    else:
+        mem_conc = float(rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate))
+    hh_sticks = np.ones(F)
+    if F > 1:
+        hh_sticks[:-1] = rng.beta(1.0, hh_conc, size=F - 1)
+    mem_sticks = np.ones((F, S))
+    if S > 1:
+        rates = np.broadcast_to(np.asarray(mem_conc, dtype=float), (F,))
+        mem_sticks[:, :-1] = rng.beta(1.0, rates[:, None], size=(F, S - 1))
+    hh_kernels = [
+        dirichlet_rows(np.broadcast_to(w, (F, len(w))), rng) for w in hyper.hh_kernel_prior
+    ]
+    mem_kernels = [
+        dirichlet_rows(np.broadcast_to(w, (F, S, len(w))), rng) for w in hyper.mem_kernel_prior
+    ]
+    return Params(
+        hh_sticks=hh_sticks,
+        hh_weights=stick_break(hh_sticks),
+        mem_sticks=mem_sticks,
+        mem_weights=stick_break(mem_sticks),
+        hh_kernels=hh_kernels,
+        mem_kernels=mem_kernels,
+        hh_conc=float(hh_conc),
+        mem_conc=mem_conc,
+    )
+
+
+def gamma_log_draws(shape, rng):
+    shape = np.asarray(shape, dtype=float)
+    boost = rng.gamma(shape + 1.0)
+    u = 1.0 - rng.random(size=shape.shape)
+    return np.log(boost) + np.log(u) / shape
+
+
+def _sticks(counts, conc, rng):
+    """Stick draws along the last axis of counts: a gamma call for the kept
+    shapes, then one for the boosted rest, then the uniforms."""
+    greater = np.flip(np.flip(counts, -1).cumsum(axis=-1), -1) - counts
+    log_kept = np.log(rng.gamma(1.0 + counts[..., :-1]))
+    log_rest = gamma_log_draws(conc + greater[..., :-1], rng)
+    log_total = np.logaddexp(log_kept, log_rest)
+    sticks = np.ones(counts.shape)
+    sticks[..., :-1] = np.exp(log_kept - log_total)
+    return sticks, log_rest - log_total
+
+
+def resample_parameters(params, hyper, rng, hh_class, hh_codes, mem_hh_class, mem_class,
+                        mem_codes):
+    """The parameter update with separate stick gamma calls and one gamma call per kernel."""
+    F, S = hyper.n_hh_classes, hyper.n_mem_classes
+    hh_counts = np.bincount(hh_class, minlength=F)
+    pair_counts = np.bincount(mem_hh_class * S + mem_class, minlength=F * S).reshape(F, S)
+    if F > 1:
+        hh_sticks, hh_log1m = _sticks(hh_counts, params.hh_conc, rng)
+    else:
+        hh_sticks, hh_log1m = np.ones(F), np.zeros(0)
+    if S > 1:
+        conc = np.broadcast_to(np.asarray(params.mem_conc, dtype=float), (F,))[:, None]
+        mem_sticks, mem_log1m = _sticks(pair_counts, conc, rng)
+    else:
+        mem_sticks, mem_log1m = np.ones((F, S)), np.zeros((F, 0))
+    hh_dims = [w.shape[0] for w in hyper.hh_kernel_prior]
+    mem_dims = [w.shape[0] for w in hyper.mem_kernel_prior]
+    hh_counts_k = household_kernel_counts(hh_codes, hh_class, F, hh_dims)
+    mem_counts_k = member_kernel_counts(mem_codes, mem_hh_class, mem_class, F, S, mem_dims)
+    hh_kernels = [dirichlet_rows(w + c, rng) for w, c in zip(hyper.hh_kernel_prior, hh_counts_k)]
+    mem_kernels = [
+        dirichlet_rows(w + c, rng) for w, c in zip(hyper.mem_kernel_prior, mem_counts_k)
+    ]
+    hh_conc = sample_hh_concentration(hh_log1m, hyper.hh_conc_shape, hyper.hh_conc_rate, rng)
+    mem_conc = sample_mem_concentration(
+        mem_log1m, hyper.mem_conc_shape, hyper.mem_conc_rate, hyper.per_class_mem_conc, rng
+    )
+    return Params(
+        hh_sticks=hh_sticks,
+        hh_weights=stick_break(hh_sticks),
+        mem_sticks=mem_sticks,
+        mem_weights=stick_break(mem_sticks),
+        hh_kernels=hh_kernels,
+        mem_kernels=mem_kernels,
+        hh_conc=hh_conc,
+        mem_conc=mem_conc,
+    )

@@ -6,6 +6,7 @@ rule files written into the test's temporary directory.
 """
 
 import csv
+import gc
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -469,6 +471,58 @@ def test_cli_usage_error_loads_no_numpy():
     _, stderr, imported = start_cli("transmogrify", code=1)
     assert "usage error: argument command: invalid choice: 'transmogrify'" in stderr
     assert_standard_library_only(imported)
+
+
+# the hhsynth modules each command loads besides hhsynth, hhsynth.cli (run as
+# __main__), hhsynth.commands and hhsynth.config
+COMMAND_MODULES = {
+    "simulate": {"data", "rng", "simulate"},
+    "fit": {"data", "constraints", "model", "checkpoints", "rng", "gibbs", "truncated"},
+    "synthesize": {"data", "constraints", "model", "checkpoints", "synthesis"},
+    "evaluate": {"data", "inference", "synthesis"},
+    "risk": {"data", "constraints", "model", "checkpoints", "risk", "synthesis"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_command_loads_only_its_modules(pipeline, tmp_path, command):
+    config, out = pipeline
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    _, stderr, imported = start_cli(
+        command, "--config", str(config), "--out", str(work), code=0
+    )
+    library = {m.split(".", 1)[1] for m in imported if m.startswith("hhsynth.")}
+    assert library == {"commands", "config", *COMMAND_MODULES[command]}, stderr[-2000:]
+    assert ("scipy.special" in imported) == (command == "evaluate")
+    if command == "simulate":
+        assert not library & {"gibbs", "model", "truncated"}
+
+
+def test_only_the_process_entry_freezes_the_heap(pipeline, tmp_path):
+    config, _ = pipeline
+    assert run("simulate", config, tmp_path / "out") == 0
+    assert gc.get_freeze_count() == 0  # main runs in-process here
+    stdout, _ = fresh_python(
+        "-c",
+        "import gc, sys; from hhsynth.cli import run; sys.argv = ['hhsynth', 'transmogrify']; "
+        "code = run(); print(code, gc.get_freeze_count() > 0)",
+    )
+    assert stdout.split() == ["1", "True"]
+    scripts = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"hhsynth": "hhsynth.cli:run"}
+
+
+def test_help_says_what_each_command_reads_and_writes():
+    stdout, _, _ = start_cli("--help", code=0)
+    lines = stdout.splitlines()
+    for name, writes in (("simulate", "sample.csv"), ("fit", "checkpoints.jsonl"),
+                         ("synthesize", "manifest.json"), ("evaluate", "cells.csv"),
+                         ("risk", "risk_summary.csv")):
+        # the command's entry: its name, then a description that may wrap once
+        i = next(i for i, line in enumerate(lines) if line.split()[:1] == [name])
+        entry = " ".join(lines[i:i + 2]).split()
+        assert len(entry) > 1 and "writes" in entry and writes in " ".join(entry), entry
 
 
 def run_fresh(command, config, out, code):

@@ -19,7 +19,6 @@ from hhsynth.data import DatasetView, size_histogram
 from hhsynth.gibbs import (
     ChainConfig,
     Diagnostics,
-    gamma_log_draws,
     gibbs_sweep,
     household_kernel_counts,
     init_state,
@@ -33,6 +32,7 @@ from hhsynth.gibbs import (
     sample_member_classes,
     sample_member_sticks,
     sample_mem_concentration,
+    stick_gamma_logs,
 )
 from hhsynth.model import (
     Hyperparams,
@@ -55,11 +55,13 @@ def test_gamma_log_draws_moments():
     rng = substream(59, "loggamma")
     n = 200_000
     for a in (0.01, 0.8, 3.0):
-        draws = gamma_log_draws(np.full(n, a), rng)
-        assert np.isfinite(draws).all()
-        se_mean = np.sqrt(polygamma(1, a) / n)
-        assert abs(draws.mean() - digamma(a)) < 4 * se_mean
-        assert draws.var() == pytest.approx(polygamma(1, a), rel=0.05)
+        # the kept shapes (>= 1) come from the same gamma call, before the rest
+        kept, draws = stick_gamma_logs(np.full(n, 1.0 + a), np.full(n, a), rng)
+        for shape, logs in ((a, draws), (1.0 + a, kept)):
+            assert np.isfinite(logs).all()
+            se_mean = np.sqrt(polygamma(1, shape) / n)
+            assert abs(logs.mean() - digamma(shape)) < 4 * se_mean
+            assert logs.var() == pytest.approx(polygamma(1, shape), rel=0.05)
 
 
 def test_stick_log_complement_survives_rounding():

@@ -383,6 +383,43 @@ def test_risk_sweep_matches_per_target_oracle(
         assert repr(row) == repr(want)
 
 
+@pytest.mark.parametrize("kind, with_rules", [("individual", False), ("household", True)])
+def test_risk_sweep_matches_one_target_posterior_oracle(wide_schema, kind, with_rules):
+    # twelve draws and up to 40 candidates: sums over draws and over candidates
+    # run past numpy's eight-term pairwise blocks, so a changed order shows
+    hyper = Hyperparams.uniform(wide_schema, 3, 9)
+    draws = [prior_draw(hyper, substream(84, r)) for r in range(12)]
+    rng = substream(84, "data")
+    hh, mem, sizes, _ = draw_households(draws[0], wide_schema, rng.integers(3, size=12), rng)
+    data = Dataset(wide_schema, view=DatasetView.from_arrays(hh, mem, sizes))
+    views = [data.to_view()] * 2 + [_prior_draws_and_data(wide_schema, 3, 9, 10)[1].to_view()]
+    rules = compile_rules("exactly_one role = 1", wide_schema) if with_rules else None
+    config = RiskConfig(kind, held_fixed=("relate",), rules=rules)
+    rows = risk_sweep(data, [Dataset(wide_schema, view=v) for v in views], draws, config).rows
+    log_p = np.array([[risk.dataset_loglik(d, v) for v in views] for d in draws])
+    fixed = ("relate",)
+    if kind == "individual":
+        q = len(wide_schema.household_vars)
+        combined = np.concatenate([hh[np.repeat(np.arange(12), sizes)], mem], axis=1)
+        supports = [
+            build_support_individual(wide_schema, t[:q], t[q:], fixed)
+            for t in np.unique(combined, axis=0)
+        ]
+    else:
+        supports = []
+        for i, members in enumerate(np.split(mem, np.cumsum(sizes)[:-1])):
+            members = np.array(sorted(map(tuple, members.tolist())), dtype=np.int64)
+            supports.append(build_support_household(wide_schema, hh[i], members, fixed, rules))
+    assert len({s.hh_values.shape[0] for s in supports}) > 1 or kind == "individual"
+    assert len(rows) == len(supports)
+    for row, support in zip(rows, supports):
+        want = oracles.posterior(support, oracles.importance_weights(support, draws), log_p)
+        assert (row.n_candidates, row.rank_of_truth, row.rho_truth, row.rho_max) == (
+            support.hh_values.shape[0], *want
+        )
+        assert repr(row.rho_truth) == repr(want[1]) and repr(row.rho_max) == repr(want[2])
+
+
 def test_risk_summary_csv(tmp_path, toy_schema, toy_dataset, fitted_draws):
     draws, views = fitted_draws
     summary = risk_sweep(toy_dataset, [], draws, RiskConfig(kind="individual"))
