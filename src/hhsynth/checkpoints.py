@@ -2,8 +2,9 @@
 
 JSON float serialization uses repr, which round-trips doubles exactly, so a
 written checkpoint reloads bit-for-bit.  Truncated-mode records additionally
-carry the iteration's feasible by-product households, which the synthesizer
-consumes directly.
+carry the iteration's feasible by-product households as a DatasetView, stored
+as its household codes, member codes and sizes, which the synthesizer
+releases as they are.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import DatasetView
 from .model import Hyperparams, Params
 
 FORMAT_NAME = "hhsynth-checkpoints"
@@ -21,21 +23,15 @@ FORMAT_VERSION = 1
 
 
 @dataclass
-class FeasibleDraws:
-    """Feasible households generated as a by-product of one truncated sweep."""
-
-    hh_codes: np.ndarray  # (n, q)
-    mem_codes: np.ndarray  # (N, p), grouped by household
-    sizes: np.ndarray  # (n,)
-
-
-@dataclass
 class CheckpointRecord:
+    """One retained draw: parameters, latent classes and, in truncated mode,
+    the sweep's feasible by-product households in ascending size order."""
+
     iteration: int
     params: Params
     hh_class: np.ndarray
     mem_class: np.ndarray
-    feasible: FeasibleDraws | None = None
+    feasible: DatasetView | None = None
 
 
 def params_to_jsonable(params: Params) -> dict:
@@ -92,11 +88,8 @@ def record_to_jsonable(record: CheckpointRecord) -> dict:
 def record_from_jsonable(doc: dict) -> CheckpointRecord:
     feasible = None
     if "feasible" in doc:
-        feasible = FeasibleDraws(
-            hh_codes=np.asarray(doc["feasible"]["hh_codes"], dtype=np.int64),
-            mem_codes=np.asarray(doc["feasible"]["mem_codes"], dtype=np.int64),
-            sizes=np.asarray(doc["feasible"]["sizes"], dtype=np.int64),
-        )
+        f = doc["feasible"]
+        feasible = DatasetView.from_arrays(f["hh_codes"], f["mem_codes"], f["sizes"])
     return CheckpointRecord(
         iteration=int(doc["iteration"]),
         params=params_from_jsonable(doc["params"]),

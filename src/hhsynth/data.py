@@ -324,8 +324,8 @@ class DatasetView:
         return cls(
             hh_codes=np.asarray(hh_codes, dtype=np.int64),
             mem_codes=np.asarray(mem_codes, dtype=np.int64),
-            mem_hh=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
-            hh_start=np.cumsum(sizes) - sizes,
+            mem_hh=np.arange(len(sizes), dtype=np.int64).repeat(sizes),
+            hh_start=sizes.cumsum() - sizes,
             sizes=sizes,
         )
 

@@ -65,13 +65,8 @@ class Diagnostics:
         self.hh_conc.append(float(state.params.hh_conc))
         self.mem_conc.append(float(np.mean(state.params.mem_conc)))
         self.hh_weights.append(state.params.hh_weights.copy())
-        if self.strata is not None:
-            if state.augmented is not None:
-                self.n_infeasible.append(
-                    np.array([state.augmented.strata[h].n_infeasible for h in self.strata])
-                )
-            else:
-                self.n_infeasible.append(np.zeros(len(self.strata), dtype=np.int64))
+        if self.strata is not None:  # a truncated sweep sets a batch or raises
+            self.n_infeasible.append(state.augmented.n_infeasible)
 
     def to_csv(self, path: str | Path) -> None:
         import csv
@@ -161,43 +156,24 @@ def stick_gamma_logs(
     return log_kept, np.log(draws[kept.size :].reshape(rest.shape)) + np.log(u) / rest
 
 
-def sample_household_sticks(
-    counts: np.ndarray, hh_conc: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Beta draws for the household sticks given per-class counts.
-
-    Returns (sticks, weights, log1m) with log1m holding log(1 - stick) for
-    the free sticks.  Each Beta draw comes from a gamma pair so log1m stays
-    exact when a stick rounds up to 1.0 in float; feeding such rounded sticks
-    into the concentration update would pin the concentration near zero and
-    freeze a collapsed state in place.
-    """
-    F = counts.shape[0]
-    sticks = np.ones(F)
-    log1m = np.zeros(0)
-    if F > 1:
-        greater = counts[::-1].cumsum()[::-1] - counts
-        log_kept, log_rest = stick_gamma_logs(1.0 + counts[:-1], hh_conc + greater[:-1], rng)
-        log_total = np.logaddexp(log_kept, log_rest)
-        sticks[:-1] = np.exp(log_kept - log_total)
-        log1m = log_rest - log_total
-    return sticks, stick_break(sticks), log1m
-
-
 def sample_member_sticks(
     counts: np.ndarray, mem_conc: float | np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Beta draws for every class's member sticks given (F, S) counts.
+    """Beta draws for the sticks of each row of (F, S) counts.
 
-    Same gamma-pair construction as the household sticks; log1m has shape
-    (F, S - 1).
+    Returns (sticks, weights, log1m) with log1m holding log(1 - stick) for
+    the free sticks, (F, S - 1).  Each Beta draw comes from a gamma pair so
+    log1m stays exact when a stick rounds up to 1.0 in float; feeding such
+    rounded sticks into the concentration update would pin the concentration
+    near zero and freeze a collapsed state in place.  The household sticks
+    are the one-row case: household counts as (1, F), one concentration.
     """
     F, S = counts.shape
     sticks = np.ones((F, S))
     log1m = np.zeros((F, S - 1))
     if S > 1:
         greater = counts[:, ::-1].cumsum(axis=1)[:, ::-1] - counts
-        conc = np.broadcast_to(np.asarray(mem_conc, dtype=float), (F,))[:, None]
+        conc = mem_conc[:, None] if np.ndim(mem_conc) else mem_conc
         log_kept, log_rest = stick_gamma_logs(
             1.0 + counts[:, :-1], conc + greater[:, :-1], rng
         )
@@ -238,14 +214,6 @@ def sample_kernels(
     return dirichlet_rows([w + c for w, c in zip(prior, counts)], rng)
 
 
-def sample_hh_concentration(
-    log1m_sticks: np.ndarray, shape: float, rate: float, rng: np.random.Generator
-) -> float:
-    """Gamma draw given the free sticks through their log(1 - stick) values."""
-    post_rate = rate - float(log1m_sticks.sum())
-    return float(rng.gamma(shape + log1m_sticks.size, 1.0 / post_rate))
-
-
 def sample_mem_concentration(
     log1m_sticks: np.ndarray,
     shape: float,
@@ -253,7 +221,10 @@ def sample_mem_concentration(
     per_class: bool,
     rng: np.random.Generator,
 ) -> float | np.ndarray:
-    """Gamma draw(s) from the (F, S - 1) free-stick logs, shared or per class."""
+    """Gamma draw(s) from the (F, S - 1) free-stick logs, shared or per class.
+
+    The household concentration is the shared case of (1, F - 1) logs.
+    """
     F, free = log1m_sticks.shape
     if per_class:
         return rng.gamma(shape + free, 1.0 / (rate - log1m_sticks.sum(axis=1)))
@@ -278,7 +249,7 @@ def resample_parameters(
     F, S = hyper.n_hh_classes, hyper.n_mem_classes
     hh_counts = np.bincount(hh_class, minlength=F)
     pair_counts = np.bincount(mem_hh_class * S + mem_class, minlength=F * S).reshape(F, S)
-    hh_sticks, hh_weights, hh_log1m = sample_household_sticks(hh_counts, params.hh_conc, rng)
+    hh_sticks, hh_weights, hh_log1m = sample_member_sticks(hh_counts[None], params.hh_conc, rng)
     mem_sticks, mem_weights, mem_log1m = sample_member_sticks(pair_counts, params.mem_conc, rng)
     hh_dims = [w.shape[0] for w in hyper.hh_kernel_prior]
     mem_dims = [w.shape[0] for w in hyper.mem_kernel_prior]
@@ -289,13 +260,15 @@ def resample_parameters(
         rng,
     )
     hh_kernels, mem_kernels = kernels[: len(hh_dims)], kernels[len(hh_dims) :]
-    hh_conc = sample_hh_concentration(hh_log1m, hyper.hh_conc_shape, hyper.hh_conc_rate, rng)
+    hh_conc = sample_mem_concentration(
+        hh_log1m, hyper.hh_conc_shape, hyper.hh_conc_rate, False, rng
+    )
     mem_conc = sample_mem_concentration(
         mem_log1m, hyper.mem_conc_shape, hyper.mem_conc_rate, hyper.per_class_mem_conc, rng
     )
     return Params(
-        hh_sticks=hh_sticks,
-        hh_weights=hh_weights,
+        hh_sticks=hh_sticks[0],
+        hh_weights=hh_weights[0],
         mem_sticks=mem_sticks,
         mem_weights=mem_weights,
         hh_kernels=hh_kernels,
@@ -407,15 +380,12 @@ def run_chain(
             gibbs_sweep(state, view, hyper, rng)
         diag.record(state)
         if it > config.burn_in and (it - config.burn_in - 1) % config.thin == 0:
-            feasible = None
-            if truncated:
-                feasible = state.augmented.feasible_draws()
             record = CheckpointRecord(
                 iteration=it,
                 params=state.params.copy(),
                 hh_class=state.hh_class.copy(),
                 mem_class=state.mem_class.copy(),
-                feasible=feasible,
+                feasible=state.augmented.feasible if truncated else None,
             )
             if writer is not None:
                 writer.write(record)

@@ -206,13 +206,15 @@ def prior_draw(hyper: Hyperparams, rng: np.random.Generator) -> Params:
         mem_conc = rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate, size=F)
     else:
         mem_conc = float(rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate))
-    hh_sticks = np.ones(F)
-    if F > 1:
-        hh_sticks[:-1] = rng.beta(1.0, hh_conc, size=F - 1)
-    mem_sticks = np.ones((F, S))
-    if S > 1:
-        rates = np.broadcast_to(np.asarray(mem_conc, dtype=float), (F,))
-        mem_sticks[:, :-1] = rng.beta(1.0, rates[:, None], size=(F, S - 1))
+    # the household sticks are one row of F, the member sticks F rows of S; a
+    # per-class concentration rates its row, a shared one every row
+    hh_sticks, mem_sticks = np.ones((1, F)), np.ones((F, S))
+    for sticks, conc in ((hh_sticks, hh_conc), (mem_sticks, mem_conc)):
+        rows, width = sticks.shape
+        if width > 1:
+            rate = conc[:, None] if np.ndim(conc) else conc
+            sticks[:, :-1] = rng.beta(1.0, rate, size=(rows, width - 1))
+    hh_sticks = hh_sticks[0]
     q = len(hyper.hh_kernel_prior)
     kernels = dirichlet_rows(
         [np.broadcast_to(w, (F, len(w))) for w in hyper.hh_kernel_prior]

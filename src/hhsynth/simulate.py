@@ -31,8 +31,6 @@ def simulate_toy_population(
     schema: Schema, config: ToyConfig, rng: np.random.Generator
 ) -> Dataset:
     """Draw a full population of households under the toy process."""
-    if not 0.0 <= config.copy_prob <= 1.0:
-        raise ValueError("copy_prob must lie in [0, 1]")
     copy_var = schema.variable(config.copy_variable)
     if copy_var.level != "individual":
         raise SchemaError("the copied variable must be individual level")

@@ -95,10 +95,7 @@ def synthesize_truncated(
                 "checkpoint carries no feasible by-product; synthesize from a "
                 "fit that used rules"
             )
-        f = record.feasible
-        replicates.append(
-            Dataset(schema, view=DatasetView.from_arrays(f.hh_codes, f.mem_codes, f.sizes))
-        )
+        replicates.append(Dataset(schema, view=record.feasible))
     return SyntheticReplicates(
         replicates=replicates,
         source_iterations=[r.iteration for r in chosen],

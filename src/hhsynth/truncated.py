@@ -3,8 +3,9 @@
 Each iteration regenerates, per observed household size h, candidate
 households from the current parameters conditioned on size h, keeping exactly
 n_h feasible draws (the synthesis by-product) and every infeasible draw made
-before the n_h-th feasible one (the augmented records).  Parameter updates
-then treat observed plus augmented records as one dataset.
+before the n_h-th feasible one (the augmented records).  Both sets come back
+as DatasetViews over all sizes in ascending order.  Parameter updates then
+treat observed plus augmented records as one dataset.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoints import FeasibleDraws
 from .constraints import RuleSet, check_batch
 from .data import DatasetView, Schema
 from .gibbs import ChainState, resample_parameters, sample_classes
@@ -25,71 +25,29 @@ class CapExceededError(RuntimeError):
 
 
 @dataclass
-class StratumDraws:
-    """Kept candidates for one household size."""
-
-    size: int
-    feasible_hh: np.ndarray  # (n_h, q)
-    feasible_mem: np.ndarray  # (n_h * h, p)
-    infeasible_hh: np.ndarray  # (n0_h, q)
-    infeasible_mem: np.ndarray  # (n0_h * h, p)
-    infeasible_hh_class: np.ndarray  # (n0_h,)
-    infeasible_mem_class: np.ndarray  # (n0_h * h,)
-    n_candidates: int
-
-    @property
-    def n_infeasible(self) -> int:
-        return self.infeasible_hh.shape[0]
-
-
-@dataclass
 class AugmentedBatch:
-    strata: dict[int, StratumDraws]
+    """One sweep's kept candidates, household sizes in ascending order.
+
+    feasible holds each size's n_h feasible draws, the synthesis by-product;
+    infeasible holds the augmented records, with the household and member
+    classes they were generated with.  n_candidates and n_infeasible count
+    each size's kept draws, so n_candidates = n_h + n_infeasible.
+    """
+
+    feasible: DatasetView
+    infeasible: DatasetView
+    infeasible_hh_class: np.ndarray  # (n0,)
+    infeasible_mem_class: np.ndarray  # (N0,)
+    n_candidates: np.ndarray  # (number of sizes,)
+    n_infeasible: np.ndarray  # (number of sizes,)
 
     @property
     def total_infeasible(self) -> int:
-        return sum(s.n_infeasible for s in self.strata.values())
+        return int(self.n_infeasible.sum())
 
     @property
     def total_candidates(self) -> int:
-        return sum(s.n_candidates for s in self.strata.values())
-
-    def feasible_draws(self) -> FeasibleDraws:
-        """Feasible by-product households, strata in ascending size order."""
-        sizes = []
-        hh = []
-        mem = []
-        for h in sorted(self.strata):
-            s = self.strata[h]
-            hh.append(s.feasible_hh)
-            mem.append(s.feasible_mem)
-            sizes.append(np.full(s.feasible_hh.shape[0], h, dtype=np.int64))
-        return FeasibleDraws(
-            hh_codes=np.concatenate(hh, axis=0),
-            mem_codes=np.concatenate(mem, axis=0),
-            sizes=np.concatenate(sizes),
-        )
-
-    def infeasible_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated augmented records: hh codes, hh classes, member codes,
-        member classes, and per-member household-class assignments."""
-        hh_codes, hh_class, mem_codes, mem_class, mem_hh_class = [], [], [], [], []
-        for h in sorted(self.strata):
-            s = self.strata[h]
-            hh_codes.append(s.infeasible_hh)
-            hh_class.append(s.infeasible_hh_class)
-            mem_codes.append(s.infeasible_mem)
-            mem_class.append(s.infeasible_mem_class)
-            mem_hh_class.append(np.repeat(s.infeasible_hh_class, h))
-        return (
-            np.concatenate(hh_codes, axis=0),
-            np.concatenate(hh_class),
-            np.concatenate(mem_codes, axis=0),
-            np.concatenate(mem_class),
-            np.concatenate(mem_hh_class),
-        )
+        return int(self.n_candidates.sum())
 
 
 def generate_augmented(
@@ -104,15 +62,17 @@ def generate_augmented(
 
     Candidates are drawn in deterministic batches and truncated at the n_h-th
     feasible draw in stream order, so infeasible draws after that point are
-    discarded.  Raises CapExceededError once the total candidate count over
-    all strata passes cap.
+    discarded.  Each stratum's kept draws are selected by index and joined
+    once, over all strata, into one AugmentedBatch.  Raises CapExceededError
+    once the total candidate count over all strata passes cap.
     """
     p = len(schema.individual_vars)
     tables = DrawTables(params, schema)
-    strata: dict[int, StratumDraws] = {}
+    sizes, targets = np.array(sorted(histogram.items()), dtype=np.int64).T
+    kept = []  # per size: feasible and infeasible hh and member codes, infeasible classes
+    n_candidates = []
     drawn_total = 0
-    for h in sorted(histogram):
-        target = histogram[h]
+    for h, target in zip(sizes.tolist(), targets.tolist()):
         try:
             class_probs = size_class_probs(params, schema, h)
         except ValueError as exc:
@@ -148,17 +108,26 @@ def generate_augmented(
         feasible = np.flatnonzero(mask[: cut + 1])
         infeasible = np.flatnonzero(~mask[: cut + 1])
         mem = mem.reshape(-1, h, p)
-        strata[h] = StratumDraws(
-            size=h,
-            feasible_hh=hh[feasible],
-            feasible_mem=mem[feasible].reshape(-1, p),
-            infeasible_hh=hh[infeasible],
-            infeasible_mem=mem[infeasible].reshape(-1, p),
-            infeasible_hh_class=classes[infeasible],
-            infeasible_mem_class=mem_class.reshape(-1, h)[infeasible].reshape(-1),
-            n_candidates=cut + 1,
-        )
-    return AugmentedBatch(strata=strata)
+        kept.append((
+            hh[feasible],
+            mem[feasible].reshape(-1, p),
+            hh[infeasible],
+            mem[infeasible].reshape(-1, p),
+            classes[infeasible],
+            mem_class.reshape(-1, h)[infeasible].reshape(-1),
+        ))
+        n_candidates.append(cut + 1)
+    f_hh, f_mem, i_hh, i_mem, i_class, i_mem_class = (np.concatenate(a) for a in zip(*kept))
+    n_candidates = np.array(n_candidates, dtype=np.int64)
+    n_infeasible = n_candidates - targets
+    return AugmentedBatch(
+        feasible=DatasetView.from_arrays(f_hh, f_mem, sizes.repeat(targets)),
+        infeasible=DatasetView.from_arrays(i_hh, i_mem, sizes.repeat(n_infeasible)),
+        infeasible_hh_class=i_class,
+        infeasible_mem_class=i_mem_class,
+        n_candidates=n_candidates,
+        n_infeasible=n_infeasible,
+    )
 
 
 def truncated_sweep(
@@ -188,15 +157,17 @@ def truncated_sweep(
 
     sample_classes(state, view, rng)
 
-    aug_hh, aug_class, aug_mem, aug_mem_class, aug_mem_hh_class = batch.infeasible_arrays()
+    aug = batch.infeasible
     state.params = resample_parameters(
         state.params,
         hyper,
         rng,
-        hh_class=np.concatenate([state.hh_class, aug_class]),
-        hh_codes=np.concatenate([view.hh_codes, aug_hh], axis=0),
-        mem_hh_class=np.concatenate([state.hh_class[view.mem_hh], aug_mem_hh_class]),
-        mem_class=np.concatenate([state.mem_class, aug_mem_class]),
-        mem_codes=np.concatenate([view.mem_codes, aug_mem], axis=0),
+        hh_class=np.concatenate([state.hh_class, batch.infeasible_hh_class]),
+        hh_codes=np.concatenate([view.hh_codes, aug.hh_codes], axis=0),
+        mem_hh_class=np.concatenate(
+            [state.hh_class[view.mem_hh], batch.infeasible_hh_class[aug.mem_hh]]
+        ),
+        mem_class=np.concatenate([state.mem_class, batch.infeasible_mem_class]),
+        mem_codes=np.concatenate([view.mem_codes, aug.mem_codes], axis=0),
     )
     state.iteration += 1

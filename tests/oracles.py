@@ -18,7 +18,6 @@ from hhsynth.data import HOUSEHOLD, DatasetView, HouseholdRecord
 from hhsynth.gibbs import (
     household_kernel_counts,
     member_kernel_counts,
-    sample_hh_concentration,
     sample_mem_concentration,
 )
 from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine, normal_interval
@@ -31,7 +30,7 @@ from hhsynth.model import (
     stick_break,
 )
 from hhsynth.synthesis import select_records
-from hhsynth.truncated import AugmentedBatch, CapExceededError, StratumDraws
+from hhsynth.truncated import AugmentedBatch, CapExceededError
 
 
 def records_of(dataset) -> list[HouseholdRecord]:
@@ -324,7 +323,8 @@ def draw_households(params, schema, hh_class, rng, sizes=None):
 def generate_augmented(params, schema, rules, histogram, rng, cap):
     """Rejection generation keeping every batch and selecting with masks."""
     p = len(schema.individual_vars)
-    strata = {}
+    feasible, infeasible = [], []  # per size: (hh codes, member codes, sizes)
+    hh_class, mem_class, n_candidates = [], [], []
     drawn_total = 0
     for h in sorted(histogram):
         target = histogram[h]
@@ -346,14 +346,14 @@ def generate_augmented(params, schema, rules, histogram, rng, cap):
                 )
             classes = np.searchsorted(cdf, rng.random(batch) * cdf[-1]).astype(np.int64)
             classes = np.minimum(classes, len(cdf) - 1)
-            hh, mem, _, mem_class = draw_households(
+            hh, mem, _, mem_class_b = draw_households(
                 params, schema, classes, rng, sizes=np.full(batch, h)
             )
             mask = check_batch(rules, hh, mem.reshape(batch, h, p))
             hh_parts.append(hh)
             mem_parts.append(mem)
             class_parts.append(classes)
-            mem_class_parts.append(mem_class)
+            mem_class_parts.append(mem_class_b)
             mask_parts.append(mask)
             n_feasible += int(mask.sum())
             n_drawn_h += batch
@@ -365,17 +365,28 @@ def generate_augmented(params, schema, rules, histogram, rng, cap):
         cut = int(np.searchsorted(np.cumsum(mask_all), target))
         keep = slice(0, cut + 1)
         mask_kept = mask_all[keep]
-        strata[h] = StratumDraws(
-            size=h,
-            feasible_hh=hh_all[keep][mask_kept],
-            feasible_mem=mem_all[keep][mask_kept].reshape(-1, p),
-            infeasible_hh=hh_all[keep][~mask_kept],
-            infeasible_mem=mem_all[keep][~mask_kept].reshape(-1, p),
-            infeasible_hh_class=class_all[keep][~mask_kept],
-            infeasible_mem_class=mem_class_all[keep][~mask_kept].reshape(-1),
-            n_candidates=cut + 1,
-        )
-    return AugmentedBatch(strata=strata)
+        for out, rows in ((feasible, mask_kept), (infeasible, ~mask_kept)):
+            out.append((
+                hh_all[keep][rows],
+                mem_all[keep][rows].reshape(-1, p),
+                np.full(int(rows.sum()), h, dtype=np.int64),
+            ))
+        hh_class.append(class_all[keep][~mask_kept])
+        mem_class.append(mem_class_all[keep][~mask_kept].reshape(-1))
+        n_candidates.append(cut + 1)
+
+    def view(parts):
+        return DatasetView.from_arrays(*(np.concatenate(a) for a in zip(*parts)))
+
+    n_candidates = np.array(n_candidates, dtype=np.int64)
+    return AugmentedBatch(
+        feasible=view(feasible),
+        infeasible=view(infeasible),
+        infeasible_hh_class=np.concatenate(hh_class),
+        infeasible_mem_class=np.concatenate(mem_class),
+        n_candidates=n_candidates,
+        n_infeasible=n_candidates - np.array([histogram[h] for h in sorted(histogram)]),
+    )
 
 
 def synthesize_untruncated(dataset, records, n_replicates, seed):
@@ -484,7 +495,8 @@ def resample_parameters(params, hyper, rng, hh_class, hh_codes, mem_hh_class, me
     mem_kernels = [
         dirichlet_rows(w + c, rng) for w, c in zip(hyper.mem_kernel_prior, mem_counts_k)
     ]
-    hh_conc = sample_hh_concentration(hh_log1m, hyper.hh_conc_shape, hyper.hh_conc_rate, rng)
+    post_rate = hyper.hh_conc_rate - float(hh_log1m.sum())
+    hh_conc = float(rng.gamma(hyper.hh_conc_shape + hh_log1m.size, 1.0 / post_rate))
     mem_conc = sample_mem_concentration(
         mem_log1m, hyper.mem_conc_shape, hyper.mem_conc_rate, hyper.per_class_mem_conc, rng
     )

@@ -8,13 +8,13 @@ import pytest
 from hhsynth.checkpoints import (
     CheckpointRecord,
     CheckpointWriter,
-    FeasibleDraws,
     params_from_jsonable,
     params_to_jsonable,
     read_checkpoints,
     record_from_jsonable,
     record_to_jsonable,
 )
+from hhsynth.data import DatasetView
 from hhsynth.model import Hyperparams, prior_draw
 from hhsynth.rng import substream
 
@@ -59,19 +59,26 @@ def test_record_round_trip_with_feasible(toy_schema):
         params=params,
         hh_class=np.array([0, 1, 1]),
         mem_class=np.array([1, 0, 0, 1, 1]),
-        feasible=FeasibleDraws(
-            hh_codes=np.array([[0, 1], [1, 0]]),
-            mem_codes=np.array([[0, 2], [1, 3], [0, 0]]),
-            sizes=np.array([2, 1]),
+        feasible=DatasetView.from_arrays(
+            np.array([[0, 1], [1, 0]]), np.array([[0, 2], [1, 3], [0, 0]]), [2, 1]
         ),
     )
-    back = record_from_jsonable(json.loads(json.dumps(record_to_jsonable(record))))
+    doc = record_to_jsonable(record)
+    # the stored form is the three arrays it always was
+    assert doc["feasible"] == {
+        "hh_codes": [[0, 1], [1, 0]],
+        "mem_codes": [[0, 2], [1, 3], [0, 0]],
+        "sizes": [2, 1],
+    }
+    back = record_from_jsonable(json.loads(json.dumps(doc)))
     assert back.iteration == 17
     np.testing.assert_array_equal(back.hh_class, record.hh_class)
     np.testing.assert_array_equal(back.mem_class, record.mem_class)
-    np.testing.assert_array_equal(back.feasible.hh_codes, record.feasible.hh_codes)
-    np.testing.assert_array_equal(back.feasible.mem_codes, record.feasible.mem_codes)
-    np.testing.assert_array_equal(back.feasible.sizes, record.feasible.sizes)
+    assert isinstance(back.feasible, DatasetView)
+    for name in ("hh_codes", "mem_codes", "mem_hh", "hh_start", "sizes"):
+        got, want = getattr(back.feasible, name), getattr(record.feasible, name)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype == np.int64, name
     assert back.hh_class.dtype == np.int64
 
 

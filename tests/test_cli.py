@@ -7,6 +7,7 @@ rule files written into the test's temporary directory.
 
 import csv
 import gc
+import hashlib
 import json
 import math
 import os
@@ -572,6 +573,56 @@ def test_pipeline_repeat_is_bitwise_identical(pipeline, tmp_path):
     assert json.loads((out / "manifest.json").read_text()) == json.loads(
         (out2 / "manifest.json").read_text()
     )
+
+
+# sha256 of every file the pipeline writes, recorded with numpy 2.4.6 on
+# Python 3.11.7; a change that alters output bits on purpose updates these and
+# names the files it changed
+TRUNCATED_DIGESTS = {
+    "cells.csv": "d1b56a1383e81581bbf7670e84a774f609915091d798d873b72a1fcd98da6d6d",
+    "checkpoints.jsonl": "c7fd2c2dad97e02971dfc91fc1102f915cbcfc4f0c3fe5c7980e98857e6b157f",
+    "diagnostics.csv": "6d27cf243552fb1318044e0fded17076a5a0eee305d4127888859d97682f4272",
+    "household_queries.csv": "d58e3ab9405c58dfbfe654057e85cf6f37e3da7a48ac58cf3bac6b8677d2c0e3",
+    "manifest.json": "3426c50d9ba61f280cca48eac9ca693f57a92b21cdac7004721551097f454ad6",
+    "population.csv": "26a7f5c77bc81c2590b3b42fa9430c5938adc0b83a1b6ca0d3f5059706294898",
+    "rank_histogram.csv": "26c97953defffc61130ac07cc3943a8bba28ec0532579e228457cd4007263625",
+    "risk_summary.csv": "1a666ad2730e132e0e9a07011afb4b16cbf7933cbd9dc486661ace8ba36ba157",
+    "sample.csv": "c6daf4a552a5cf86ab4853004d28df71eddd624f6ba95c9d9b94fbf43048d478",
+    "synthetic_1.csv": "7176c105a991ae53007abf30ee8275e2c81fb60327a1c021305130b8c1e0a13a",
+    "synthetic_2.csv": "5959238821eb6bf788a324fddb3397ec4aff63483c89796dbbda619934bffdf9",
+    "synthetic_3.csv": "e19734d55e1ad252fd58566d5aa0d63af8889ee84bdad609972b9cb246c398df",
+}
+UNTRUNCATED_DIGESTS = {
+    "cells.csv": "518762f8f27c677b236c98f51c17bf94f24f549894b206b77f26e0f627a816fb",
+    "checkpoints.jsonl": "131e1f4e6ad78b78d7c779adf5ed9ccb62a1dd2ca18c934d0b3e7cd6f605cb0d",
+    "diagnostics.csv": "edba56b8f792a8f921e456bfcc2009d0b0f00c07c01511f2e30a91541b3fbb21",
+    "household_queries.csv": "c9a6d0e90b95c27473f94e6caf6fa58e16e51ae5fdc198de1d88b496ed78d51f",
+    "manifest.json": "5e6292f0702d3892790f9252647e71675f9bf5f5672d94cb9db7a0152fca1a9b",
+    "population.csv": "26a7f5c77bc81c2590b3b42fa9430c5938adc0b83a1b6ca0d3f5059706294898",
+    "rank_histogram.csv": "ff78ca1a9aeea22f0458ec3d21621f3cd0d94fc8801a5e509a29b2d5bd5e7f33",
+    "risk_summary.csv": "2c42011ede6a3100a123b6b3e466497c52187d730d973fb448ca9b00c2759f89",
+    "sample.csv": "c6daf4a552a5cf86ab4853004d28df71eddd624f6ba95c9d9b94fbf43048d478",
+    "synthetic_1.csv": "83955b4e7ddb883c0859a8bc4696e597b2d2e13eca4f40352400c1a5b9bf0507",
+    "synthetic_2.csv": "87e9c252e927c0607312298969587208db272812853f403211f29408fb2aa447",
+    "synthetic_3.csv": "8d153615524c03f6a4eb5f9eb04d12c7ee1478441635a6a3d3b657d222758d05",
+}
+
+
+def output_digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_pipeline_output_digests(pipeline):
+    _, out = pipeline
+    assert output_digests(out) == TRUNCATED_DIGESTS
+
+
+def test_untruncated_pipeline_output_digests(tmp_path):
+    config = write_workspace(tmp_path, CONFIG_YAML.replace("rules: rules.txt\n", ""))
+    out = tmp_path / "out"
+    for command in ("simulate", "fit", "synthesize", "evaluate", "risk"):
+        assert run(command, config, out) == 0, command
+    assert output_digests(out) == UNTRUNCATED_DIGESTS
 
 
 def test_pipeline_seed_changes_outputs(pipeline, tmp_path):

@@ -25,9 +25,7 @@ from hhsynth.gibbs import (
     mcse_batch_means,
     member_kernel_counts,
     run_chain,
-    sample_hh_concentration,
     sample_household_classes,
-    sample_household_sticks,
     sample_kernels,
     sample_member_classes,
     sample_member_sticks,
@@ -75,7 +73,8 @@ def test_stick_log_complement_survives_rounding():
     sticks = np.empty((n, 3))
     log1m = np.empty((n, 2))
     for i in range(n):
-        sticks[i], _, log1m[i] = sample_household_sticks(counts, conc, rng)
+        # household counts are the one-row case of the shared routine
+        sticks[i], _, log1m[i] = (a[0] for a in sample_member_sticks(counts[None], conc, rng))
     assert (sticks[:, :-1] == 1.0).any(), "fixture no longer exercises rounding"
     assert np.isfinite(log1m).all()
     a, b = 1.0 + counts[0], conc
@@ -88,7 +87,7 @@ def test_household_stick_conjugacy():
     counts = np.array([5, 3, 2])
     conc = 2.0
     rng = substream(60, "hhsticks")
-    draws = np.stack([sample_household_sticks(counts, conc, rng)[0] for _ in range(20000)])
+    draws = np.stack([sample_member_sticks(counts[None], conc, rng)[0][0] for _ in range(20000)])
     assert (draws[:, -1] == 1.0).all()
     # u_g ~ Beta(1 + n_g, conc + count in later classes)
     want = np.array([6 / (6 + 7), 4 / (4 + 4)])
@@ -100,7 +99,9 @@ def test_household_stick_conjugacy():
 
 def test_household_stick_weights_consistent():
     rng = substream(60, "weights")
-    sticks, weights, log1m = sample_household_sticks(np.array([1, 0, 4, 2]), 0.7, rng)
+    sticks, weights, log1m = (
+        a[0] for a in sample_member_sticks(np.array([[1, 0, 4, 2]]), 0.7, rng)
+    )
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(weights[0], sticks[0])
     # the log complement must agree with the stored stick when no rounding bites
@@ -153,7 +154,9 @@ def test_hh_concentration_conjugacy():
     post_shape = shape + 2
     post_rate = rate - (np.log(0.8) + np.log(0.5))
     rng = substream(63, "hhconc")
-    draws = np.array([sample_hh_concentration(log1m, shape, rate, rng) for _ in range(20000)])
+    draws = np.array(
+        [sample_mem_concentration(log1m[None], shape, rate, False, rng) for _ in range(20000)]
+    )
     want = post_shape / post_rate
     se = np.sqrt(post_shape) / post_rate / np.sqrt(20000)
     assert abs(draws.mean() - want) < 4 * se

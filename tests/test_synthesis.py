@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hhsynth.checkpoints import CheckpointRecord, FeasibleDraws
+from hhsynth.checkpoints import CheckpointRecord
 from hhsynth.constraints import compile_rules
 from hhsynth.gibbs import ChainConfig, run_chain
 from hhsynth.model import Hyperparams, prior_draw

@@ -14,7 +14,6 @@ from hhsynth.gibbs import init_state
 from hhsynth.model import Hyperparams, infeasible_mass, prior_draw
 from hhsynth.rng import substream
 from hhsynth.truncated import (
-    AugmentedBatch,
     CapExceededError,
     generate_augmented,
     truncated_sweep,
@@ -31,54 +30,56 @@ def test_generate_augmented_counts_and_validity(toy_schema, toy_params, head_rul
     batch = generate_augmented(
         toy_params, toy_schema, head_rules, histogram, substream(70, "gen"), cap=10**6
     )
-    assert sorted(batch.strata) == [1, 2, 3]
-    for h, target in histogram.items():
-        s = batch.strata[h]
-        assert s.feasible_hh.shape == (target, 2)
-        assert s.feasible_mem.shape == (target * h, 2)
-        assert s.n_candidates == target + s.n_infeasible
-        # sizes are forced to the stratum
-        assert (s.feasible_hh[:, 1] == h - 1).all()
-        ok = check_batch(head_rules, s.feasible_hh, s.feasible_mem.reshape(target, h, 2))
-        assert ok.all()
-        if s.n_infeasible:
-            assert (s.infeasible_hh[:, 1] == h - 1).all()
-            bad = check_batch(
-                head_rules, s.infeasible_hh, s.infeasible_mem.reshape(-1, h, 2)
-            )
-            assert not bad.any()
-            assert s.infeasible_mem_class.shape == (s.n_infeasible * h,)
+    feasible, infeasible = batch.feasible, batch.infeasible
+    np.testing.assert_array_equal(np.bincount(feasible.sizes, minlength=4)[1:], [3, 4, 2])
+    np.testing.assert_array_equal(
+        np.bincount(infeasible.sizes, minlength=4)[1:], batch.n_infeasible
+    )
+    np.testing.assert_array_equal(batch.n_candidates, [3, 4, 2] + batch.n_infeasible)
+    assert batch.total_candidates == 9 + batch.total_infeasible
+    assert feasible.mem_codes.shape == (3 * 1 + 4 * 2 + 2 * 3, 2)
+    for view, ok in ((feasible, True), (infeasible, False)):
+        # sizes are forced to the stratum, and the arrays agree with them
+        np.testing.assert_array_equal(view.hh_codes[:, 1], view.sizes - 1)
+        assert view.mem_codes.shape[0] == view.sizes.sum()
+        for h in histogram:
+            rows = view.sizes == h
+            codes = view.mem_codes[rows[view.mem_hh]].reshape(-1, h, 2)
+            assert (check_batch(head_rules, view.hh_codes[rows], codes) == ok).all()
+    assert batch.infeasible_hh_class.shape == (infeasible.n_households,)
+    assert batch.infeasible_mem_class.shape == (infeasible.n_individuals,)
 
 
-def test_feasible_draws_concatenation(toy_schema, toy_params, head_rules):
+def test_feasible_view_concatenation(toy_schema, toy_params, head_rules):
     histogram = {2: 5, 1: 2}
     batch = generate_augmented(
         toy_params, toy_schema, head_rules, histogram, substream(70, "cat"), cap=10**6
     )
-    draws = batch.feasible_draws()
-    counts = dict(zip(*np.unique(draws.sizes, return_counts=True)))
+    view = batch.feasible
+    counts = dict(zip(*np.unique(view.sizes, return_counts=True)))
     assert {int(k): int(v) for k, v in counts.items()} == histogram
-    assert draws.mem_codes.shape[0] == draws.sizes.sum()
+    assert view.mem_codes.shape[0] == view.sizes.sum()
     # ascending stratum order
-    assert (np.diff(draws.sizes) >= 0).all()
+    assert (np.diff(view.sizes) >= 0).all()
+    np.testing.assert_array_equal(view.hh_start, np.cumsum(view.sizes) - view.sizes)
 
 
-def test_infeasible_arrays_shapes(toy_schema, toy_params, head_rules):
+def test_infeasible_view_shapes(toy_schema, toy_params, head_rules):
     histogram = {2: 30, 3: 20}
     batch = generate_augmented(
         toy_params, toy_schema, head_rules, histogram, substream(70, "aug"), cap=10**6
     )
-    hh, hh_class, mem, mem_class, mem_hh_class = batch.infeasible_arrays()
+    view = batch.infeasible
     n0 = batch.total_infeasible
-    assert hh.shape[0] == hh_class.shape[0] == n0
-    want_members = sum(batch.strata[h].n_infeasible * h for h in batch.strata)
-    assert mem.shape[0] == mem_class.shape[0] == mem_hh_class.shape[0] == want_members
+    assert view.n_households == batch.infeasible_hh_class.shape[0] == n0
+    assert (np.diff(view.sizes) >= 0).all()
+    want_members = int((batch.n_infeasible * np.array([2, 3])).sum())
+    assert view.n_individuals == batch.infeasible_mem_class.shape[0] == want_members
     # per-member class labels repeat the household's label size-h times
+    per_size = np.split(batch.infeasible_hh_class, np.cumsum(batch.n_infeasible)[:-1])
     np.testing.assert_array_equal(
-        mem_hh_class,
-        np.concatenate(
-            [np.repeat(batch.strata[h].infeasible_hh_class, h) for h in sorted(batch.strata)]
-        ),
+        batch.infeasible_hh_class[view.mem_hh],
+        np.concatenate([np.repeat(c, h) for c, h in zip(per_size, [2, 3])]),
     )
 
 
@@ -90,8 +91,7 @@ def test_infeasible_count_matches_negative_binomial_mean(toy_schema, toy_params,
     counts = np.array(
         [
             generate_augmented(toy_params, toy_schema, head_rules, {2: r}, rng, 10**7)
-            .strata[2]
-            .n_infeasible
+            .total_infeasible
             for _ in range(M)
         ],
         dtype=float,
@@ -108,7 +108,8 @@ def test_all_feasible_when_rules_never_fire(toy_schema, toy_params):
         toy_params, toy_schema, rules, {1: 10}, substream(72, "none"), cap=10**6
     )
     assert batch.total_infeasible == 0
-    assert batch.strata[1].n_candidates == 10
+    np.testing.assert_array_equal(batch.n_candidates, [10])
+    assert batch.infeasible.n_households == 0
 
 
 def test_zero_mass_stratum_raises(toy_schema, toy_params, head_rules):
@@ -135,9 +136,9 @@ def test_generate_augmented_is_deterministic(toy_schema, toy_params, head_rules)
     b = generate_augmented(
         toy_params, toy_schema, head_rules, {2: 20}, substream(74, "det"), cap=10**6
     )
-    np.testing.assert_array_equal(a.strata[2].feasible_hh, b.strata[2].feasible_hh)
-    np.testing.assert_array_equal(a.strata[2].infeasible_mem, b.strata[2].infeasible_mem)
-    assert a.strata[2].n_candidates == b.strata[2].n_candidates
+    np.testing.assert_array_equal(a.feasible.hh_codes, b.feasible.hh_codes)
+    np.testing.assert_array_equal(a.infeasible.mem_codes, b.infeasible.mem_codes)
+    np.testing.assert_array_equal(a.n_candidates, b.n_candidates)
 
 
 def test_sweep_updates_state(toy_schema, toy_dataset, head_rules):
@@ -152,8 +153,8 @@ def test_sweep_updates_state(toy_schema, toy_dataset, head_rules):
     assert state.hh_class.shape == (5,)
     assert state.mem_class.shape == (9,)
     state.params.validate()
-    draws = state.augmented.feasible_draws()
-    np.testing.assert_array_equal(np.bincount(draws.sizes, minlength=4)[1:], [2, 2, 1])
+    sizes = state.augmented.feasible.sizes
+    np.testing.assert_array_equal(np.bincount(sizes, minlength=4)[1:], [2, 2, 1])
 
 
 def test_sweep_reuses_previous_batch_on_cap(toy_schema, toy_dataset, head_rules):
