@@ -451,11 +451,16 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
             raise UsageError(f"config: risk.sizes: no household of size {h} in {data_path}")
     _output_of("synthesize", "replicates", out_dir / "manifest.json")
     reps = read_replicates(out_dir, schema)
-    _, records = read_checkpoints(_output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl"))
-    draws = [r.params for r in select_records(records, min(cfg.draws, len(records)))]
+    ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")
+    meta, records = read_checkpoints(ckpt_path)
     rules = _load_rules(cfg, schema)
-    config = replace(cfg.risk, rules=rules if cfg.risk.kind == "household" else None)
-    summary = risk_sweep(original, reps.replicates, draws, config)
+    if meta["mode"] != ("truncated" if rules else "untruncated"):
+        raise UsageError(
+            f"{ckpt_path} comes from a fit in {meta['mode']} mode, but the config has "
+            f"{'rules' if rules else 'no rules'}; run fit again with this config"
+        )
+    draws = [r.params for r in select_records(records, min(cfg.draws, len(records)))]
+    summary = risk_sweep(original, reps.replicates, draws, replace(cfg.risk, rules=rules))
     summary.to_csv(out_dir / "risk_summary.csv")
     summary.histogram_to_csv(out_dir / "rank_histogram.csv")
     correct = sum(1 for r in summary.rows if r.rank_of_truth == 1)

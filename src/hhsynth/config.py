@@ -65,6 +65,10 @@ class ToyConfig:
 
 @dataclass
 class RiskConfig:
+    """What risk assesses.  rules, set when the fit ran in truncated mode,
+    drops rule-infeasible household-kind candidates and, for both kinds,
+    divides each replicate household's likelihood by 1 - pi0_h."""
+
     kind: str  # "individual" or "household"
     held_fixed: tuple[str, ...] = ()
     sizes: tuple[int, ...] | None = None  # household targets only

@@ -17,17 +17,26 @@ supported, written one per line ('#' starts a comment):
         when all groups match simultaneously.
 
 VALUE tokens are 1-based category codes or labels from the schema.
+
+A RuleSet names the household and individual columns its rules read
+(RuleSet.columns); model.infeasible_mass enumerates only those, with
+iter_cells, the one enumerator of code combinations here.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import HOUSEHOLD, Schema, SchemaError
+
+
+# the most code combinations iter_cells enumerates, and how many it makes at a time
+MAX_CELLS = 10**7
+CHUNK = 1 << 14
 
 
 class RuleError(ValueError):
@@ -75,6 +84,22 @@ class RuleSet:
 
     def __bool__(self) -> bool:
         return bool(self.rules)
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The household and the individual variable indices the rules read, ascending."""
+        hh, mem = set(), set()
+        for rule in self.rules:
+            if isinstance(rule, ExactlyOneOfRole):
+                mem.add(rule.var_index)
+            elif isinstance(rule, MinValueForRole):
+                mem |= {rule.value_index, rule.role_index}
+            elif isinstance(rule, PairwiseOrderByRole):
+                mem |= {rule.order_index, rule.role_index}
+            else:
+                hh |= {idx for idx, _ in rule.hh_literals}
+                mem |= {idx for pattern in rule.member_patterns for idx, _ in pattern}
+        return tuple(sorted(hh)), tuple(sorted(mem))
 
 
 _LITERAL = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*(\S+)\s*$")
@@ -246,92 +271,34 @@ def check_batch(rules: RuleSet, hh_codes: np.ndarray, mem_codes: np.ndarray) -> 
     return ok
 
 
-def _cell_dims(schema: Schema, h: int, fix_size: bool) -> list[int]:
-    dims = [
-        v.cardinality
-        for v in schema.household_vars
-        if not (fix_size and v.is_size)
-    ]
-    dims += [v.cardinality for v in schema.individual_vars] * h
-    return dims
+def iter_cells(dims: list[int]):
+    """Yield every code combination of the given cardinalities, CHUNK at a time.
 
-
-def _decode_cells(
-    linear: np.ndarray, schema: Schema, h: int, fix_size: bool, size_code: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map linear cell indices to (B, q) household and (B, h, p) member codes."""
-    dims = _cell_dims(schema, h, fix_size)
-    digits = np.zeros((len(linear), len(dims)), dtype=np.int64)
-    rem = linear.astype(np.int64)
-    for j in range(len(dims) - 1, -1, -1):
-        digits[:, j] = rem % dims[j]
-        rem //= dims[j]
-    q = len(schema.household_vars)
-    p = len(schema.individual_vars)
-    if fix_size:
-        hh = np.zeros((len(linear), q), dtype=np.int64)
-        cols = [k for k in range(q) if k != schema.size_index]
-        hh[:, cols] = digits[:, : q - 1]
-        hh[:, schema.size_index] = size_code
-        mem = digits[:, q - 1 :].reshape(len(linear), h, p)
-    else:
-        hh = digits[:, :q]
-        mem = digits[:, q:].reshape(len(linear), h, p)
-    return hh, mem
-
-
-def iter_cell_chunks(
-    schema: Schema,
-    h: int,
-    chunk: int = 1 << 14,
-    fix_size_code: int | None = None,
-):
-    """Yield (hh_codes, mem_codes) chunks covering the size-h composition space.
-
-    With fix_size_code the size axis is pinned to that code and excluded from
-    the enumeration; otherwise every household variable axis is free.
+    Each chunk is an (n, len(dims)) array, combinations in row-major order
+    (the last dimension varies fastest).  A space of more than MAX_CELLS
+    combinations raises ValueError before any is made.
     """
-    fix = fix_size_code is not None
-    dims = _cell_dims(schema, h, fix)
-    total = int(np.prod([np.int64(d) for d in dims]))
-    for start in range(0, total, chunk):
-        linear = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield _decode_cells(linear, schema, h, fix, fix_size_code if fix else 0)
+    total = math.prod(dims)
+    if total > MAX_CELLS:
+        raise ValueError(f"{total} cells to enumerate, above cap {MAX_CELLS}")
+    for start in range(0, total, CHUNK):
+        linear = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        digits = np.unravel_index(linear, dims) if dims else ()
+        yield np.array(digits, dtype=np.int64).reshape(len(dims), len(linear)).T
 
 
-def enumerate_feasible(
-    schema: Schema,
-    rules: RuleSet,
-    h: int,
-    cap: int = 10**7,
-    return_cells: bool = False,
-):
-    """Count (optionally collect) feasible size-h compositions.
+def enumerate_feasible(schema: Schema, rules: RuleSet, h: int) -> int:
+    """Count the feasible size-h compositions.
 
     The composition space is the product of every household variable's codes
-    with every member's individual codes; its size is checked against cap
-    before any work happens.  Returns the count, or (count, cells) where each
-    cell is (household codes tuple, member code tuples).
+    with every member's individual codes.
     """
     if not 1 <= h <= schema.max_size:
         raise ValueError(f"size {h} outside 1..{schema.max_size}")
-    dims = _cell_dims(schema, h, fix_size=False)
-    total = int(np.prod([np.int64(d) for d in dims], dtype=np.int64))
-    if total > cap:
-        raise ValueError(f"composition space has {total} cells, above cap {cap}")
-    count = 0
-    cells = [] if return_cells else None
-    for hh, mem in iter_cell_chunks(schema, h):
-        mask = check_batch(rules, hh, mem)
-        count += int(mask.sum())
-        if return_cells:
-            for b in np.flatnonzero(mask):
-                cells.append(
-                    (
-                        tuple(int(c) for c in hh[b]),
-                        tuple(tuple(int(c) for c in row) for row in mem[b]),
-                    )
-                )
-    if return_cells:
-        return count, cells
-    return count
+    q, p = len(schema.household_vars), len(schema.individual_vars)
+    dims = [v.cardinality for v in schema.household_vars]
+    dims += [v.cardinality for v in schema.individual_vars] * h
+    return sum(
+        int(check_batch(rules, cells[:, :q], cells[:, q:].reshape(-1, h, p)).sum())
+        for cells in iter_cells(dims)
+    )

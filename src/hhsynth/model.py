@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import RuleSet, check_batch, iter_cell_chunks
+from .constraints import RuleSet, check_batch, iter_cells
 from .data import DatasetView, Schema
 
 # Floor applied inside logs so empty categories never produce -inf/NaN chains.
@@ -417,51 +417,40 @@ def rows_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum((u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1).astype(np.int64)
 
 
-def infeasible_mass(
-    params: Params,
-    schema: Schema,
-    rules: RuleSet,
-    h: int,
-    method: str = "exact",
-    n_draws: int = 10000,
-    rng: np.random.Generator | None = None,
-    cap: int = 10**7,
-) -> tuple[float, float]:
+def infeasible_mass(params: Params, schema: Schema, rules: RuleSet, h: int) -> tuple[float, float]:
     """Probability that a size-h household violates the rules, given size h.
 
-    The exact route enumerates the size-h composition space (size code pinned
-    to h) and divides the joint probability of its infeasible cells by that of
-    all its cells, which is Pr(size h); the monte_carlo route generates
-    households conditioned on size and reports the infeasible fraction with
-    its binomial standard error.  Returns
-    (mass, standard_error); the exact route's error is 0.
+    This is pi0_h, the mass the truncated model removes from size h: its
+    likelihood of a size-h household is the untruncated one over 1 - pi0_h.
+    Given its class a household's members are iid, and every column no rule
+    reads sums out, so only the columns in rules.columns are enumerated: the
+    named household codes with the size pinned to h, and each member's named
+    codes, with member classes summed out.  The infeasible cells' joint
+    probability is divided by that of all cells.  Returns (mass, 0.0).
     """
     class_probs = size_class_probs(params, schema, h)  # raises for a zero-mass size
-
-    if method == "exact":
-        dims = [v.cardinality for k, v in enumerate(schema.household_vars) if k != schema.size_index]
-        n_cells = int(np.prod([np.int64(d) for d in dims], dtype=np.int64)) * int(
-            np.prod([np.int64(v.cardinality) for v in schema.individual_vars], dtype=np.int64)
-        ) ** h
-        if n_cells > cap:
-            raise ValueError(f"size-{h} composition space has {n_cells} cells, above cap {cap}")
-        mass = total = 0.0
-        for hh, mem in iter_cell_chunks(schema, h, fix_size_code=h - 1):
-            view = DatasetView.from_arrays(hh, mem.reshape(-1, mem.shape[2]), np.full(len(hh), h))
-            table = member_logliks(params, view.patterns)
-            probs = np.exp(class_posterior_logweights(params, view, table)).sum(axis=0)
-            mass += float(probs[~check_batch(rules, hh, mem)].sum())
-            total += float(probs.sum())
-        return mass / total, 0.0
-    if method == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo route needs an rng")
-        classes = rng.choice(params.n_hh_classes, size=n_draws, p=class_probs)
-        hh_codes, mem_codes, sizes, _ = draw_households(
-            params, schema, classes, rng, sizes=np.full(n_draws, h)
-        )
-        feasible = check_batch(rules, hh_codes, mem_codes.reshape(n_draws, h, -1))
-        frac = 1.0 - feasible.mean()
-        se = float(np.sqrt(max(frac * (1.0 - frac), LOG_FLOOR) / n_draws))
-        return float(frac), se
-    raise ValueError(f"unknown method {method!r}")
+    hh_cols, mem_cols = rules.columns
+    free = [k for k in hh_cols if k != schema.size_index]
+    mem_dims = [schema.individual_vars[k].cardinality for k in mem_cols]
+    # each named member row's probability given the household class, (F, P)
+    rows = np.concatenate(list(iter_cells(mem_dims)))
+    member = params.mem_weights[:, :, None]
+    for j, k in enumerate(mem_cols):
+        member = member * params.mem_kernels[k][:, :, rows[:, j]]
+    member = member.sum(axis=1)
+    q, p = len(schema.household_vars), len(schema.individual_vars)
+    mass = total = 0.0
+    for cells in iter_cells([schema.household_vars[k].cardinality for k in free] + [len(rows)] * h):
+        hh = np.zeros((len(cells), q), dtype=np.int64)
+        hh[:, free] = cells[:, : len(free)]
+        hh[:, schema.size_index] = h - 1
+        picks = cells[:, len(free) :]
+        mem = np.zeros((len(cells), h, p), dtype=np.int64)
+        mem[:, :, list(mem_cols)] = rows[picks]
+        probs = class_probs[:, None] * np.prod(member[:, picks], axis=2)
+        for k in free:
+            probs = probs * params.hh_kernels[k][:, hh[:, k]]
+        probs = probs.sum(axis=0)
+        mass += float(probs[~check_batch(rules, hh, mem)].sum())
+        total += float(probs.sum())
+    return mass / total, 0.0

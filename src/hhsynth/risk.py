@@ -6,7 +6,9 @@ perturbations.  Candidate posteriors are estimated from fitted parameter
 draws: self-normalized importance weights move the draws from the posterior
 given the released data to the posterior given the data with the target
 swapped for each candidate, and each synthetic replicate's likelihood is
-averaged under those weights.
+averaged under those weights.  For a truncated fit the replicate likelihood
+is the truncated one: each size-h household's term is over 1 - pi0_h, the
+feasible share of size h under the draw.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     Params,
     class_posterior_logweights,
     dataset_loglik,
+    infeasible_mass,
     logsumexp,
     member_logliks,
 )
@@ -317,6 +320,15 @@ def risk_sweep(
     log_p = np.array(
         [[replicate_likelihood(params, v) for v in rep_views] for params in params_draws]
     )
+    if config.rules and rep_views:
+        # a truncated fit's likelihood of a size-h household is over 1 - pi0_h
+        counts = np.array([np.bincount(v.sizes, minlength=schema.max_size + 1) for v in rep_views])
+        sizes = np.flatnonzero(counts.any(axis=0))
+        pi0 = np.array([
+            [infeasible_mass(params, schema, config.rules, h)[0] for h in sizes]
+            for params in params_draws
+        ])
+        log_p -= np.log1p(-pi0) @ counts[:, sizes].T
 
     view = original.to_view()
     if config.kind == "individual":

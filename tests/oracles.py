@@ -4,7 +4,8 @@ The tests compare the library against these: a dataset's households as
 HouseholdRecord tuples, cell and household-query proportions counted one
 household at a time, the household predicates written per record, the
 feasibility of one household, one household's marginal likelihood, the
-class logits and candidate likelihoods each caller once built for itself, and
+infeasible mass of a household size over the whole composition space and by
+simulation, the class logits and candidate likelihoods each caller once built for itself, and
 the draws of households and parameters made one variable or one kernel per
 random call.
 """
@@ -201,6 +202,34 @@ def value_probability(params, var_index: int, code: int) -> float:
     kernel = params.mem_kernels[var_index]
     per_class = (kernel[:, :, code] * params.mem_weights).sum(axis=1)
     return float((params.hh_weights * per_class).sum())
+
+
+# ---------------------------------------------------------------------------
+# the infeasible mass of one household size
+
+
+def infeasible_mass_full(params, schema, rules, h):
+    """pi0_h over the whole size-h composition space: every household variable
+    but the size (pinned to h) and every variable of every member, each cell's
+    probability from the household-class logits."""
+    q, p = len(schema.household_vars), len(schema.individual_vars)
+    dims = [v.cardinality for v in schema.household_vars]
+    dims[schema.size_index] = 1
+    dims += [v.cardinality for v in schema.individual_vars] * h
+    cells = np.array(list(itertools.product(*map(range, dims))), dtype=np.int64)
+    hh = cells[:, :q] + np.eye(q, dtype=np.int64)[schema.size_index] * (h - 1)
+    mem = cells[:, q:].reshape(len(cells), h, p)
+    view = DatasetView.from_arrays(hh, mem.reshape(-1, p), np.full(len(cells), h))
+    probs = np.exp(household_class_logits(params, view)).sum(axis=0)
+    return float(probs[~check_batch(rules, hh, mem)].sum()) / float(probs.sum())
+
+
+def infeasible_mass_monte_carlo(params, schema, rules, h, n_draws, rng):
+    """(pi0_h, its binomial standard error) from n_draws households generated at size h."""
+    classes = rng.choice(params.n_hh_classes, size=n_draws, p=size_class_probs(params, schema, h))
+    hh, mem, _, _ = draw_households(params, schema, classes, rng, sizes=np.full(n_draws, h))
+    frac = 1.0 - check_batch(rules, hh, mem.reshape(n_draws, h, -1)).mean()
+    return float(frac), float(np.sqrt(max(frac * (1.0 - frac), LOG_FLOOR) / n_draws))
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,28 @@ def test_report_without_replicates_exits_1(tmp_path, capsys, command):
     assert "manifest.json; run synthesize first" in capsys.readouterr().err
 
 
+def test_risk_on_a_truncated_fit_without_rules_exits_1(pipeline, tmp_path, capsys):
+    # the fit ran with rules; a config that has lost them cannot score it
+    config = write_workspace(tmp_path, CONFIG_YAML.replace("rules: rules.txt\n", ""))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[1], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run("risk", config, out) == 1
+    assert "fit in truncated mode, but the config has no rules" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_risk_on_an_untruncated_fit_with_rules_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    plain = write_workspace(tmp_path, CONFIG_YAML.replace("rules: rules.txt\n", ""))
+    for command in ("simulate", "fit", "synthesize"):
+        assert run(command, plain, out) == 0, command
+    config = write_workspace(tmp_path)
+    assert run("risk", config, out) == 1
+    assert "fit in untruncated mode, but the config has rules" in capsys.readouterr().err
+    assert not (out / "risk_summary.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One full simulate-fit-synthesize-evaluate-risk run, shared read-only."""
@@ -585,8 +607,8 @@ TRUNCATED_DIGESTS = {
     "household_queries.csv": "d58e3ab9405c58dfbfe654057e85cf6f37e3da7a48ac58cf3bac6b8677d2c0e3",
     "manifest.json": "3426c50d9ba61f280cca48eac9ca693f57a92b21cdac7004721551097f454ad6",
     "population.csv": "26a7f5c77bc81c2590b3b42fa9430c5938adc0b83a1b6ca0d3f5059706294898",
-    "rank_histogram.csv": "26c97953defffc61130ac07cc3943a8bba28ec0532579e228457cd4007263625",
-    "risk_summary.csv": "1a666ad2730e132e0e9a07011afb4b16cbf7933cbd9dc486661ace8ba36ba157",
+    "rank_histogram.csv": "a11616942628d14c91d6f13719e2b6ef2c7f6b4a7d62437f41228333c11fd639",
+    "risk_summary.csv": "02c49009675c024d2c6a1ec075aad6c109307dd74a1509aa098239be81d62073",
     "sample.csv": "c6daf4a552a5cf86ab4853004d28df71eddd624f6ba95c9d9b94fbf43048d478",
     "synthetic_1.csv": "7176c105a991ae53007abf30ee8275e2c81fb60327a1c021305130b8c1e0a13a",
     "synthetic_2.csv": "5959238821eb6bf788a324fddb3397ec4aff63483c89796dbbda619934bffdf9",

@@ -18,8 +18,11 @@ from hhsynth.constraints import (
     RuleError,
     RuleSet,
     check_batch,
+    CHUNK,
+    MAX_CELLS,
     compile_rules,
     enumerate_feasible,
+    iter_cells,
 )
 from hhsynth.data import HouseholdRecord
 from hhsynth.rng import substream
@@ -207,9 +210,8 @@ def test_enumerate_feasible_counts():
     rules = compile_rules("exactly_one role = 1", schema)
     total = 2 * (2 * 2) ** 2  # size axis x per-member cells
     assert enumerate_feasible(schema, RuleSet(rules=()), 2) == total
-    count, cells = enumerate_feasible(schema, rules, 2, return_cells=True)
+    count = enumerate_feasible(schema, rules, 2)
     assert count == total // 2
-    assert len(cells) == count
 
     # brute-force cross-check of the same count
     brute = 0
@@ -220,17 +222,57 @@ def test_enumerate_feasible_counts():
                 brute += heads == 1
     assert count == brute
 
-    # every enumerated cell is feasible under the scalar checker
-    for hh, members in cells[:50]:
-        assert check_household(rules, record(hh, members))
+
+def test_iter_cells_is_the_product_in_row_major_order():
+    for dims in ([2, 3, 1, 4], [5, 3, 1500]):
+        want = np.array(list(itertools.product(*map(range, dims))))
+        chunks = list(iter_cells(dims))
+        assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(want) // CHUNK)
+        got = np.concatenate(chunks)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    # no dimensions: one empty combination
+    assert [c.shape for c in iter_cells([])] == [(1, 0)]
+
+
+def test_iter_cells_matches_the_scalar_checker():
+    rules = compile_rules(RULES_TEXT, FAMILY)
+    for cells in iter_cells([2, 1] + [2, 5, 3] * 2):
+        hh, mem = cells[:, :2] + [0, 1], cells[:, 2:].reshape(-1, 2, 3)
+        flags = [check_household(rules, record(a, b)) for a, b in zip(hh, mem)]
+        np.testing.assert_array_equal(check_batch(rules, hh, mem), flags)
 
 
 def test_enumerate_feasible_empty_and_cap():
     schema = build_schema(household=[("hh_size*", 2)], individual=[("role", 2)])
     nothing = compile_rules("forbid role = 1\nforbid role = 2", schema)
     assert enumerate_feasible(schema, nothing, 1) == 0
+    # 2 * 4,000^2 cells at size 2, above the 10^7 cap; size 1 has 8,000
+    wide = build_schema(household=[("hh_size*", 2)], individual=[("a", 40), ("b", 100)])
+    assert enumerate_feasible(wide, RuleSet(rules=()), 1) == 8000
+    with pytest.raises(ValueError, match="above cap 10000000"):
+        enumerate_feasible(wide, RuleSet(rules=()), 2)
     with pytest.raises(ValueError, match="cap"):
-        enumerate_feasible(schema, nothing, 2, cap=4)
+        next(iter_cells([MAX_CELLS + 1]))
+    assert len(next(iter_cells([MAX_CELLS]))) == CHUNK
+
+
+@pytest.mark.parametrize(
+    "text, household, individual",
+    [
+        ("exactly_one rel = 2", (), (2,)),
+        ("min_value age >= 3 when role = 1", (), (0, 1)),
+        ("order age : rel = 3 < rel = 1 gap 2", (), (1, 2)),
+        ("forbid own = 2, rel = 2", (0,), (2,)),
+        ("forbid rel = 2 & age = 1, role = 2", (), (0, 1, 2)),
+        ("forbid hh_size = 2 & rel = 3", (1,), (2,)),
+        ("forbid own = 1", (0,), ()),
+        (RULES_TEXT, (0,), (0, 1, 2)),
+        ("", (), ()),
+    ],
+)
+def test_rule_set_columns(text, household, individual):
+    assert compile_rules(text, FAMILY).columns == (household, individual)
 
 
 def test_observed_data_feasible(toy_schema, toy_dataset):

@@ -29,6 +29,7 @@ from hhsynth.model import (
 )
 from hhsynth.rng import substream
 
+import oracles
 from conftest import build_schema
 from oracles import household_likelihood, records_of, value_probability
 
@@ -220,16 +221,13 @@ def test_logsumexp_scalar_result_and_special_rows():
 
 def test_total_probability_over_composition_space(toy_schema, toy_params):
     # conditioned on size h, household probabilities over all cells sum to 1
-    from hhsynth.constraints import iter_cell_chunks
-
     size_kernel = toy_params.hh_kernels[toy_schema.size_index]
+    member_cells = list(itertools.product(range(2), range(4)))  # role x color
     for h in (1, 2):
         total = 0.0
-        for hh, mem in iter_cell_chunks(toy_schema, h, fix_size_code=h - 1):
-            for b in range(hh.shape[0]):
-                total += naive_household_prob(
-                    toy_params, toy_schema, tuple(hh[b]), [tuple(m) for m in mem[b]]
-                )
+        for own in range(2):
+            for members in itertools.product(member_cells, repeat=h):
+                total += naive_household_prob(toy_params, toy_schema, (own, h - 1), members)
         assert total == pytest.approx(toy_params.hh_weights @ size_kernel[:, h - 1], rel=1e-9)
 
 
@@ -332,19 +330,51 @@ def test_infeasible_mass_exact_half():
     params = prior_draw(hyper, substream(42, "half"))
     params.mem_kernels[0][:] = 0.5
     rules = compile_rules("exactly_one role = 1", schema)
-    mass, se = infeasible_mass(params, schema, rules, 2, method="exact")
+    mass, se = infeasible_mass(params, schema, rules, 2)
     assert mass == pytest.approx(0.5, abs=1e-12)
     assert se == 0.0
 
 
 def test_infeasible_mass_exact_vs_monte_carlo(toy_schema, toy_params):
     rules = compile_rules("exactly_one role = 1", toy_schema)
-    exact, _ = infeasible_mass(toy_params, toy_schema, rules, 3, method="exact")
-    mc, se = infeasible_mass(
-        toy_params, toy_schema, rules, 3, method="monte_carlo",
-        n_draws=40000, rng=substream(43, "mcmass"),
+    exact, _ = infeasible_mass(toy_params, toy_schema, rules, 3)
+    mc, se = oracles.infeasible_mass_monte_carlo(
+        toy_params, toy_schema, rules, 3, n_draws=40000, rng=substream(43, "mcmass")
     )
     assert abs(mc - exact) < 4 * max(se, 1e-4)
+
+
+# own(2), size(4); role(2): 1=head; age(5) ordered by code; rel(3): 1=head 2=spouse 3=child
+PROJECTION = build_schema(
+    household=[("own", 2), ("hh_size*", 4)], individual=[("role", 2), ("age", 5), ("rel", 3)]
+)
+PROJECTION_RULES = {
+    "exactly_one": "exactly_one role = 1",
+    "min_value": "min_value age >= 3 when role = 1",
+    "order_gap": "order age : rel = 3 < rel = 1 gap 2",
+    "forbid_household_literal": "forbid own = 2, rel = 2",
+    "forbid_two_groups": "forbid rel = 2 & rel = 2",
+    "forbid_size": "forbid hh_size = 2 & rel = 3",
+    "mixed": "exactly_one role = 1\nmin_value age >= 3 when role = 1\n"
+    "order age : rel = 3 < rel = 1 gap 1\nforbid own = 2 & rel = 2, age = 1",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("name", PROJECTION_RULES)
+def test_infeasible_mass_matches_full_space_oracle(name):
+    # the route enumerates only the columns the rules read; the oracle every cell
+    rules = compile_rules(PROJECTION_RULES[name], PROJECTION)
+    hyper = Hyperparams.uniform(PROJECTION, 3, 2)
+    masses = []
+    for r in range(3):
+        params = prior_draw(hyper, substream(44, name, r))
+        for h in (1, 2, 3):
+            mass, se = infeasible_mass(params, PROJECTION, rules, h)
+            assert abs(mass - oracles.infeasible_mass_full(params, PROJECTION, rules, h)) <= 1e-12
+            assert se == 0.0
+            masses.append(mass)
+    assert (max(masses) > 0.0) == bool(rules)
 
 
 def test_infeasible_mass_extremes(toy_schema, toy_params):

@@ -11,9 +11,9 @@ import pytest
 
 from hhsynth import risk
 from hhsynth.constraints import compile_rules
-from hhsynth.data import Dataset, DatasetView
+from hhsynth.data import Dataset, DatasetView, HouseholdRecord
 from hhsynth.gibbs import ChainConfig, run_chain
-from hhsynth.model import Hyperparams, draw_households, prior_draw
+from hhsynth.model import Hyperparams, draw_households, infeasible_mass, prior_draw
 from hhsynth.rng import substream
 from hhsynth.risk import (
     RiskConfig,
@@ -27,7 +27,7 @@ from hhsynth.risk import (
     replicate_likelihood,
     risk_sweep,
 )
-from hhsynth.synthesis import synthesize_untruncated
+from hhsynth.synthesis import synthesize_truncated, synthesize_untruncated
 
 import oracles
 from conftest import build_dataset, build_schema
@@ -344,6 +344,18 @@ def test_risk_sweep_member_order_is_canonical(toy_schema, fitted_draws):
     assert rows_a[0].rho_truth == rows_b[0].rho_truth
 
 
+def _replicate_log_p(schema, rules, draws, views):
+    """Replicate log likelihoods (R, L) as risk_sweep forms them: with rules,
+    less n_h * log(1 - pi0_h) for each household size h of each replicate."""
+    log_p = np.array([[risk.dataset_loglik(d, v) for v in views] for d in draws])
+    if rules:
+        counts = np.array([np.bincount(v.sizes, minlength=schema.max_size + 1) for v in views])
+        sizes = np.flatnonzero(counts.any(axis=0))
+        pi0 = np.array([[infeasible_mass(d, schema, rules, h)[0] for h in sizes] for d in draws])
+        log_p -= np.log1p(-pi0) @ counts[:, sizes].T
+    return log_p
+
+
 @pytest.mark.parametrize(
     "kind, with_rules", [("individual", False), ("household", False), ("household", True)]
 )
@@ -376,14 +388,17 @@ def test_risk_sweep_matches_per_target_oracle(
             > s.hh_values.shape[0]
             for s in supports
         )
+    log_p = _replicate_log_p(schema, rules, draws, views)
     for row, support in zip(rows, supports):
-        result = importance_posterior(support, views, draws)
+        result = importance_posterior(support, views, draws, log_p)
         want = RiskRow(row.target_id, support.hh_values.shape[0], result.rank_of_truth,
                        result.truth_probability, result.top_probability)
         assert repr(row) == repr(want)
 
 
-@pytest.mark.parametrize("kind, with_rules", [("individual", False), ("household", True)])
+@pytest.mark.parametrize(
+    "kind, with_rules", [("individual", False), ("individual", True), ("household", True)]
+)
 def test_risk_sweep_matches_one_target_posterior_oracle(wide_schema, kind, with_rules):
     # twelve draws and up to 40 candidates: sums over draws and over candidates
     # run past numpy's eight-term pairwise blocks, so a changed order shows
@@ -396,7 +411,7 @@ def test_risk_sweep_matches_one_target_posterior_oracle(wide_schema, kind, with_
     rules = compile_rules("exactly_one role = 1", wide_schema) if with_rules else None
     config = RiskConfig(kind, held_fixed=("relate",), rules=rules)
     rows = risk_sweep(data, [Dataset(wide_schema, view=v) for v in views], draws, config).rows
-    log_p = np.array([[risk.dataset_loglik(d, v) for v in views] for d in draws])
+    log_p = _replicate_log_p(wide_schema, rules, draws, views)
     fixed = ("relate",)
     if kind == "individual":
         q = len(wide_schema.household_vars)
@@ -432,3 +447,45 @@ def test_risk_summary_csv(tmp_path, toy_schema, toy_dataset, fitted_draws):
     hist_path = tmp_path / "hist.csv"
     summary.histogram_to_csv(hist_path)
     assert hist_path.read_text().splitlines()[0] == "rank_of_truth,n_targets"
+
+
+def test_truncated_candidate_posterior_matches_grid_integration():
+    # criterion 5's fixture: 40 size-2 households, 12 with one x=2, no household
+    # with two, which the rule forbids.  With one class per level and a uniform
+    # prior the truncated model has one parameter psi = Pr(x=2), and a size-2
+    # household with k members at x=2 has likelihood psi^k (1-psi)^(2-k) / (1-psi^2)
+    schema = build_schema(household=[("hh_size*", 2)], individual=[("x", 2)])
+    rules = compile_rules("forbid x = 2 & x = 2", schema)
+    records = [
+        HouseholdRecord(f"h{i + 1:03d}", (1,), ((1,), (0,)) if i < 12 else ((0,), (0,)))
+        for i in range(40)
+    ]
+    data = Dataset(schema=schema, records=tuple(records))
+    result = run_chain(
+        data, Hyperparams.uniform(schema, 1, 1), ChainConfig(3000, 500, thin=10, seed=1),
+        rules=rules,
+    )
+    reps = synthesize_truncated(schema, result.checkpoints, 3).replicates
+    draws = [rec.params for rec in result.checkpoints]
+    rows = risk_sweep(data, reps, draws, RiskConfig("household", rules=rules)).rows
+
+    # (1 - psi^2)^40 = (1 - psi)^40 (1 + psi)^40 cancels into the numerators;
+    # every replicate holds 40 size-2 households, K of its 80 members at x=2
+    grid = np.linspace(0.0, 1.0, 2001)
+
+    def truncated(K):
+        return grid**K * (1.0 - grid) ** (40 - K) / (1.0 + grid) ** 40
+
+    rep_K = [int(z.to_view().mem_codes.sum()) for z in reps]
+    targets = [((1,), ((0,), (1,))), ((1,), ((0,), (0,)))]
+    assert len(rows) == len(targets)
+    for row, (hh, members) in zip(rows, targets):
+        support = build_support_household(schema, np.array(hh), np.array(members), rules=rules)
+        assert row.n_candidates == support.hh_values.shape[0]
+        # the data with the target swapped for each candidate: K_c members at x=2
+        K = 12 - int(np.sum(members)) + support.mem_values.sum(axis=(1, 2))
+        dens = np.stack([truncated(k) for k in K])
+        dens /= dens.sum(axis=1, keepdims=True)
+        scores = np.prod([(dens * truncated(k)).sum(axis=1) for k in rep_K], axis=0)
+        rho_grid = scores / scores.sum()
+        assert abs(row.rho_truth - rho_grid[0]) <= 0.03, (row, rho_grid)

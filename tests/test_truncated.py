@@ -85,7 +85,7 @@ def test_infeasible_view_shapes(toy_schema, toy_params, head_rules):
 
 def test_infeasible_count_matches_negative_binomial_mean(toy_schema, toy_params, head_rules):
     # stopping at the r-th feasible draw makes E[n0] = r * pi0 / (1 - pi0)
-    pi0, _ = infeasible_mass(toy_params, toy_schema, head_rules, 2, method="exact")
+    pi0, _ = infeasible_mass(toy_params, toy_schema, head_rules, 2)
     r, M = 100, 300
     rng = substream(71, "negbin")
     counts = np.array(
