@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetView
-from .model import Hyperparams, Params
+from .model import Hyperparams, Params, stick_break
 
 FORMAT_NAME = "hhsynth-checkpoints"
 FORMAT_VERSION = 1
@@ -50,8 +50,6 @@ def params_to_jsonable(params: Params) -> dict:
 
 
 def params_from_jsonable(doc: dict) -> Params:
-    from .model import stick_break
-
     hh_sticks = np.asarray(doc["hh_sticks"], dtype=float)
     mem_sticks = np.asarray(doc["mem_sticks"], dtype=float)
     mem_conc = doc["mem_conc"]

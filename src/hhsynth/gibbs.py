@@ -1,10 +1,13 @@
 """Gibbs sampler for the nested latent-class model.
 
-Sweep order is fixed: household classes, member classes, household sticks,
-member sticks, household kernels, member kernels, then the two concentration
-parameters.  The class draws are collapsed over member classes (households
-first, member classes refreshed given the household class), which is an exact
-blocked update.
+Sweep order is fixed: in truncated mode the augmented records first (drawn
+by run_chain from the current parameters, see truncated.py), then household
+classes, member classes, household sticks, member sticks, household kernels,
+member kernels, and the two concentration parameters.  The class draws are
+collapsed over member classes (households first, member classes refreshed
+given the household class), which is an exact blocked update.  Augmented
+records keep the classes they were generated with, and the parameter draws
+count them with the observed households.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .checkpoints import CheckpointRecord, CheckpointWriter, hyper_meta
 from .config import ChainConfig
-from .data import Dataset, DatasetView, Schema, size_histogram
+from .data import Dataset, DatasetView, size_histogram
 from .model import (
     Hyperparams,
     Params,
@@ -41,7 +44,6 @@ class ChainState:
     mem_class: np.ndarray  # (N,)
     iteration: int = 0
     augmented: "AugmentedBatch | None" = None
-    cap_exceeded: int = 0
 
 
 @dataclass
@@ -65,7 +67,7 @@ class Diagnostics:
         self.hh_conc.append(float(state.params.hh_conc))
         self.mem_conc.append(float(np.mean(state.params.mem_conc)))
         self.hh_weights.append(state.params.hh_weights.copy())
-        if self.strata is not None:  # a truncated sweep sets a batch or raises
+        if self.strata is not None:  # run_chain draws a batch before each truncated sweep
             self.n_infeasible.append(state.augmented.n_infeasible)
 
     def to_csv(self, path: str | Path) -> None:
@@ -183,35 +185,16 @@ def sample_member_sticks(
     return sticks, stick_break(sticks), log1m
 
 
-def household_kernel_counts(
-    hh_codes: np.ndarray, hh_class: np.ndarray, F: int, dims: list[int]
+def kernel_counts(
+    codes: np.ndarray, cell: np.ndarray, shape: tuple[int, ...], dims: list[int]
 ) -> list[np.ndarray]:
+    """Per variable k, the (*shape, dims[k]) counts of codes[:, k] by flat class
+    cell: households by class (F,), members by class pair g * S + m (F, S)."""
+    n_cells = int(np.prod(shape))
     return [
-        np.bincount(hh_class * d + hh_codes[:, k], minlength=F * d).reshape(F, d)
+        np.bincount(cell * d + codes[:, k], minlength=n_cells * d).reshape(*shape, d)
         for k, d in enumerate(dims)
     ]
-
-
-def member_kernel_counts(
-    mem_codes: np.ndarray,
-    mem_hh_class: np.ndarray,
-    mem_class: np.ndarray,
-    F: int,
-    S: int,
-    dims: list[int],
-) -> list[np.ndarray]:
-    pair = mem_hh_class * S + mem_class
-    return [
-        np.bincount(pair * d + mem_codes[:, k], minlength=F * S * d).reshape(F, S, d)
-        for k, d in enumerate(dims)
-    ]
-
-
-def sample_kernels(
-    counts: list[np.ndarray], prior: list[np.ndarray], rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Dirichlet draws with prior weights plus observed counts, from one gamma call."""
-    return dirichlet_rows([w + c for w, c in zip(prior, counts)], rng)
 
 
 def sample_mem_concentration(
@@ -247,18 +230,18 @@ def resample_parameters(
     augmented records; the conditionals are identical either way.
     """
     F, S = hyper.n_hh_classes, hyper.n_mem_classes
+    pair = mem_hh_class * S + mem_class
     hh_counts = np.bincount(hh_class, minlength=F)
-    pair_counts = np.bincount(mem_hh_class * S + mem_class, minlength=F * S).reshape(F, S)
+    pair_counts = np.bincount(pair, minlength=F * S).reshape(F, S)
     hh_sticks, hh_weights, hh_log1m = sample_member_sticks(hh_counts[None], params.hh_conc, rng)
     mem_sticks, mem_weights, mem_log1m = sample_member_sticks(pair_counts, params.mem_conc, rng)
     hh_dims = [w.shape[0] for w in hyper.hh_kernel_prior]
     mem_dims = [w.shape[0] for w in hyper.mem_kernel_prior]
-    kernels = sample_kernels(
-        household_kernel_counts(hh_codes, hh_class, F, hh_dims)
-        + member_kernel_counts(mem_codes, mem_hh_class, mem_class, F, S, mem_dims),
-        [*hyper.hh_kernel_prior, *hyper.mem_kernel_prior],
-        rng,
+    counts = kernel_counts(hh_codes, hh_class, (F,), hh_dims) + kernel_counts(
+        mem_codes, pair, (F, S), mem_dims
     )
+    prior = [*hyper.hh_kernel_prior, *hyper.mem_kernel_prior]
+    kernels = dirichlet_rows([w + c for w, c in zip(prior, counts)], rng)
     hh_kernels, mem_kernels = kernels[: len(hh_dims)], kernels[len(hh_dims) :]
     hh_conc = sample_mem_concentration(
         hh_log1m, hyper.hh_conc_shape, hyper.hh_conc_rate, False, rng
@@ -278,21 +261,30 @@ def resample_parameters(
     )
 
 
+def counted_arrays(state: ChainState, view: DatasetView) -> list[np.ndarray]:
+    """resample_parameters' count arrays: household classes and codes, then
+    member household classes, classes and codes.
+
+    When state.augmented holds a batch, its infeasible records follow the
+    observed households, with the classes they were generated with.
+    """
+    g = state.hh_class
+    counted = [g, view.hh_codes, g[view.mem_hh], state.mem_class, view.mem_codes]
+    batch = state.augmented
+    if batch is not None:
+        aug, g0 = batch.infeasible, batch.infeasible_hh_class
+        extra = [g0, aug.hh_codes, g0[aug.mem_hh], batch.infeasible_mem_class, aug.mem_codes]
+        counted = [np.concatenate(both) for both in zip(counted, extra)]
+    return counted
+
+
 def gibbs_sweep(
     state: ChainState, view: DatasetView, hyper: Hyperparams, rng: np.random.Generator
 ) -> None:
-    """One full update of the chain state in place."""
+    """One full update of the chain state in place: fresh classes for the
+    observed households, then parameters given them and any augmented records."""
     sample_classes(state, view, rng)
-    state.params = resample_parameters(
-        state.params,
-        hyper,
-        rng,
-        hh_class=state.hh_class,
-        hh_codes=view.hh_codes,
-        mem_hh_class=state.hh_class[view.mem_hh],
-        mem_class=state.mem_class,
-        mem_codes=view.mem_codes,
-    )
+    state.params = resample_parameters(state.params, hyper, rng, *counted_arrays(state, view))
     state.iteration += 1
 
 
@@ -310,17 +302,9 @@ def init_state(
     params = prior_draw(hyper, rng)
     hh_class = rng.integers(hyper.n_hh_classes, size=view.n_households)
     mem_class = rng.integers(hyper.n_mem_classes, size=view.n_individuals)
-    params = resample_parameters(
-        params,
-        hyper,
-        rng,
-        hh_class,
-        view.hh_codes,
-        hh_class[view.mem_hh],
-        mem_class,
-        view.mem_codes,
-    )
-    return ChainState(params=params, hh_class=hh_class, mem_class=mem_class)
+    state = ChainState(params=params, hh_class=hh_class, mem_class=mem_class)
+    state.params = resample_parameters(params, hyper, rng, *counted_arrays(state, view))
+    return state
 
 
 def mcse_batch_means(x: np.ndarray, n_batches: int = 50) -> float:
@@ -342,14 +326,17 @@ def run_chain(
 ) -> ChainResult:
     """Run the sampler, recording diagnostics and post-burn-in checkpoints.
 
-    With a non-empty rule set the truncated sweep is used and each checkpoint
-    carries the iteration's feasible by-product households.  Checkpoints
-    stream to checkpoint_path when given, otherwise they are kept in memory.
+    With a non-empty rule set each sweep first draws a fresh augmented batch
+    from the current parameters, and each checkpoint carries the batch's
+    feasible by-product households.  When generation passes the candidate
+    cap, the previous batch is reused and diagnostics.cap_exceeded counts the
+    event; without a previous batch the error propagates.  Checkpoints stream
+    to checkpoint_path when given, otherwise they are kept in memory.
     """
     schema = dataset.schema
     view = dataset.to_view()
     rng = substream(config.seed, "chain")
-    truncated = rules is not None and bool(rules)
+    truncated = bool(rules)
     histogram = size_histogram(dataset) if truncated else None
     cap = config.candidate_cap if config.candidate_cap else 1000 * max(view.n_households, 1)
 
@@ -371,13 +358,19 @@ def run_chain(
         kept = []
 
     if truncated:
-        from .truncated import truncated_sweep
+        from .truncated import CapExceededError, generate_augmented
     n_emitted = 0
     for it in range(1, config.n_iterations + 1):
         if truncated:
-            truncated_sweep(state, view, schema, hyper, rules, histogram, rng, cap)
-        else:
-            gibbs_sweep(state, view, hyper, rng)
+            try:
+                state.augmented = generate_augmented(
+                    state.params, schema, rules, histogram, rng, cap
+                )
+            except CapExceededError:
+                if state.augmented is None:
+                    raise
+                diag.cap_exceeded += 1
+        gibbs_sweep(state, view, hyper, rng)
         diag.record(state)
         if it > config.burn_in and (it - config.burn_in - 1) % config.thin == 0:
             record = CheckpointRecord(
@@ -395,7 +388,6 @@ def run_chain(
     if writer is not None:
         writer.close()
 
-    diag.cap_exceeded = state.cap_exceeded
     # the balanced random start occupies every class by construction, so only
     # post-burn-in occupancy says anything about the truncation binding
     diag.saturated_hh = any(c >= hyper.n_hh_classes for c in diag.occupied_hh[config.burn_in:])

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RiskConfig
-from .constraints import RuleSet, check_batch
+from .constraints import check_batch
 from .data import Dataset, DatasetView, Schema
 from .model import (
     Params,
@@ -131,7 +131,15 @@ def _individual_supports(
 def _household_supports(
     schema: Schema, hh_values: np.ndarray, members: np.ndarray, held_fixed, rules
 ) -> list[TargetSupport]:
-    """build_support_household for each row of hh_values (T, q) and members (T, h, p)."""
+    """Truth plus single-variable alternatives of each household in hh_values
+    (T, q) and members (T, h, p).
+
+    Household variables are perturbed once, individual variables per member,
+    and the size variable never (it fixes the member count).  Rule-infeasible
+    candidates are dropped; the observed truth is always kept.  Candidate
+    order: truth, household variables, then each member's in turn,
+    alternative codes ascending.
+    """
     T, h, p = members.shape
     hh_alt = _changes(hh_values, schema.household_vars, (*held_fixed, schema.size_var.name))
     mem = [np.repeat(members[:, None], 1 + hh_alt.shape[1], axis=1)]
@@ -145,7 +153,7 @@ def _household_supports(
     hh = np.concatenate(
         [hh_values[:, None], hh_alt, np.repeat(hh_values[:, None], n_same, axis=1)], axis=1
     )
-    if rules is None or not rules:
+    if not rules:
         return [TargetSupport("household", a, b) for a, b in zip(hh, mem)]
     keep = check_batch(rules, hh.reshape(T * C, -1), mem.reshape(T * C, h, p)).reshape(T, C)
     keep[:, 0] = True  # observed truth stays regardless
@@ -172,27 +180,6 @@ def build_support_individual(
     hh_values = np.asarray(hh_values, dtype=np.int64)[None]
     mem_values = np.asarray(mem_values, dtype=np.int64)[None]
     return _individual_supports(schema, hh_values, mem_values, held_fixed)[0]
-
-
-def build_support_household(
-    schema: Schema,
-    hh_values: np.ndarray,
-    members: np.ndarray,
-    held_fixed: tuple[str, ...] = (),
-    rules: RuleSet | None = None,
-) -> TargetSupport:
-    """Truth plus single-variable alternatives of a whole household.
-
-    Household variables are perturbed once for the whole household; individual
-    variables per member.  The size variable is never perturbed (its
-    alternatives would change the member count).  Rule-infeasible candidates
-    are dropped; the truth, being observed data, is always kept.  Candidate
-    order: truth, household variables, then member 1's variables, member 2's,
-    and so on, alternative codes ascending.
-    """
-    hh_values = np.asarray(hh_values, dtype=np.int64)[None]
-    members = np.asarray(members, dtype=np.int64)[None]
-    return _household_supports(schema, hh_values, members, held_fixed, rules)[0]
 
 
 def replicate_likelihood(params: Params, replicate: Dataset | DatasetView) -> float:

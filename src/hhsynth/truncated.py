@@ -1,11 +1,12 @@
-"""Sampler steps for models with structural zeros.
+"""Candidate generation for models with structural zeros.
 
-Each iteration regenerates, per observed household size h, candidate
-households from the current parameters conditioned on size h, keeping exactly
-n_h feasible draws (the synthesis by-product) and every infeasible draw made
-before the n_h-th feasible one (the augmented records).  Both sets come back
-as DatasetViews over all sizes in ascending order.  Parameter updates then
-treat observed plus augmented records as one dataset.
+Per observed household size h, candidate households are drawn from the
+current parameters conditioned on size h, keeping exactly n_h feasible draws
+(the synthesis by-product) and every infeasible draw made before the n_h-th
+feasible one (the augmented records).  Both sets come back as DatasetViews
+over all sizes in ascending order.  run_chain draws one batch before each
+truncated-mode sweep, and the sweep counts the augmented records with the
+observed households.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 
 from .constraints import RuleSet, check_batch
 from .data import DatasetView, Schema
-from .gibbs import ChainState, resample_parameters, sample_classes
-from .model import DrawTables, Hyperparams, Params, draw_households, size_class_probs
+from .model import DrawTables, Params, draw_households, size_class_probs
 
 
 class CapExceededError(RuntimeError):
@@ -129,45 +129,3 @@ def generate_augmented(
         n_infeasible=n_infeasible,
     )
 
-
-def truncated_sweep(
-    state: ChainState,
-    view: DatasetView,
-    schema: Schema,
-    hyper: Hyperparams,
-    rules: RuleSet,
-    histogram: dict[int, int],
-    rng: np.random.Generator,
-    cap: int,
-) -> None:
-    """One sweep with augmentation; updates the state in place.
-
-    Observed households get fresh class draws; augmented records keep the
-    classes they were generated with.  Stick, kernel, and concentration
-    updates count observed and augmented records together.  If generation
-    exceeds the cap the previous batch is reused and the event counted.
-    """
-    try:
-        state.augmented = generate_augmented(state.params, schema, rules, histogram, rng, cap)
-    except CapExceededError:
-        if state.augmented is None:
-            raise
-        state.cap_exceeded += 1
-    batch = state.augmented
-
-    sample_classes(state, view, rng)
-
-    aug = batch.infeasible
-    state.params = resample_parameters(
-        state.params,
-        hyper,
-        rng,
-        hh_class=np.concatenate([state.hh_class, batch.infeasible_hh_class]),
-        hh_codes=np.concatenate([view.hh_codes, aug.hh_codes], axis=0),
-        mem_hh_class=np.concatenate(
-            [state.hh_class[view.mem_hh], batch.infeasible_hh_class[aug.mem_hh]]
-        ),
-        mem_class=np.concatenate([state.mem_class, batch.infeasible_mem_class]),
-        mem_codes=np.concatenate([view.mem_codes, aug.mem_codes], axis=0),
-    )
-    state.iteration += 1

@@ -7,7 +7,8 @@ feasibility of one household, one household's marginal likelihood, the
 infeasible mass of a household size over the whole composition space and by
 simulation, the class logits and candidate likelihoods each caller once built for itself, and
 the draws of households and parameters made one variable or one kernel per
-random call.
+random call.  build_support_household is the one-household form of the
+library's batched support builder, which the risk tests call.
 """
 
 import itertools
@@ -16,11 +17,7 @@ import numpy as np
 
 from hhsynth.constraints import check_batch
 from hhsynth.data import HOUSEHOLD, DatasetView, HouseholdRecord
-from hhsynth.gibbs import (
-    household_kernel_counts,
-    member_kernel_counts,
-    sample_mem_concentration,
-)
+from hhsynth.gibbs import sample_mem_concentration
 from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine, normal_interval
 from hhsynth.model import (
     LOG_FLOOR,
@@ -30,6 +27,7 @@ from hhsynth.model import (
     size_class_probs,
     stick_break,
 )
+from hhsynth.risk import _household_supports
 from hhsynth.synthesis import select_records
 from hhsynth.truncated import AugmentedBatch, CapExceededError
 
@@ -300,6 +298,12 @@ def importance_weights(support, params_draws):
     return ratios / ratios.sum(axis=0, keepdims=True)
 
 
+def build_support_household(schema, hh_values, members, held_fixed=(), rules=None):
+    """One household's candidate support, from the library's batched builder."""
+    hh_values = np.asarray(hh_values, dtype=np.int64)[None]
+    members = np.asarray(members, dtype=np.int64)[None]
+    return _household_supports(schema, hh_values, members, held_fixed, rules)[0]
+
 
 def posterior(support, weights, log_p):
     """(rank of truth, truth probability, top probability) of one target from
@@ -518,8 +522,12 @@ def resample_parameters(params, hyper, rng, hh_class, hh_codes, mem_hh_class, me
         mem_sticks, mem_log1m = np.ones((F, S)), np.zeros((F, 0))
     hh_dims = [w.shape[0] for w in hyper.hh_kernel_prior]
     mem_dims = [w.shape[0] for w in hyper.mem_kernel_prior]
-    hh_counts_k = household_kernel_counts(hh_codes, hh_class, F, hh_dims)
-    mem_counts_k = member_kernel_counts(mem_codes, mem_hh_class, mem_class, F, S, mem_dims)
+    hh_counts_k = [np.zeros((F, d)) for d in hh_dims]
+    for k, counts in enumerate(hh_counts_k):
+        np.add.at(counts, (hh_class, hh_codes[:, k]), 1)
+    mem_counts_k = [np.zeros((F, S, d)) for d in mem_dims]
+    for k, counts in enumerate(mem_counts_k):
+        np.add.at(counts, (mem_hh_class, mem_class, mem_codes[:, k]), 1)
     hh_kernels = [dirichlet_rows(w + c, rng) for w, c in zip(hyper.hh_kernel_prior, hh_counts_k)]
     mem_kernels = [
         dirichlet_rows(w + c, rng) for w, c in zip(hyper.mem_kernel_prior, mem_counts_k)

@@ -1,14 +1,15 @@
 """Source-level checks of the library's layout.
 
-Every module-level function and class in src/hhsynth must be named somewhere
-in the library besides its definition, be imported by the release gate
-(tests/test_acceptance.py), or be a command (cmd_*): the library holds no
-function that only its unit tests call.
+Every module-level function and class in src/hhsynth must be referenced by
+the library's code (docstrings and comments do not count), be imported by
+the release gate (tests/test_acceptance.py), or be a command (cmd_*): the
+library holds no function that only its unit tests call.  The modules'
+relative imports, at any depth of a file, form no cycle.
 """
 
 import ast
-import re
 from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,18 +27,50 @@ def gate_imports() -> set[str]:
 
 
 def unnamed_definitions(src: Path) -> list[str]:
-    """module:name of each module-level function or class whose name appears
-    nowhere in the library's text but in its own definitions."""
-    texts = {path.name: path.read_text(encoding="utf8") for path in sorted(src.glob("*.py"))}
-    words = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
-    defined = [
-        (module, node.name)
-        for module, text in texts.items()
-        for node in ast.parse(text).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    """module:name of each module-level function or class that no code in the
+    library references by name, as an attribute or in an import."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf8")) for path in sorted(src.glob("*.py"))
+    }
+    references = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                references[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                references[node.name] += 1
+    return [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not references[node.name]
     ]
-    definitions = Counter(name for _, name in defined)
-    return [f"{module}:{name}" for module, name in defined if words[name] == definitions[name]]
+
+
+def import_graph(src: Path) -> dict[str, set[str]]:
+    """Each module's relative imports: module level, in functions and under
+    TYPE_CHECKING alike."""
+    graph = {}
+    for path in sorted(src.glob("*.py")):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    graph[path.stem].add(node.module.split(".")[0])
+                else:  # from . import module
+                    graph[path.stem].update(alias.name for alias in node.names)
+    return graph
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of the graph, or None when it has none."""
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        return exc.args[1]
+    return None
 
 
 def test_every_library_definition_has_a_caller():
@@ -54,4 +87,29 @@ def test_the_scan_sees_an_unused_definition(tmp_path):
     (tmp_path / "a.py").write_text("def used():\n    pass\n\n\nclass Lonely:\n    pass\n")
     (tmp_path / "b.py").write_text("from .a import used\n\nused()\n")
     assert unnamed_definitions(tmp_path) == ["a.py:Lonely"]
+    # a docstring or a comment that names a definition is not a reference
+    (tmp_path / "c.py").write_text(
+        'def mentioned():\n    pass\n\n\ndef other():\n    """Calls mentioned."""  # mentioned\n'
+    )
+    (tmp_path / "d.py").write_text("from . import c\n\nc.other()\n")
+    assert unnamed_definitions(tmp_path) == ["a.py:Lonely", "c.py:mentioned"]
     assert {"infeasible_mass", "enumerate_feasible", "rows_categorical", "main"} <= gate_imports()
+
+
+def test_the_library_imports_form_no_cycle():
+    graph = import_graph(ROOT / "src" / "hhsynth")
+    # the function-level imports are seen
+    assert "truncated" in graph["gibbs"] and "commands" in graph["cli"]
+    assert import_cycle(graph) is None
+
+
+def test_the_import_scan_sees_a_cycle(tmp_path):
+    # one edge inside a function, the other under TYPE_CHECKING
+    (tmp_path / "a.py").write_text("def f():\n    from .b import g\n")
+    (tmp_path / "b.py").write_text(
+        "from typing import TYPE_CHECKING\n\nif TYPE_CHECKING:\n    from .a import f\n"
+    )
+    (tmp_path / "c.py").write_text("from . import a\n")
+    graph = import_graph(tmp_path)
+    assert graph == {"a": {"b"}, "b": {"a"}, "c": {"a"}}
+    assert sorted(import_cycle(graph)[1:]) == ["a", "b"]

@@ -20,13 +20,11 @@ from hhsynth.gibbs import (
     ChainConfig,
     Diagnostics,
     gibbs_sweep,
-    household_kernel_counts,
     init_state,
+    kernel_counts,
     mcse_batch_means,
-    member_kernel_counts,
     run_chain,
     sample_household_classes,
-    sample_kernels,
     sample_member_classes,
     sample_member_sticks,
     sample_mem_concentration,
@@ -35,12 +33,13 @@ from hhsynth.gibbs import (
 from hhsynth.model import (
     Hyperparams,
     class_posterior_logweights,
+    dirichlet_rows,
     draw_households,
     member_logliks,
     prior_draw,
 )
 from hhsynth.rng import substream
-from hhsynth.truncated import truncated_sweep
+from hhsynth.truncated import generate_augmented
 
 # the five-household fixture routinely occupies every class, which is the
 # point of the saturation warning but noise here
@@ -139,7 +138,8 @@ def test_kernel_conjugacy():
     prior = [np.array([0.5, 1.0, 1.5])]
     counts = [np.array([[2.0, 0.0, 1.0]])]
     rng = substream(62, "kernels")
-    draws = np.stack([sample_kernels(counts, prior, rng)[0][0] for _ in range(20000)])
+    weights = [w + c for w, c in zip(prior, counts)]
+    draws = np.stack([dirichlet_rows(weights, rng)[0][0] for _ in range(20000)])
     post = np.array([2.5, 1.0, 2.5])
     want = post / post.sum()
     sd = np.sqrt(want * (1 - want) / (post.sum() + 1))
@@ -203,14 +203,14 @@ def test_count_helpers_match_loops():
     mem_hh_class = rng.integers(F, size=N)
     mem_class = rng.integers(S, size=N)
 
-    got_hh = household_kernel_counts(hh_codes, hh_class, F, dims_hh)
+    got_hh = kernel_counts(hh_codes, hh_class, (F,), dims_hh)
     for k, d in enumerate(dims_hh):
         want = np.zeros((F, d))
         for i in range(n):
             want[hh_class[i], hh_codes[i, k]] += 1
         np.testing.assert_array_equal(got_hh[k], want)
 
-    got_mem = member_kernel_counts(mem_codes, mem_hh_class, mem_class, F, S, dims_mem)
+    got_mem = kernel_counts(mem_codes, mem_hh_class * S + mem_class, (F, S), dims_mem)
     for k, d in enumerate(dims_mem):
         want = np.zeros((F, S, d))
         for j in range(N):
@@ -339,7 +339,10 @@ def test_one_member_table_per_sweep(monkeypatch, toy_schema, toy_dataset):
     calls.clear()
     rules = compile_rules("exactly_one role = 1", toy_schema)
     histogram = size_histogram(toy_dataset)
-    truncated_sweep(state, view, toy_schema, hyper, rules, histogram, substream(70, "t"), 10**6)
+    rng = substream(70, "t")
+    state.augmented = generate_augmented(state.params, toy_schema, rules, histogram, rng, 10**6)
+    assert state.augmented.total_infeasible > 0
+    gibbs_sweep(state, view, hyper, rng)
     assert calls == [len(view.patterns)]
 
 

@@ -19,7 +19,6 @@ from hhsynth.risk import (
     RiskConfig,
     RiskRow,
     TargetSupport,
-    build_support_household,
     build_support_individual,
     candidate_logliks,
     importance_posterior,
@@ -82,7 +81,7 @@ def test_individual_support_size_census_like():
 @pytest.mark.parametrize("h,want", [(2, 56), (3, 81), (4, 106), (6, 156), (7, 181)])
 def test_household_support_size_census_like(h, want):
     schema = census_like_schema()
-    support = build_support_household(
+    support = oracles.build_support_household(
         schema, np.array([0, 0, 0, h - 1]), np.zeros((h, 10), dtype=int)
     )
     # 6 household alternatives (size never perturbed) plus 25 per member
@@ -112,7 +111,7 @@ def test_individual_support_order_and_contents(minimal_schema):
 
 
 def test_household_support_excludes_size_variable(toy_schema):
-    support = build_support_household(
+    support = oracles.build_support_household(
         toy_schema, np.array([0, 1]), np.array([[0, 0], [1, 3]])
     )
     # own 1 alternative, then 1 + 3 per member for role and color
@@ -123,8 +122,8 @@ def test_household_support_excludes_size_variable(toy_schema):
 def test_household_support_rules_drop_infeasible(toy_schema):
     rules = compile_rules("exactly_one role = 1", toy_schema)
     truth_members = np.array([[0, 0], [1, 3]])  # one head: feasible
-    plain = build_support_household(toy_schema, np.array([0, 1]), truth_members)
-    pruned = build_support_household(
+    plain = oracles.build_support_household(toy_schema, np.array([0, 1]), truth_members)
+    pruned = oracles.build_support_household(
         toy_schema, np.array([0, 1]), truth_members, rules=rules
     )
     # both role flips break the one-head rule and are dropped
@@ -136,7 +135,7 @@ def test_household_support_rules_drop_infeasible(toy_schema):
 def test_household_support_keeps_infeasible_truth(toy_schema):
     rules = compile_rules("exactly_one role = 1", toy_schema)
     two_heads = np.array([[0, 0], [0, 3]])
-    support = build_support_household(
+    support = oracles.build_support_household(
         toy_schema, np.array([0, 1]), two_heads, rules=rules
     )
     np.testing.assert_array_equal(support.mem_values[0], two_heads)
@@ -187,7 +186,8 @@ def _check_weights_against_oracle(schema, draws, data):
     ]
     for i, members in enumerate(np.split(view.mem_codes, view.hh_start[1:])):
         for r in (None, rules):
-            supports.append(build_support_household(schema, view.hh_codes[i], members, rules=r))
+            support = oracles.build_support_household(schema, view.hh_codes[i], members, rules=r)
+            supports.append(support)
     for support in supports:
         got = importance_weights(support, draws)
         want = oracles.importance_weights(support, draws)
@@ -384,7 +384,8 @@ def test_risk_sweep_matches_per_target_oracle(
     assert len(rows) == len(supports) > 1
     if with_rules:  # the rules drop some target's candidates
         assert any(
-            build_support_household(schema, s.hh_values[0], s.mem_values[0]).hh_values.shape[0]
+            oracles.build_support_household(schema, s.hh_values[0], s.mem_values[0])
+            .hh_values.shape[0]
             > s.hh_values.shape[0]
             for s in supports
         )
@@ -424,7 +425,9 @@ def test_risk_sweep_matches_one_target_posterior_oracle(wide_schema, kind, with_
         supports = []
         for i, members in enumerate(np.split(mem, np.cumsum(sizes)[:-1])):
             members = np.array(sorted(map(tuple, members.tolist())), dtype=np.int64)
-            supports.append(build_support_household(wide_schema, hh[i], members, fixed, rules))
+            supports.append(
+                oracles.build_support_household(wide_schema, hh[i], members, fixed, rules)
+            )
     assert len({s.hh_values.shape[0] for s in supports}) > 1 or kind == "individual"
     assert len(rows) == len(supports)
     for row, support in zip(rows, supports):
@@ -480,7 +483,9 @@ def test_truncated_candidate_posterior_matches_grid_integration():
     targets = [((1,), ((0,), (1,))), ((1,), ((0,), (0,)))]
     assert len(rows) == len(targets)
     for row, (hh, members) in zip(rows, targets):
-        support = build_support_household(schema, np.array(hh), np.array(members), rules=rules)
+        support = oracles.build_support_household(
+            schema, np.array(hh), np.array(members), rules=rules
+        )
         assert row.n_candidates == support.hh_values.shape[0]
         # the data with the target swapped for each candidate: K_c members at x=2
         K = 12 - int(np.sum(members)) + support.mem_values.sum(axis=(1, 2))

@@ -9,15 +9,12 @@ probability computed by a separate code path.
 import numpy as np
 import pytest
 
+from hhsynth import truncated
 from hhsynth.constraints import RuleSet, check_batch, compile_rules
-from hhsynth.gibbs import init_state
+from hhsynth.gibbs import ChainConfig, counted_arrays, gibbs_sweep, init_state, run_chain
 from hhsynth.model import Hyperparams, infeasible_mass, prior_draw
 from hhsynth.rng import substream
-from hhsynth.truncated import (
-    CapExceededError,
-    generate_augmented,
-    truncated_sweep,
-)
+from hhsynth.truncated import CapExceededError, generate_augmented
 
 
 @pytest.fixture
@@ -147,37 +144,53 @@ def test_sweep_updates_state(toy_schema, toy_dataset, head_rules):
     rng = substream(75, "sweep")
     state = init_state(view, hyper, rng)
     histogram = {1: 2, 2: 2, 3: 1}
-    truncated_sweep(state, view, toy_schema, hyper, head_rules, histogram, rng, cap=10**6)
+    state.augmented = generate_augmented(
+        state.params, toy_schema, head_rules, histogram, rng, cap=10**6
+    )
+    gibbs_sweep(state, view, hyper, rng)
     assert state.iteration == 1
-    assert state.augmented is not None
     assert state.hh_class.shape == (5,)
     assert state.mem_class.shape == (9,)
     state.params.validate()
     sizes = state.augmented.feasible.sizes
     np.testing.assert_array_equal(np.bincount(sizes, minlength=4)[1:], [2, 2, 1])
+    # the parameter draws count the augmented records after the observed ones
+    batch = state.augmented
+    assert batch.total_infeasible > 0
+    hh_class, hh_codes, mem_hh_class, mem_class, mem_codes = counted_arrays(state, view)
+    np.testing.assert_array_equal(hh_class[:5], state.hh_class)
+    np.testing.assert_array_equal(hh_class[5:], batch.infeasible_hh_class)
+    np.testing.assert_array_equal(hh_codes[5:], batch.infeasible.hh_codes)
+    np.testing.assert_array_equal(
+        mem_hh_class[9:], batch.infeasible_hh_class[batch.infeasible.mem_hh]
+    )
+    np.testing.assert_array_equal(mem_class[9:], batch.infeasible_mem_class)
+    np.testing.assert_array_equal(mem_codes[9:], batch.infeasible.mem_codes)
 
 
-def test_sweep_reuses_previous_batch_on_cap(toy_schema, toy_dataset, head_rules):
+@pytest.mark.filterwarnings("ignore:.*truncation level.*")
+def test_sweep_reuses_previous_batch_on_cap(monkeypatch, toy_schema, toy_dataset, head_rules):
+    batches = []
+
+    def first_call_only(*args):
+        if batches:
+            raise CapExceededError("over the cap")
+        batches.append(generate_augmented(*args))
+        return batches[0]
+
+    monkeypatch.setattr(truncated, "generate_augmented", first_call_only)
     hyper = Hyperparams.uniform(toy_schema, 3, 2)
-    view = toy_dataset.to_view()
-    rng = substream(76, "reuse")
-    state = init_state(view, hyper, rng)
-    histogram = {1: 2, 2: 2, 3: 1}
-    truncated_sweep(state, view, toy_schema, hyper, head_rules, histogram, rng, cap=10**6)
-    previous = state.augmented
-    # a cap too small for even one batch forces reuse
-    truncated_sweep(state, view, toy_schema, hyper, head_rules, histogram, rng, cap=1)
-    assert state.cap_exceeded == 1
-    assert state.augmented is previous
-    assert state.iteration == 2
+    config = ChainConfig(6, 3, seed=76)
+    result = run_chain(toy_dataset, hyper, config, rules=head_rules)
+    assert result.final_state.iteration == config.n_iterations
+    assert result.diagnostics.cap_exceeded == config.n_iterations - 1
+    assert result.n_checkpoints == 3
+    assert all(record.feasible is batches[0].feasible for record in result.checkpoints)
 
 
 def test_sweep_without_previous_batch_propagates(toy_schema, toy_dataset, head_rules):
     hyper = Hyperparams.uniform(toy_schema, 3, 2)
-    view = toy_dataset.to_view()
-    rng = substream(77, "nofallback")
-    state = init_state(view, hyper, rng)
     with pytest.raises(CapExceededError):
-        truncated_sweep(
-            state, view, toy_schema, hyper, head_rules, {1: 2, 2: 2, 3: 1}, rng, cap=1
+        run_chain(
+            toy_dataset, hyper, ChainConfig(6, 3, seed=77, candidate_cap=1), rules=head_rules
         )
