@@ -445,6 +445,18 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         )
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write a report table.  A float cell, numpy's included, is the shortest
+    decimal that reads back to the same double; None is an empty cell and
+    anything else is written as str (csv.writer's own rule for both)."""
+    with Path(path).open("w", newline="", encoding="utf8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows
+        )
+
+
 def size_histogram(dataset: Dataset) -> dict[int, int]:
     """Households per size, as {size: count} over observed sizes only."""
     counts = np.bincount(dataset.to_view().sizes)

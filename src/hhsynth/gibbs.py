@@ -21,7 +21,7 @@ import numpy as np
 
 from .checkpoints import CheckpointRecord, CheckpointWriter, hyper_meta
 from .config import ChainConfig
-from .data import Dataset, DatasetView, size_histogram
+from .data import Dataset, DatasetView, size_histogram, write_csv
 from .model import (
     Hyperparams,
     Params,
@@ -71,8 +71,6 @@ class Diagnostics:
             self.n_infeasible.append(state.augmented.n_infeasible)
 
     def to_csv(self, path: str | Path) -> None:
-        import csv
-
         F = self.hh_weights[0].shape[0] if self.hh_weights else 0
         header = [
             "iteration",
@@ -81,30 +79,19 @@ class Diagnostics:
             "hh_concentration",
             "mem_concentration",
         ] + [f"pi_{g + 1}" for g in range(F)]
+        sweeps = zip(self.occupied_hh, self.occupied_mem, self.hh_conc, self.mem_conc)
+        rows = [[i, *sweep, *w] for i, (sweep, w) in enumerate(zip(sweeps, self.hh_weights), 1)]
         if self.strata is not None:
             header += [f"n_infeasible_size{h}" for h in self.strata] + ["n_infeasible_total"]
-        with Path(path).open("w", newline="", encoding="utf8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(self.occupied_hh)):
-                row = [
-                    i + 1,
-                    self.occupied_hh[i],
-                    self.occupied_mem[i],
-                    repr(float(self.hh_conc[i])),
-                    repr(float(self.mem_conc[i])),
-                ] + [repr(float(x)) for x in self.hh_weights[i]]
-                if self.strata is not None:
-                    counts = self.n_infeasible[i]
-                    row += [int(c) for c in counts] + [int(counts.sum())]
-                writer.writerow(row)
+            for row, counts in zip(rows, self.n_infeasible):
+                row += [*counts, counts.sum()]
+        write_csv(path, header, rows)
 
 
 @dataclass
 class ChainResult:
     diagnostics: Diagnostics
     checkpoints: list[CheckpointRecord] | None
-    checkpoint_path: Path | None
     final_state: ChainState
     n_checkpoints: int
 
@@ -359,7 +346,6 @@ def run_chain(
 
     if truncated:
         from .truncated import CapExceededError, generate_augmented
-    n_emitted = 0
     for it in range(1, config.n_iterations + 1):
         if truncated:
             try:
@@ -384,7 +370,6 @@ def run_chain(
                 writer.write(record)
             else:
                 kept.append(record)
-            n_emitted += 1
     if writer is not None:
         writer.close()
 
@@ -405,7 +390,6 @@ def run_chain(
     return ChainResult(
         diagnostics=diag,
         checkpoints=kept,
-        checkpoint_path=Path(checkpoint_path) if checkpoint_path is not None else None,
         final_state=state,
-        n_checkpoints=n_emitted,
+        n_checkpoints=writer.count if writer is not None else len(kept),
     )

@@ -9,16 +9,15 @@ is q(1 - q)/denominator throughout.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .data import HOUSEHOLD, Dataset, Schema
+from .data import HOUSEHOLD, Dataset, Schema, write_csv
 
 
 @dataclass(frozen=True)
@@ -318,21 +317,4 @@ def _build_row(
 
 
 def write_report_csv(rows: list[ReportRow], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["query", "truth", "q_orig", "lo_orig", "hi_orig", "q_syn", "lo_syn", "hi_syn"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.query,
-                    "" if row.truth is None else repr(float(row.truth)),
-                    repr(float(row.q_orig)),
-                    repr(float(row.lo_orig)),
-                    repr(float(row.hi_orig)),
-                    repr(float(row.q_syn)),
-                    repr(float(row.lo_syn)),
-                    repr(float(row.hi_syn)),
-                ]
-            )
+    write_csv(path, [f.name for f in fields(ReportRow)], (vars(row).values() for row in rows))

@@ -20,6 +20,8 @@ from .data import DatasetView, Schema
 
 # Floor applied inside logs so empty categories never produce -inf/NaN chains.
 LOG_FLOOR = 1e-300
+# Least Dirichlet weight of an empirical prior, kept by unobserved categories.
+PRIOR_FLOOR = 1e-3
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -102,22 +104,21 @@ class Hyperparams:
         view: DatasetView,
         n_hh_classes: int,
         n_mem_classes: int,
-        floor: float = 1e-3,
         **kw,
     ) -> Hyperparams:
         """Dirichlet weights proportional to observed marginals, total mass d_k.
 
-        Unobserved categories keep a small positive floor so the prior stays
+        Unobserved categories keep the weight PRIOR_FLOOR so the prior stays
         proper while contributing negligible mass.
         """
         hh_prior = []
         for k, v in enumerate(schema.household_vars):
             freq = np.bincount(view.hh_codes[:, k], minlength=v.cardinality).astype(float)
-            hh_prior.append(np.maximum(v.cardinality * freq / freq.sum(), floor))
+            hh_prior.append(np.maximum(v.cardinality * freq / freq.sum(), PRIOR_FLOOR))
         mem_prior = []
         for k, v in enumerate(schema.individual_vars):
             freq = np.bincount(view.mem_codes[:, k], minlength=v.cardinality).astype(float)
-            mem_prior.append(np.maximum(v.cardinality * freq / freq.sum(), floor))
+            mem_prior.append(np.maximum(v.cardinality * freq / freq.sum(), PRIOR_FLOOR))
         return cls(
             n_hh_classes=n_hh_classes,
             n_mem_classes=n_mem_classes,

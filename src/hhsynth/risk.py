@@ -13,16 +13,15 @@ feasible share of size h under the draw.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import RiskConfig
 from .constraints import check_batch
-from .data import Dataset, DatasetView, Schema
+from .data import Dataset, DatasetView, Schema, write_csv
 from .model import (
     Params,
     class_posterior_logweights,
@@ -70,34 +69,16 @@ class RiskRow:
 @dataclass
 class RiskSummary:
     rows: list[RiskRow]
-    rank_histogram: dict[int, int] = field(default_factory=dict)
 
-    def finalize(self) -> None:
-        self.rank_histogram = dict(sorted(Counter(r.rank_of_truth for r in self.rows).items()))
+    @property
+    def rank_histogram(self) -> dict[int, int]:
+        return dict(sorted(Counter(r.rank_of_truth for r in self.rows).items()))
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["target_id", "n_candidates", "rank_of_truth", "rho_truth", "rho_max"]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.target_id,
-                        row.n_candidates,
-                        row.rank_of_truth,
-                        repr(float(row.rho_truth)),
-                        repr(float(row.rho_max)),
-                    ]
-                )
+        write_csv(path, [f.name for f in fields(RiskRow)], (vars(r).values() for r in self.rows))
 
     def histogram_to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank_of_truth", "n_targets"])
-            for rank, count in self.rank_histogram.items():
-                writer.writerow([rank, count])
+        write_csv(path, ["rank_of_truth", "n_targets"], self.rank_histogram.items())
 
 
 def _changes(values: np.ndarray, variables, fixed) -> np.ndarray:
@@ -365,6 +346,4 @@ def risk_sweep(
         RiskRow(target_id, int(C), int(rank), float(truth), float(top))
         for target_id, C, rank, truth, top in zip(ids, counts, ranks, rho_truth, rho_max)
     ]
-    summary = RiskSummary(rows=rows)
-    summary.finalize()
-    return summary
+    return RiskSummary(rows=rows)

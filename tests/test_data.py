@@ -1,5 +1,8 @@
 """Schema parsing, dataset validation, file round-trips, size histogram."""
 
+import csv
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from hhsynth.data import (
     load_dataset,
     parse_schema,
     size_histogram,
+    write_csv,
     write_dataset,
 )
 
@@ -294,6 +298,25 @@ def test_write_of_load_reproduces_the_file(tmp_path, toy_schema):
     again = tmp_path / "again.csv"
     write_dataset(load_dataset(source, toy_schema), again)
     assert again.read_bytes() == source.read_bytes()
+
+
+def test_write_csv_writes_each_cell_kind(tmp_path):
+    path = tmp_path / "table.csv"
+    row = [np.float64(0.1), 1e-05, 2 / 3, None, np.int64(3), 7, "h1"]
+    write_csv(path, ["a", "b", "c", "d", "e", "f", "g"], [row])
+    assert path.read_bytes() == b"a,b,c,d,e,f,g\r\n0.1,1e-05,0.6666666666666666,,3,7,h1\r\n"
+
+    # every double reads back to the same bits, sign included
+    rng = np.random.default_rng(0)
+    doubles = np.concatenate(
+        [rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500), rng.random(500)]
+    ).tolist() + [5e-324, -0.0, 1e16]
+    write_csv(path, ["x"], ([x] for x in doubles))
+    with path.open(newline="", encoding="utf8") as fh:
+        cells = [r[0] for r in list(csv.reader(fh))[1:]]
+    bits = [struct.pack("<d", x) for x in doubles]
+    assert [struct.pack("<d", float(c)) for c in cells] == bits
+    assert cells[-3:] == ["5e-324", "-0.0", "1e+16"]
 
 
 def test_empty_dataset(tmp_path, toy_schema):

@@ -4,7 +4,8 @@ Every module-level function and class in src/hhsynth must be referenced by
 the library's code (docstrings and comments do not count), be imported by
 the release gate (tests/test_acceptance.py), or be a command (cmd_*): the
 library holds no function that only its unit tests call.  The modules'
-relative imports, at any depth of a file, form no cycle.
+relative imports, at any depth of a file, form no cycle.  Only data.py uses
+the csv module, so one function decides how every CSV cell is written.
 """
 
 import ast
@@ -73,6 +74,22 @@ def import_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     return None
 
 
+def csv_uses(src: Path) -> list[str]:
+    """module:line of each import of csv and each csv.<name> reference."""
+    uses = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+            if (
+                isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "csv"
+                or isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "csv"
+            ):
+                uses.append(f"{path.name}:{node.lineno}")
+    return uses
+
+
 def test_every_library_definition_has_a_caller():
     allowed = gate_imports()
     unused = [
@@ -113,3 +130,15 @@ def test_the_import_scan_sees_a_cycle(tmp_path):
     graph = import_graph(tmp_path)
     assert graph == {"a": {"b"}, "b": {"a"}, "c": {"a"}}
     assert sorted(import_cycle(graph)[1:]) == ["a", "b"]
+
+
+def test_only_data_uses_csv():
+    uses = csv_uses(ROOT / "src" / "hhsynth")
+    assert uses and all(use.startswith("data.py:") for use in uses)
+
+
+def test_the_csv_scan_sees_every_use(tmp_path):
+    (tmp_path / "a.py").write_text("def f(fh):\n    import csv\n\n    return csv.writer(fh)\n")
+    (tmp_path / "b.py").write_text("from csv import reader\n")
+    (tmp_path / "c.py").write_text('"""Writes a csv file."""\n\ncsv_path = "x.csv"\n')
+    assert csv_uses(tmp_path) == ["a.py:2", "a.py:4", "b.py:1"]

@@ -432,7 +432,6 @@ def test_run_chain_streaming_matches_memory(tmp_path, toy_schema, toy_dataset):
         toy_dataset, hyper, ChainConfig(8, 4, seed=5), checkpoint_path=path
     )
     assert streamed.checkpoints is None
-    assert streamed.checkpoint_path == path
     meta, records = read_checkpoints(path)
     assert meta["mode"] == "untruncated"
     assert meta["burn_in"] == 4
