@@ -258,7 +258,7 @@ def _hyperparams(cfg: RunConfig, schema: Schema, dataset: Dataset) -> Hyperparam
     kw = dict(cfg.model)
     if kw.pop("kernel_prior", "empirical") == "uniform":
         return _build("model", partial(Hyperparams.uniform, schema), kw)
-    return _build("model", partial(Hyperparams.empirical, schema, dataset.to_view()), kw)
+    return _build("model", partial(Hyperparams.empirical, schema, dataset), kw)
 
 
 def _output_of(stage: str, what: str, path: Path) -> Path:
@@ -271,7 +271,7 @@ def _output_of(stage: str, what: str, path: Path) -> Path:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.toy is None:
         raise UsageError("config: a 'simulate' section is required")
-    from .data import load_schema, write_dataset
+    from .data import SchemaError, load_schema, write_dataset
     from .rng import substream
     from .simulate import marginal, sample_households, simulate_toy_population
 
@@ -283,9 +283,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
         )
     for name in cfg.toy.marginals:
         _value(f"simulate.marginals.{name}", partial(marginal, cfg.toy, schema), name)
-    population = simulate_toy_population(
-        schema, cfg.toy, substream(cfg.seed, "simulate", "population")
-    )
+    try:
+        population = simulate_toy_population(
+            schema, cfg.toy, substream(cfg.seed, "simulate", "population")
+        )
+    except SchemaError as exc:  # the message names the ToyConfig fields at fault
+        keys = ", ".join(key for key, (name, _) in _SIMULATE.items() if name in str(exc))
+        raise UsageError(f"config: simulate: {exc} (set by {keys})") from exc
     sample = sample_households(
         population, cfg.sample_households, substream(cfg.seed, "simulate", "sample")
     )
@@ -379,23 +383,27 @@ def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery
         raise UsageError(f"config: unknown query kind {kind!r}")
     where = f"query {spec.get('name', kind)!r}"
     _check_keys(where, spec, {"kind", *_QUERY_KEYS[kind], *(("name", "size") if top else ())})
+
+    def code(name: str, value) -> int:  # a 1-based code or a label, checked against the schema
+        return schema.variable(name).code_of(str(value))
+
     if kind == "all_equal":
         pred = all_members_equal(schema, _require(spec, "variable", where))
     elif kind == "exists":
         literals = _require(spec, "literals", where)
-        pred = exists_member(schema, **{k: int(v) - 1 for k, v in literals.items()})
+        pred = exists_member(schema, **{k: code(k, v) for k, v in literals.items()})
     elif kind == "count":
+        variable = _require(spec, "variable", where)
         pred = member_count(
             schema,
-            _require(spec, "variable", where),
-            int(_require(spec, "code", where)) - 1,
+            variable,
+            code(variable, _require(spec, "code", where)),
             min_count=int(spec.get("min", 0)),
             max_count=int(spec["max"]) if "max" in spec else None,
         )
     elif kind == "hh_value":
-        pred = household_value(
-            schema, _require(spec, "variable", where), int(_require(spec, "code", where)) - 1
-        )
+        variable = _require(spec, "variable", where)
+        pred = household_value(schema, variable, code(variable, _require(spec, "code", where)))
     else:
         pred = q_all(*[_build_query(schema, sub, top=False) for sub in _require(spec, "of", where)])
     if not top:

@@ -4,13 +4,15 @@ Category codes are 1-based in every file format (data CSV, schema config,
 rule text) and 0-based everywhere in memory.  Conversion happens only at the
 I/O boundary.  The household-size variable is special: its 1-based code equals
 the number of members, so a household with size code h has exactly h rows.
+
+A Dataset is a DatasetView plus its schema and household ids.
 """
 
 from __future__ import annotations
 
 import csv
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -182,83 +184,6 @@ class HouseholdRecord:
         return len(self.members)
 
 
-class Dataset:
-    """A schema, the household ids, and the household arrays as one DatasetView.
-
-    Build one from arrays, ``Dataset(schema, view=..., ids=...)``, or from
-    HouseholdRecord literals, ``Dataset(schema, records)``; records become
-    arrays once and are not kept.  Without ids, households are named h000001,
-    h000002, ... in order.
-    """
-
-    def __init__(
-        self,
-        schema: Schema,
-        records: Iterable[HouseholdRecord] = (),
-        *,
-        view: DatasetView | None = None,
-        ids: Sequence[str] | None = None,
-    ):
-        if view is None:
-            records = tuple(records)
-            q, p = len(schema.household_vars), len(schema.individual_vars)
-            view = DatasetView.from_arrays(
-                np.array([r.hh_values for r in records], dtype=np.int64).reshape(len(records), q),
-                np.array([m for r in records for m in r.members], dtype=np.int64).reshape(-1, p),
-                [r.size for r in records],
-            )
-            ids = [r.household_id for r in records]
-        elif ids is None:
-            ids = [f"h{i + 1:06d}" for i in range(view.n_households)]
-        self.schema = schema
-        self.ids = tuple(ids)
-        self._view = view
-
-    @property
-    def n_households(self) -> int:
-        return self._view.n_households
-
-    @property
-    def n_individuals(self) -> int:
-        return int(self._view.sizes.sum())
-
-    def validate(self) -> None:
-        """Check the arrays against the schema; raises SchemaError naming a household."""
-        schema, view, ids = self.schema, self._view, self.ids
-        seen = set()
-        for hid in ids:
-            if hid in seen:
-                raise SchemaError(f"duplicate household id {hid!r}")
-            seen.add(hid)
-        q = len(schema.household_vars)
-        p = len(schema.individual_vars)
-        if view.hh_codes.shape != (len(ids), q) or view.mem_codes.shape != (self.n_individuals, p):
-            raise SchemaError(f"expected {q} household codes and {p} codes per member")
-        i = _first(view.sizes < 1)
-        if i is not None:
-            raise SchemaError(f"household {ids[i]!r}: no members")
-        size_codes = view.hh_codes[:, schema.size_index] + 1
-        i = _first(size_codes != view.sizes)
-        if i is not None:
-            raise SchemaError(
-                f"household {ids[i]!r}: size code {size_codes[i]} but {view.sizes[i]} members"
-            )
-        levels = (
-            (view.hh_codes, np.arange(len(ids)), schema.household_vars),
-            (view.mem_codes, view.mem_hh, schema.individual_vars),
-        )
-        for codes, household_of_row, variables in levels:
-            for k, v in enumerate(variables):
-                i = _first((codes[:, k] < 0) | (codes[:, k] >= v.cardinality))
-                if i is not None:
-                    raise SchemaError(
-                        f"household {ids[household_of_row[i]]!r}: {v.name} code out of range"
-                    )
-
-    def to_view(self) -> DatasetView:
-        return DatasetView.from_dataset(self)
-
-
 def _first(mask: np.ndarray) -> int | None:
     """Index of the first True entry, or None."""
     hits = np.flatnonzero(mask)
@@ -267,7 +192,7 @@ def _first(mask: np.ndarray) -> int | None:
 
 @dataclass(frozen=True)
 class DatasetView:
-    """Flat array form of a Dataset used by the numerical code.
+    """Flat array form of households, used by the numerical code.
 
     Member rows are stored contiguously in household order, so per-household
     reductions can use hh_start offsets directly.
@@ -312,8 +237,8 @@ class DatasetView:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> DatasetView:
-        """The arrays a Dataset holds; they were built once, when it was made."""
-        return dataset._view
+        """The Dataset itself: it is a DatasetView."""
+        return dataset
 
     @classmethod
     def from_arrays(
@@ -328,6 +253,77 @@ class DatasetView:
             hh_start=sizes.cumsum() - sizes,
             sizes=sizes,
         )
+
+
+class Dataset(DatasetView):
+    """A DatasetView plus its schema and household ids; it goes wherever a view does.
+
+    Build one from arrays, ``Dataset(schema, view=..., ids=...)``, or from
+    HouseholdRecord literals, ``Dataset(schema, records)``; records become
+    arrays once and are not kept.  Without ids, households are named h000001,
+    h000002, ... in order.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        records: Iterable[HouseholdRecord] = (),
+        *,
+        view: DatasetView | None = None,
+        ids: Sequence[str] | None = None,
+    ):
+        if view is None:
+            records = tuple(records)
+            q, p = len(schema.household_vars), len(schema.individual_vars)
+            view = DatasetView.from_arrays(
+                np.array([r.hh_values for r in records], dtype=np.int64).reshape(len(records), q),
+                np.array([m for r in records for m in r.members], dtype=np.int64).reshape(-1, p),
+                [r.size for r in records],
+            )
+            ids = [r.household_id for r in records]
+        elif ids is None:
+            ids = [f"h{i + 1:06d}" for i in range(view.n_households)]
+        for f in fields(DatasetView):  # DatasetView is frozen
+            object.__setattr__(self, f.name, getattr(view, f.name))
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "ids", tuple(ids))
+
+    def validate(self) -> None:
+        """Check the arrays against the schema; raises SchemaError naming a household."""
+        schema, ids = self.schema, self.ids
+        seen = set()
+        for hid in ids:
+            if hid in seen:
+                raise SchemaError(f"duplicate household id {hid!r}")
+            seen.add(hid)
+        q = len(schema.household_vars)
+        p = len(schema.individual_vars)
+        n_members = int(self.sizes.sum())  # n_individuals counts the rows, not the sizes
+        if self.hh_codes.shape != (len(ids), q) or self.mem_codes.shape != (n_members, p):
+            raise SchemaError(f"expected {q} household codes and {p} codes per member")
+        i = _first(self.sizes < 1)
+        if i is not None:
+            raise SchemaError(f"household {ids[i]!r}: no members")
+        size_codes = self.hh_codes[:, schema.size_index] + 1
+        i = _first(size_codes != self.sizes)
+        if i is not None:
+            raise SchemaError(
+                f"household {ids[i]!r}: size code {size_codes[i]} but {self.sizes[i]} members"
+            )
+        levels = (
+            (self.hh_codes, np.arange(len(ids)), schema.household_vars),
+            (self.mem_codes, self.mem_hh, schema.individual_vars),
+        )
+        for codes, household_of_row, variables in levels:
+            for k, v in enumerate(variables):
+                i = _first((codes[:, k] < 0) | (codes[:, k] >= v.cardinality))
+                if i is not None:
+                    raise SchemaError(
+                        f"household {ids[household_of_row[i]]!r}: {v.name} code out of range"
+                    )
+
+    def to_view(self) -> DatasetView:
+        return DatasetView.from_dataset(self)
 
 
 def load_dataset(path: str | Path, schema: Schema) -> Dataset:
@@ -428,11 +424,10 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the person-level CSV form (1-based codes, one row per member)."""
     path = Path(path)
-    view = dataset.to_view()
     hh_names = [v.name for v in dataset.schema.household_vars]
     ind_names = [v.name for v in dataset.schema.individual_vars]
-    person = np.arange(view.n_individuals) - view.hh_start[view.mem_hh] + 1
-    hh_part = (view.hh_codes + 1).tolist()
+    person = np.arange(dataset.n_individuals) - dataset.hh_start[dataset.mem_hh] + 1
+    hh_part = (dataset.hh_codes + 1).tolist()
     ids = dataset.ids
     with path.open("w", newline="", encoding="utf8") as fh:
         writer = csv.writer(fh)
@@ -440,7 +435,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         writer.writerows(
             [ids[i], j] + hh_part[i] + member
             for i, j, member in zip(
-                view.mem_hh.tolist(), person.tolist(), (view.mem_codes + 1).tolist()
+                dataset.mem_hh.tolist(), person.tolist(), (dataset.mem_codes + 1).tolist()
             )
         )
 
@@ -459,5 +454,5 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable])
 
 def size_histogram(dataset: Dataset) -> dict[int, int]:
     """Households per size, as {size: count} over observed sizes only."""
-    counts = np.bincount(dataset.to_view().sizes)
+    counts = np.bincount(dataset.sizes)
     return {h: c for h, c in enumerate(counts.tolist()) if c}

@@ -321,13 +321,12 @@ def run_chain(
     to checkpoint_path when given, otherwise they are kept in memory.
     """
     schema = dataset.schema
-    view = dataset.to_view()
     rng = substream(config.seed, "chain")
     truncated = bool(rules)
     histogram = size_histogram(dataset) if truncated else None
-    cap = config.candidate_cap if config.candidate_cap else 1000 * max(view.n_households, 1)
+    cap = config.candidate_cap if config.candidate_cap else 1000 * max(dataset.n_households, 1)
 
-    state = init_state(view, hyper, rng)
+    state = init_state(dataset, hyper, rng)
     diag = Diagnostics(strata=sorted(histogram) if truncated else None)
     writer = None
     kept: list[CheckpointRecord] | None = None
@@ -356,7 +355,7 @@ def run_chain(
                 if state.augmented is None:
                     raise
                 diag.cap_exceeded += 1
-        gibbs_sweep(state, view, hyper, rng)
+        gibbs_sweep(state, dataset, hyper, rng)
         diag.record(state)
         if it > config.burn_in and (it - config.burn_in - 1) % config.thin == 0:
             record = CheckpointRecord(

@@ -61,7 +61,7 @@ class CombinedEstimate:
 def estimate_proportion(dataset: Dataset, query: CellQuery | HouseholdQuery) -> tuple[float, float]:
     """Return (proportion, binomial within variance) for one query."""
     if isinstance(query, HouseholdQuery):
-        sizes = dataset.to_view().sizes
+        sizes = dataset.sizes
         pool = np.ones(len(sizes), dtype=bool) if query.size is None else sizes == query.size
         n_pool = int(np.count_nonzero(pool))
         if not n_pool:
@@ -84,7 +84,7 @@ def _cell_counts(dataset: Dataset, variables: tuple[str, ...]) -> tuple[np.ndarr
     otherwise individuals, with household values attached to each member.
     """
     schema = dataset.schema
-    view = dataset.to_view()
+    view = dataset.to_view()  # is dataset; kept because the benchmark times it as data.to_view
     levels = [schema.index_of(name) for name in variables]
     household_only = all(level == HOUSEHOLD for level, _ in levels)
     columns = []
@@ -162,9 +162,9 @@ def all_members_equal(schema: Schema, variable: str) -> Callable[[Dataset], np.n
     idx = _individual_index(schema, variable)
 
     def pred(dataset: Dataset) -> np.ndarray:
-        view = dataset.to_view()
-        codes = view.mem_codes[:, idx]
-        return np.logical_and.reduceat(codes == codes[view.hh_start][view.mem_hh], view.hh_start)
+        codes = dataset.mem_codes[:, idx]
+        start = dataset.hh_start
+        return np.logical_and.reduceat(codes == codes[start][dataset.mem_hh], start)
 
     return pred
 
@@ -174,11 +174,10 @@ def exists_member(schema: Schema, **codes: int) -> Callable[[Dataset], np.ndarra
     idx_codes = [(_individual_index(schema, name), code) for name, code in codes.items()]
 
     def pred(dataset: Dataset) -> np.ndarray:
-        view = dataset.to_view()
-        match = np.ones(view.n_individuals, dtype=bool)
+        match = np.ones(dataset.n_individuals, dtype=bool)
         for idx, code in idx_codes:
-            match &= view.mem_codes[:, idx] == code
-        return np.logical_or.reduceat(match, view.hh_start)
+            match &= dataset.mem_codes[:, idx] == code
+        return np.logical_or.reduceat(match, dataset.hh_start)
 
     return pred
 
@@ -193,8 +192,7 @@ def member_count(
     idx = _individual_index(schema, variable)
 
     def pred(dataset: Dataset) -> np.ndarray:
-        view = dataset.to_view()
-        count = np.add.reduceat(view.mem_codes[:, idx] == code, view.hh_start, dtype=np.int64)
+        count = np.add.reduceat(dataset.mem_codes[:, idx] == code, dataset.hh_start, dtype=np.int64)
         return (count >= min_count) & (max_count is None or count <= max_count)
 
     return pred
@@ -204,7 +202,7 @@ def household_value(schema: Schema, variable: str, code: int) -> Callable[[Datas
     level, idx = schema.index_of(variable)
     if level != HOUSEHOLD:
         raise ValueError(f"{variable!r} is not a household variable")
-    return lambda dataset: dataset.to_view().hh_codes[:, idx] == code
+    return lambda dataset: dataset.hh_codes[:, idx] == code
 
 
 def q_all(*preds: Callable) -> Callable[[Dataset], np.ndarray]:

@@ -38,15 +38,14 @@ class TargetSupport:
 
     Individual targets: mem_values is (C, p) and each candidate pairs one
     member's values with guessed household values (hh_values, (C, q)).
-    Household targets: mem_values is (C, h, p).  log_prior defaults to
-    uniform over candidates.
+    Household targets: mem_values is (C, h, p).  The prior over the
+    candidates is uniform.
     """
 
     kind: str
     hh_values: np.ndarray
     mem_values: np.ndarray
     truth_index: int = 0
-    log_prior: np.ndarray | None = None
 
 
 @dataclass
@@ -163,10 +162,9 @@ def build_support_individual(
     return _individual_supports(schema, hh_values, mem_values, held_fixed)[0]
 
 
-def replicate_likelihood(params: Params, replicate: Dataset | DatasetView) -> float:
+def replicate_likelihood(params: Params, replicate: DatasetView) -> float:
     """log P(replicate | params), classes marginalized out."""
-    view = replicate.to_view() if isinstance(replicate, Dataset) else replicate
-    return dataset_loglik(params, view)
+    return dataset_loglik(params, replicate)
 
 
 def candidate_logliks(supports: list[TargetSupport], params_draws: list[Params]) -> list:
@@ -239,8 +237,7 @@ def importance_posterior(
             [[replicate_likelihood(params, z) for z in replicates] for params in params_draws]
         )
     weights = importance_weights(support, params_draws)[None]
-    log_prior = None if support.log_prior is None else support.log_prior[None]
-    rho, rank = _posteriors(weights, log_p, support.truth_index, log_prior)
+    rho, rank = _posteriors(weights, log_p, support.truth_index)
     return RiskResult(
         posterior=rho[0],
         rank_of_truth=int(rank[0]),
@@ -250,7 +247,7 @@ def importance_posterior(
 
 
 def _posteriors(
-    weights: np.ndarray, log_p: np.ndarray, truth_index: int, log_prior: np.ndarray | None = None
+    weights: np.ndarray, log_p: np.ndarray, truth_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posteriors (T, C) and ranks of the truth (T,) of T targets of C candidates each.
 
@@ -264,8 +261,6 @@ def _posteriors(
     # per target, replicate and candidate: log sum_r exp(log_p + log_weight)
     per_rep = logsumexp(log_p[None, :, :, None] + log_weights[:, :, None, :], axis=1)
     scores = per_rep.sum(axis=1)  # (T, C)
-    if log_prior is not None:
-        scores = scores + log_prior
     rho = np.exp(scores - logsumexp(scores, axis=1)[:, None])
     rho = rho / rho.sum(axis=1, keepdims=True)
     order = np.argsort(-rho, axis=1, kind="stable")
@@ -284,13 +279,12 @@ def risk_sweep(
 ) -> RiskSummary:
     """Assess every distinct target in the data; duplicates share one result."""
     schema = original.schema
-    rep_views = [r.to_view() for r in replicates]
     log_p = np.array(
-        [[replicate_likelihood(params, v) for v in rep_views] for params in params_draws]
+        [[replicate_likelihood(params, z) for z in replicates] for params in params_draws]
     )
-    if config.rules and rep_views:
+    if config.rules and replicates:
         # a truncated fit's likelihood of a size-h household is over 1 - pi0_h
-        counts = np.array([np.bincount(v.sizes, minlength=schema.max_size + 1) for v in rep_views])
+        counts = np.array([np.bincount(z.sizes, minlength=schema.max_size + 1) for z in replicates])
         sizes = np.flatnonzero(counts.any(axis=0))
         pi0 = np.array([
             [infeasible_mass(params, schema, config.rules, h)[0] for h in sizes]
@@ -298,19 +292,18 @@ def risk_sweep(
         ])
         log_p -= np.log1p(-pi0) @ counts[:, sizes].T
 
-    view = original.to_view()
     if config.kind == "individual":
-        q = view.hh_codes.shape[1]
-        combined = np.concatenate([view.hh_codes[view.mem_hh], view.mem_codes], axis=1)
+        q = original.hh_codes.shape[1]
+        combined = np.concatenate([original.hh_codes[original.mem_hh], original.mem_codes], axis=1)
         targets = np.unique(combined, axis=0)
         ids = [_target_id(schema.household_vars + schema.individual_vars, row) for row in targets]
         supports = _individual_supports(schema, targets[:, :q], targets[:, q:], config.held_fixed)
     else:
         # distinct (household values, sorted member rows), in order of first appearance
-        members_of = np.split(view.mem_codes, view.hh_start[1:])
+        members_of = np.split(original.mem_codes, original.hh_start[1:])
         keys = list(dict.fromkeys(
             (tuple(hh_row), tuple(sorted(map(tuple, rows.tolist()))))
-            for hh_row, rows in zip(view.hh_codes.tolist(), members_of)
+            for hh_row, rows in zip(original.hh_codes.tolist(), members_of)
             if config.sizes is None or len(rows) in config.sizes
         ))
         ids = [

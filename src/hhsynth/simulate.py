@@ -30,15 +30,19 @@ def marginal(config: ToyConfig, schema: Schema, name: str) -> np.ndarray:
 def simulate_toy_population(
     schema: Schema, config: ToyConfig, rng: np.random.Generator
 ) -> Dataset:
-    """Draw a full population of households under the toy process."""
-    copy_var = schema.variable(config.copy_variable)
-    if copy_var.level != "individual":
-        raise SchemaError("the copied variable must be individual level")
+    """Draw a toy population; a SchemaError names the ToyConfig field the schema cannot hold."""
+    individual = {v.name: v for v in schema.individual_vars}
+    for key in ("copy_variable", "role_variable"):
+        name = getattr(config, key)
+        if name is not None and name not in individual:
+            raise SchemaError(f"{key} {name!r} is not an individual variable")
+    if config.role_variable is not None:
+        d = individual[config.role_variable].cardinality
+        if not (0 <= config.head_code < d and 0 <= config.other_code < d):
+            raise SchemaError(f"head_code and other_code must lie within 1..{d}")
     sizes_avail = sorted(config.size_probs)
     if not sizes_avail or sizes_avail[0] < 1 or sizes_avail[-1] > schema.max_size:
-        raise SchemaError(
-            f"size distribution must cover sizes within 1..{schema.max_size}"
-        )
+        raise SchemaError(f"size_probs must cover sizes within 1..{schema.max_size}")
     weights = np.array([config.size_probs[h] for h in sizes_avail], dtype=float)
     weights = weights / weights.sum()
 
@@ -84,11 +88,11 @@ def sample_households(
     if n > dataset.n_households:
         raise ValueError(f"cannot sample {n} of {dataset.n_households} households")
     picks = np.sort(rng.choice(dataset.n_households, size=n, replace=False))
-    view = dataset.to_view()
     keep = np.zeros(dataset.n_households, dtype=bool)
     keep[picks] = True
-    members = keep[view.mem_hh]
-    sample = DatasetView.from_arrays(view.hh_codes[keep], view.mem_codes[members], view.sizes[keep])
+    sample = DatasetView.from_arrays(
+        dataset.hh_codes[keep], dataset.mem_codes[keep[dataset.mem_hh]], dataset.sizes[keep]
+    )
     return Dataset(dataset.schema, view=sample, ids=[dataset.ids[i] for i in picks.tolist()])
 
 

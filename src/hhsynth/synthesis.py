@@ -58,20 +58,19 @@ def synthesize_untruncated(
     from .rng import substream
 
     schema = dataset.schema
-    view = dataset.to_view()
     s = schema.size_index
-    n_free = view.n_households * (len(schema.household_vars) - 1)
+    n_free = dataset.n_households * (len(schema.household_vars) - 1)
     chosen = select_records(records, n_replicates)
     replicates = []
     for l, record in enumerate(chosen):
         rng = substream(seed, "synthesize", l)
         tables = DrawTables(record.params, schema)
         g = record.hh_class
-        u = rng.random(n_free + view.n_individuals * len(schema.individual_vars))
+        u = rng.random(n_free + dataset.n_individuals * len(schema.individual_vars))
         free = tables.hh(with_size=False).draw(g, u[:n_free])
-        hh_codes = with_size_column(free, s, view.hh_codes[:, s])  # size copied, never redrawn
-        mem_codes = tables.members(g[view.mem_hh], record.mem_class, u[n_free:])
-        synthetic = DatasetView.from_arrays(hh_codes, mem_codes, view.sizes)
+        hh_codes = with_size_column(free, s, dataset.hh_codes[:, s])  # size copied, never redrawn
+        mem_codes = tables.members(g[dataset.mem_hh], record.mem_class, u[n_free:])
+        synthetic = DatasetView.from_arrays(hh_codes, mem_codes, dataset.sizes)
         replicates.append(Dataset(schema, view=synthetic, ids=dataset.ids))
     return SyntheticReplicates(
         replicates=replicates,

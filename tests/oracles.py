@@ -312,8 +312,6 @@ def posterior(support, weights, log_p):
         log_weights = np.log(weights)
     per_rep = logsumexp(log_p[:, :, None] + log_weights[:, None, :], axis=0)  # (L, C)
     scores = per_rep.sum(axis=0)
-    if support.log_prior is not None:
-        scores = scores + support.log_prior
     rho = np.exp(scores - logsumexp(scores))
     rho = rho / rho.sum()
     order = np.argsort(-rho, kind="stable")

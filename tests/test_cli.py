@@ -283,6 +283,13 @@ BAD_CONFIGS = [
     ),
     ("simulate", "sample_households: 120", "sample_households: 500", "sample_households"),
     ("simulate", "color: [0.4, 0.3, 0.2, 0.1]", "color: [0.4, 0.3, 0.3]", "marginals"),
+    ("simulate", "head_code: 1", "head_code: 3", "head_code"),
+    ("simulate", "role_variable: role", "role_variable: rol", "role_variable 'rol'"),
+    ("simulate", "role_variable: role", "role_variable: own", "role_variable 'own'"),
+    ("simulate", "{1: 0.3, 2: 0.5, 3: 0.2}", "{1: 0.3, 2: 0.5, 4: 0.2}", "size_distribution"),
+    ("evaluate", "color, code: 1, min: 2", "color, code: 0, min: 2", "code 0 outside 1..4"),
+    ("evaluate", "variable: own, code: 2}", "variable: own, code: 3}", "code 3 outside 1..2"),
+    ("evaluate", "{color: 1}, name: has_color_1", "{color: 7}, name: has_color_1", "code 7 outside"),
 ]
 
 

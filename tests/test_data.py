@@ -131,6 +131,15 @@ def test_dataset_validation_catches_out_of_range(toy_schema):
         ds.validate()
 
 
+def test_dataset_validation_catches_member_rows_that_do_not_match_sizes(toy_schema):
+    # one household of size 2 holding three member rows
+    hh = np.array([[0, 1]])
+    three_member_rows = np.array([[0, 0], [1, 1], [1, 2]])
+    ds = Dataset(toy_schema, view=DatasetView.from_arrays(hh, three_member_rows, [2]))
+    with pytest.raises(SchemaError, match="codes per member"):
+        ds.validate()
+
+
 def test_view_round_trip(toy_dataset):
     view = toy_dataset.to_view()
     assert view.n_households == toy_dataset.n_households
@@ -144,8 +153,8 @@ def test_view_round_trip(toy_dataset):
         ids=toy_dataset.ids,
     )
     assert records_of(back) == records_of(toy_dataset)
-    # the view is built once: every call hands back the same arrays
-    assert toy_dataset.to_view() is view
+    # a Dataset is its own view
+    assert isinstance(toy_dataset, DatasetView) and view is toy_dataset
 
 
 def test_view_from_arrays_matches_from_dataset(toy_dataset):

@@ -5,7 +5,9 @@ the library's code (docstrings and comments do not count), be imported by
 the release gate (tests/test_acceptance.py), or be a command (cmd_*): the
 library holds no function that only its unit tests call.  The modules'
 relative imports, at any depth of a file, form no cycle.  Only data.py uses
-the csv module, so one function decides how every CSV cell is written.
+the csv module, so one function decides how every CSV cell is written.  A
+Dataset is its own DatasetView, so the library calls .to_view() once, where
+the benchmark's tracer times it.
 """
 
 import ast
@@ -90,6 +92,18 @@ def csv_uses(src: Path) -> list[str]:
     return uses
 
 
+def to_view_calls(src: Path) -> list[str]:
+    """module:line of each call of a method named to_view."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "to_view"
+    ]
+
+
 def test_every_library_definition_has_a_caller():
     allowed = gate_imports()
     unused = [
@@ -142,3 +156,17 @@ def test_the_csv_scan_sees_every_use(tmp_path):
     (tmp_path / "b.py").write_text("from csv import reader\n")
     (tmp_path / "c.py").write_text('"""Writes a csv file."""\n\ncsv_path = "x.csv"\n')
     assert csv_uses(tmp_path) == ["a.py:2", "a.py:4", "b.py:1"]
+
+
+def test_the_library_calls_to_view_once():
+    calls = to_view_calls(ROOT / "src" / "hhsynth")
+    assert len(calls) == 1 and calls[0].startswith("inference.py:")
+
+
+def test_the_to_view_scan_sees_every_call(tmp_path):
+    (tmp_path / "a.py").write_text("def f(d):\n    v = d.to_view()\n    return g(v).to_view()\n")
+    # a definition, a docstring, a name and an uncalled attribute are not calls
+    (tmp_path / "b.py").write_text(
+        'class D:\n    def to_view(self):\n        """Calls to_view()."""\n\n\nh = D().to_view\n'
+    )
+    assert to_view_calls(tmp_path) == ["a.py:2", "a.py:3"]

@@ -233,25 +233,6 @@ def test_posterior_uniform_when_candidates_indistinguishable(toy_schema, toy_dat
     assert result.top_probability == pytest.approx(result.truth_probability)
 
 
-def test_posterior_prior_reweighting(toy_schema, fitted_draws):
-    draws, views = fitted_draws
-    support = build_support_individual(toy_schema, np.array([0, 0]), np.array([0, 1]))
-    C = support.hh_values.shape[0]
-    flat = importance_posterior(support, views, draws)
-    shift = np.zeros(C)
-    shift[3] = np.log(5.0)
-    support_shifted = TargetSupport(
-        kind="individual",
-        hh_values=support.hh_values,
-        mem_values=support.mem_values,
-        log_prior=shift,
-    )
-    tilted = importance_posterior(support_shifted, views, draws)
-    want = flat.posterior * np.exp(shift)
-    want /= want.sum()
-    np.testing.assert_allclose(tilted.posterior, want, rtol=1e-9)
-
-
 def test_posterior_matches_two_draw_hand_computation(minimal_schema):
     # two parameter draws, two candidates: every weight and score is a short
     # pencil exercise, giving an exact oracle for the whole scoring path
