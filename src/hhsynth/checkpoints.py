@@ -10,7 +10,7 @@ releases as they are.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +41,13 @@ def params_to_jsonable(params: Params) -> dict:
         "hh_kernels": [k.tolist() for k in params.hh_kernels],
         "mem_kernels": [k.tolist() for k in params.mem_kernels],
         "hh_conc": params.hh_conc,
-        "mem_conc": (
-            params.mem_conc.tolist()
-            if isinstance(params.mem_conc, np.ndarray)
-            else params.mem_conc
-        ),
+        "mem_conc": params.mem_conc,
     }
 
 
 def params_from_jsonable(doc: dict) -> Params:
     hh_sticks = np.asarray(doc["hh_sticks"], dtype=float)
     mem_sticks = np.asarray(doc["mem_sticks"], dtype=float)
-    mem_conc = doc["mem_conc"]
     return Params(
         hh_sticks=hh_sticks,
         hh_weights=stick_break(hh_sticks),
@@ -61,9 +56,7 @@ def params_from_jsonable(doc: dict) -> Params:
         hh_kernels=[np.asarray(k, dtype=float) for k in doc["hh_kernels"]],
         mem_kernels=[np.asarray(k, dtype=float) for k in doc["mem_kernels"]],
         hh_conc=float(doc["hh_conc"]),
-        mem_conc=(
-            np.asarray(mem_conc, dtype=float) if isinstance(mem_conc, list) else float(mem_conc)
-        ),
+        mem_conc=float(doc["mem_conc"]),
     )
 
 
@@ -121,17 +114,10 @@ class CheckpointWriter:
 
 
 def hyper_meta(hyper: Hyperparams) -> dict:
-    return {
-        "n_hh_classes": hyper.n_hh_classes,
-        "n_mem_classes": hyper.n_mem_classes,
-        "hh_kernel_prior": [list(map(float, w)) for w in hyper.hh_kernel_prior],
-        "mem_kernel_prior": [list(map(float, w)) for w in hyper.mem_kernel_prior],
-        "hh_conc_shape": hyper.hh_conc_shape,
-        "hh_conc_rate": hyper.hh_conc_rate,
-        "mem_conc_shape": hyper.mem_conc_shape,
-        "mem_conc_rate": hyper.mem_conc_rate,
-        "per_class_mem_conc": hyper.per_class_mem_conc,
-    }
+    doc = {f.name: getattr(hyper, f.name) for f in fields(hyper)}
+    for key in ("hh_kernel_prior", "mem_kernel_prior"):
+        doc[key] = [list(map(float, w)) for w in doc[key]]
+    return doc
 
 
 def read_checkpoints(path: str | Path) -> tuple[dict, list[CheckpointRecord]]:
@@ -146,5 +132,11 @@ def read_checkpoints(path: str | Path) -> tuple[dict, list[CheckpointRecord]]:
             raise ValueError(f"{path}: not a checkpoint file")
         for line in fh:
             if line.strip():
-                records.append(record_from_jsonable(json.loads(line)))
+                doc = json.loads(line)
+                if isinstance(doc["params"]["mem_conc"], list):
+                    raise ValueError(
+                        f"{path}: written by a fit with one member concentration per class, "
+                        "which is no longer supported; run fit again"
+                    )
+                records.append(record_from_jsonable(doc))
     return meta, records

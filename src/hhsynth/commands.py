@@ -89,7 +89,6 @@ _MODEL = {
     "hh_conc_rate": ("hh_conc_rate", float),
     "mem_conc_shape": ("mem_conc_shape", float),
     "mem_conc_rate": ("mem_conc_rate", float),
-    "per_class_mem_conc": ("per_class_mem_conc", bool),
 }
 _CHAIN = {
     "iterations": ("n_iterations", int),
@@ -261,6 +260,13 @@ def _hyperparams(cfg: RunConfig, schema: Schema, dataset: Dataset) -> Hyperparam
     return _build("model", partial(Hyperparams.empirical, schema, dataset), kw)
 
 
+def _check_sizes(where: str, sizes, dataset: Dataset, data_path: Path) -> None:
+    """A usage error unless the data have a household of each size."""
+    for h in sizes:
+        if not np.any(dataset.sizes == h):
+            raise UsageError(f"config: {where}: no household of size {h} in {data_path}")
+
+
 def _output_of(stage: str, what: str, path: Path) -> Path:
     """path, which an earlier stage writes; a usage error if that stage has not run."""
     if not path.is_file():
@@ -425,6 +431,9 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     queries = [_value("evaluate.household_queries", build, spec) for spec in cfg.household_queries]
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     original = load_dataset(data_path, schema)
+    for query in queries:
+        if query.size is not None:
+            _check_sizes(f"query {query.name!r}", (query.size,), original, data_path)
     _output_of("synthesize", "replicates", out_dir / "manifest.json")
     reps = read_replicates(out_dir, schema)
     population = None
@@ -444,7 +453,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
     from .checkpoints import read_checkpoints
-    from .data import load_dataset, load_schema, size_histogram
+    from .data import load_dataset, load_schema
     from .risk import risk_sweep
     from .synthesis import read_replicates, select_records
 
@@ -453,10 +462,7 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
         _value("risk.held_fixed", schema.variable, name)
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     original = load_dataset(data_path, schema)
-    observed = size_histogram(original) if cfg.risk.sizes else {}
-    for h in cfg.risk.sizes or ():
-        if h not in observed:
-            raise UsageError(f"config: risk.sizes: no household of size {h} in {data_path}")
+    _check_sizes("risk.sizes", cfg.risk.sizes or (), original, data_path)
     _output_of("synthesize", "replicates", out_dir / "manifest.json")
     reps = read_replicates(out_dir, schema)
     ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")

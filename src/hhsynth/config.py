@@ -77,3 +77,5 @@ class RiskConfig:
     def __post_init__(self):
         if self.kind not in ("individual", "household"):
             raise ValueError(f"unknown target kind {self.kind!r}")
+        if self.sizes and self.kind != "household":
+            raise ValueError("sizes restrict household targets only")

@@ -65,7 +65,7 @@ class Diagnostics:
         self.occupied_hh.append(int(np.unique(state.hh_class).size))
         self.occupied_mem.append(int(np.unique(state.mem_class).size))
         self.hh_conc.append(float(state.params.hh_conc))
-        self.mem_conc.append(float(np.mean(state.params.mem_conc)))
+        self.mem_conc.append(float(state.params.mem_conc))
         self.hh_weights.append(state.params.hh_weights.copy())
         if self.strata is not None:  # run_chain draws a batch before each truncated sweep
             self.n_infeasible.append(state.augmented.n_infeasible)
@@ -145,8 +145,8 @@ def stick_gamma_logs(
     return log_kept, np.log(draws[kept.size :].reshape(rest.shape)) + np.log(u) / rest
 
 
-def sample_member_sticks(
-    counts: np.ndarray, mem_conc: float | np.ndarray, rng: np.random.Generator
+def sample_sticks(
+    counts: np.ndarray, conc: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Beta draws for the sticks of each row of (F, S) counts.
 
@@ -157,19 +157,12 @@ def sample_member_sticks(
     near zero and freeze a collapsed state in place.  The household sticks
     are the one-row case: household counts as (1, F), one concentration.
     """
-    F, S = counts.shape
-    sticks = np.ones((F, S))
-    log1m = np.zeros((F, S - 1))
-    if S > 1:
-        greater = counts[:, ::-1].cumsum(axis=1)[:, ::-1] - counts
-        conc = mem_conc[:, None] if np.ndim(mem_conc) else mem_conc
-        log_kept, log_rest = stick_gamma_logs(
-            1.0 + counts[:, :-1], conc + greater[:, :-1], rng
-        )
-        log_total = np.logaddexp(log_kept, log_rest)
-        sticks[:, :-1] = np.exp(log_kept - log_total)
-        log1m = log_rest - log_total
-    return sticks, stick_break(sticks), log1m
+    greater = counts[:, ::-1].cumsum(axis=1)[:, ::-1] - counts
+    log_kept, log_rest = stick_gamma_logs(1.0 + counts[:, :-1], conc + greater[:, :-1], rng)
+    log_total = np.logaddexp(log_kept, log_rest)
+    sticks = np.ones(counts.shape)
+    sticks[:, :-1] = np.exp(log_kept - log_total)
+    return sticks, stick_break(sticks), log_rest - log_total
 
 
 def kernel_counts(
@@ -184,21 +177,12 @@ def kernel_counts(
     ]
 
 
-def sample_mem_concentration(
-    log1m_sticks: np.ndarray,
-    shape: float,
-    rate: float,
-    per_class: bool,
-    rng: np.random.Generator,
-) -> float | np.ndarray:
-    """Gamma draw(s) from the (F, S - 1) free-stick logs, shared or per class.
-
-    The household concentration is the shared case of (1, F - 1) logs.
-    """
-    F, free = log1m_sticks.shape
-    if per_class:
-        return rng.gamma(shape + free, 1.0 / (rate - log1m_sticks.sum(axis=1)))
-    return float(rng.gamma(shape + F * free, 1.0 / (rate - log1m_sticks.sum())))
+def sample_concentration(
+    log1m: np.ndarray, shape: float, rate: float, rng: np.random.Generator
+) -> float:
+    """Gamma draw of a stick concentration from its free sticks' log(1 - stick):
+    the household level's (1, F - 1), the member level's (F, S - 1)."""
+    return float(rng.gamma(shape + log1m.size, 1.0 / (rate - log1m.sum())))
 
 
 def resample_parameters(
@@ -220,8 +204,8 @@ def resample_parameters(
     pair = mem_hh_class * S + mem_class
     hh_counts = np.bincount(hh_class, minlength=F)
     pair_counts = np.bincount(pair, minlength=F * S).reshape(F, S)
-    hh_sticks, hh_weights, hh_log1m = sample_member_sticks(hh_counts[None], params.hh_conc, rng)
-    mem_sticks, mem_weights, mem_log1m = sample_member_sticks(pair_counts, params.mem_conc, rng)
+    hh_sticks, hh_weights, hh_log1m = sample_sticks(hh_counts[None], params.hh_conc, rng)
+    mem_sticks, mem_weights, mem_log1m = sample_sticks(pair_counts, params.mem_conc, rng)
     hh_dims = [w.shape[0] for w in hyper.hh_kernel_prior]
     mem_dims = [w.shape[0] for w in hyper.mem_kernel_prior]
     counts = kernel_counts(hh_codes, hh_class, (F,), hh_dims) + kernel_counts(
@@ -230,12 +214,8 @@ def resample_parameters(
     prior = [*hyper.hh_kernel_prior, *hyper.mem_kernel_prior]
     kernels = dirichlet_rows([w + c for w, c in zip(prior, counts)], rng)
     hh_kernels, mem_kernels = kernels[: len(hh_dims)], kernels[len(hh_dims) :]
-    hh_conc = sample_mem_concentration(
-        hh_log1m, hyper.hh_conc_shape, hyper.hh_conc_rate, False, rng
-    )
-    mem_conc = sample_mem_concentration(
-        mem_log1m, hyper.mem_conc_shape, hyper.mem_conc_rate, hyper.per_class_mem_conc, rng
-    )
+    hh_conc = sample_concentration(hh_log1m, hyper.hh_conc_shape, hyper.hh_conc_rate, rng)
+    mem_conc = sample_concentration(mem_log1m, hyper.mem_conc_shape, hyper.mem_conc_rate, rng)
     return Params(
         hh_sticks=hh_sticks[0],
         hh_weights=hh_weights[0],

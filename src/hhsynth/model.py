@@ -77,7 +77,6 @@ class Hyperparams:
     hh_conc_rate: float = 0.25
     mem_conc_shape: float = 0.25
     mem_conc_rate: float = 0.25
-    per_class_mem_conc: bool = False
 
     def __post_init__(self):
         if self.n_hh_classes < 1 or self.n_mem_classes < 1:
@@ -139,7 +138,7 @@ class Params:
     hh_kernels: list[np.ndarray]  # per household variable, (F, d_k)
     mem_kernels: list[np.ndarray]  # per individual variable, (F, S, d_k)
     hh_conc: float
-    mem_conc: float | np.ndarray  # scalar, or (F,) in per-class mode
+    mem_conc: float
 
     @property
     def n_hh_classes(self) -> int:
@@ -158,11 +157,6 @@ class Params:
             mem_weights=self.mem_weights.copy(),
             hh_kernels=[k.copy() for k in self.hh_kernels],
             mem_kernels=[k.copy() for k in self.mem_kernels],
-            mem_conc=(
-                self.mem_conc.copy()
-                if isinstance(self.mem_conc, np.ndarray)
-                else self.mem_conc
-            ),
         )
 
     def validate(self, atol: float = 1e-12) -> None:
@@ -181,7 +175,7 @@ class Params:
             assert np.all(kernel >= 0)
             assert np.max(np.abs(kernel.sum(axis=-1) - 1.0)) <= atol
         assert self.hh_conc > 0
-        assert np.all(np.asarray(self.mem_conc) > 0)
+        assert self.mem_conc > 0
 
 
 def dirichlet_rows(weights: list[np.ndarray], rng: np.random.Generator) -> list[np.ndarray]:
@@ -203,19 +197,10 @@ def prior_draw(hyper: Hyperparams, rng: np.random.Generator) -> Params:
     """Sample every parameter from the prior."""
     F, S = hyper.n_hh_classes, hyper.n_mem_classes
     hh_conc = rng.gamma(hyper.hh_conc_shape, 1.0 / hyper.hh_conc_rate)
-    if hyper.per_class_mem_conc:
-        mem_conc = rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate, size=F)
-    else:
-        mem_conc = float(rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate))
-    # the household sticks are one row of F, the member sticks F rows of S; a
-    # per-class concentration rates its row, a shared one every row
-    hh_sticks, mem_sticks = np.ones((1, F)), np.ones((F, S))
-    for sticks, conc in ((hh_sticks, hh_conc), (mem_sticks, mem_conc)):
-        rows, width = sticks.shape
-        if width > 1:
-            rate = conc[:, None] if np.ndim(conc) else conc
-            sticks[:, :-1] = rng.beta(1.0, rate, size=(rows, width - 1))
-    hh_sticks = hh_sticks[0]
+    mem_conc = float(rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate))
+    hh_sticks, mem_sticks = np.ones(F), np.ones((F, S))
+    hh_sticks[:-1] = rng.beta(1.0, hh_conc, size=F - 1)
+    mem_sticks[:, :-1] = rng.beta(1.0, mem_conc, size=(F, S - 1))
     q = len(hyper.hh_kernel_prior)
     kernels = dirichlet_rows(
         [np.broadcast_to(w, (F, len(w))) for w in hyper.hh_kernel_prior]

@@ -17,7 +17,6 @@ import numpy as np
 
 from hhsynth.constraints import check_batch
 from hhsynth.data import HOUSEHOLD, DatasetView, HouseholdRecord
-from hhsynth.gibbs import sample_mem_concentration
 from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine, normal_interval
 from hhsynth.model import (
     LOG_FLOOR,
@@ -455,17 +454,13 @@ def prior_draw(hyper, rng):
     """The prior draw with one gamma call per kernel."""
     F, S = hyper.n_hh_classes, hyper.n_mem_classes
     hh_conc = rng.gamma(hyper.hh_conc_shape, 1.0 / hyper.hh_conc_rate)
-    if hyper.per_class_mem_conc:
-        mem_conc = rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate, size=F)
-    else:
-        mem_conc = float(rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate))
+    mem_conc = float(rng.gamma(hyper.mem_conc_shape, 1.0 / hyper.mem_conc_rate))
     hh_sticks = np.ones(F)
     if F > 1:
         hh_sticks[:-1] = rng.beta(1.0, hh_conc, size=F - 1)
     mem_sticks = np.ones((F, S))
     if S > 1:
-        rates = np.broadcast_to(np.asarray(mem_conc, dtype=float), (F,))
-        mem_sticks[:, :-1] = rng.beta(1.0, rates[:, None], size=(F, S - 1))
+        mem_sticks[:, :-1] = rng.beta(1.0, mem_conc, size=(F, S - 1))
     hh_kernels = [
         dirichlet_rows(np.broadcast_to(w, (F, len(w))), rng) for w in hyper.hh_kernel_prior
     ]
@@ -514,8 +509,7 @@ def resample_parameters(params, hyper, rng, hh_class, hh_codes, mem_hh_class, me
     else:
         hh_sticks, hh_log1m = np.ones(F), np.zeros(0)
     if S > 1:
-        conc = np.broadcast_to(np.asarray(params.mem_conc, dtype=float), (F,))[:, None]
-        mem_sticks, mem_log1m = _sticks(pair_counts, conc, rng)
+        mem_sticks, mem_log1m = _sticks(pair_counts, params.mem_conc, rng)
     else:
         mem_sticks, mem_log1m = np.ones((F, S)), np.zeros((F, 0))
     hh_dims = [w.shape[0] for w in hyper.hh_kernel_prior]
@@ -530,11 +524,11 @@ def resample_parameters(params, hyper, rng, hh_class, hh_codes, mem_hh_class, me
     mem_kernels = [
         dirichlet_rows(w + c, rng) for w, c in zip(hyper.mem_kernel_prior, mem_counts_k)
     ]
-    post_rate = hyper.hh_conc_rate - float(hh_log1m.sum())
-    hh_conc = float(rng.gamma(hyper.hh_conc_shape + hh_log1m.size, 1.0 / post_rate))
-    mem_conc = sample_mem_concentration(
-        mem_log1m, hyper.mem_conc_shape, hyper.mem_conc_rate, hyper.per_class_mem_conc, rng
-    )
+    # each concentration: gamma(shape + free sticks, rate - sum of log(1 - stick))
+    hh_rate = hyper.hh_conc_rate - float(hh_log1m.sum())
+    hh_conc = float(rng.gamma(hyper.hh_conc_shape + hh_log1m.size, 1.0 / hh_rate))
+    mem_rate = hyper.mem_conc_rate - float(mem_log1m.sum())
+    mem_conc = float(rng.gamma(hyper.mem_conc_shape + mem_log1m.size, 1.0 / mem_rate))
     return Params(
         hh_sticks=hh_sticks,
         hh_weights=stick_break(hh_sticks),

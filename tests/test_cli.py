@@ -290,6 +290,19 @@ BAD_CONFIGS = [
     ("evaluate", "color, code: 1, min: 2", "color, code: 0, min: 2", "code 0 outside 1..4"),
     ("evaluate", "variable: own, code: 2}", "variable: own, code: 3}", "code 3 outside 1..2"),
     ("evaluate", "{color: 1}, name: has_color_1", "{color: 7}, name: has_color_1", "code 7 outside"),
+    (
+        "evaluate",
+        "variable: color, size: 2",
+        "variable: color, size: 9",
+        "query 'pair_same_color': no household of size 9",
+    ),
+    ("risk", "held_fixed: [role]", "held_fixed: [role]\n  sizes: [1]", "household targets only"),
+    (
+        "fit",
+        "kernel_prior: empirical",
+        "kernel_prior: empirical\n  per_class_mem_conc: true",
+        "unknown keys ['per_class_mem_conc'] in model",
+    ),
 ]
 
 
@@ -609,7 +622,7 @@ def test_pipeline_repeat_is_bitwise_identical(pipeline, tmp_path):
 # names the files it changed
 TRUNCATED_DIGESTS = {
     "cells.csv": "d1b56a1383e81581bbf7670e84a774f609915091d798d873b72a1fcd98da6d6d",
-    "checkpoints.jsonl": "c7fd2c2dad97e02971dfc91fc1102f915cbcfc4f0c3fe5c7980e98857e6b157f",
+    "checkpoints.jsonl": "a7871e248f694f6ae11a1474aa13f4b601a4d2241394d4941022f6564d56d11b",
     "diagnostics.csv": "6d27cf243552fb1318044e0fded17076a5a0eee305d4127888859d97682f4272",
     "household_queries.csv": "d58e3ab9405c58dfbfe654057e85cf6f37e3da7a48ac58cf3bac6b8677d2c0e3",
     "manifest.json": "3426c50d9ba61f280cca48eac9ca693f57a92b21cdac7004721551097f454ad6",
@@ -623,7 +636,7 @@ TRUNCATED_DIGESTS = {
 }
 UNTRUNCATED_DIGESTS = {
     "cells.csv": "518762f8f27c677b236c98f51c17bf94f24f549894b206b77f26e0f627a816fb",
-    "checkpoints.jsonl": "131e1f4e6ad78b78d7c779adf5ed9ccb62a1dd2ca18c934d0b3e7cd6f605cb0d",
+    "checkpoints.jsonl": "d857498ede3b121406c9d6c6d8c311df5c04931a1725741a9e8c0d12490c4ce9",
     "diagnostics.csv": "edba56b8f792a8f921e456bfcc2009d0b0f00c07c01511f2e30a91541b3fbb21",
     "household_queries.csv": "c9a6d0e90b95c27473f94e6caf6fa58e16e51ae5fdc198de1d88b496ed78d51f",
     "manifest.json": "5e6292f0702d3892790f9252647e71675f9bf5f5672d94cb9db7a0152fca1a9b",

@@ -24,10 +24,10 @@ from hhsynth.gibbs import (
     kernel_counts,
     mcse_batch_means,
     run_chain,
+    sample_concentration,
     sample_household_classes,
     sample_member_classes,
-    sample_member_sticks,
-    sample_mem_concentration,
+    sample_sticks,
     stick_gamma_logs,
 )
 from hhsynth.model import (
@@ -73,7 +73,7 @@ def test_stick_log_complement_survives_rounding():
     log1m = np.empty((n, 2))
     for i in range(n):
         # household counts are the one-row case of the shared routine
-        sticks[i], _, log1m[i] = (a[0] for a in sample_member_sticks(counts[None], conc, rng))
+        sticks[i], _, log1m[i] = (a[0] for a in sample_sticks(counts[None], conc, rng))
     assert (sticks[:, :-1] == 1.0).any(), "fixture no longer exercises rounding"
     assert np.isfinite(log1m).all()
     a, b = 1.0 + counts[0], conc
@@ -86,7 +86,7 @@ def test_household_stick_conjugacy():
     counts = np.array([5, 3, 2])
     conc = 2.0
     rng = substream(60, "hhsticks")
-    draws = np.stack([sample_member_sticks(counts[None], conc, rng)[0][0] for _ in range(20000)])
+    draws = np.stack([sample_sticks(counts[None], conc, rng)[0][0] for _ in range(20000)])
     assert (draws[:, -1] == 1.0).all()
     # u_g ~ Beta(1 + n_g, conc + count in later classes)
     want = np.array([6 / (6 + 7), 4 / (4 + 4)])
@@ -98,9 +98,7 @@ def test_household_stick_conjugacy():
 
 def test_household_stick_weights_consistent():
     rng = substream(60, "weights")
-    sticks, weights, log1m = (
-        a[0] for a in sample_member_sticks(np.array([[1, 0, 4, 2]]), 0.7, rng)
-    )
+    sticks, weights, log1m = (a[0] for a in sample_sticks(np.array([[1, 0, 4, 2]]), 0.7, rng))
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(weights[0], sticks[0])
     # the log complement must agree with the stored stick when no rounding bites
@@ -111,7 +109,7 @@ def test_member_stick_conjugacy_common_concentration():
     counts = np.array([[4, 1, 0], [0, 2, 5]])
     conc = 1.5
     rng = substream(61, "memsticks")
-    draws = np.stack([sample_member_sticks(counts, conc, rng)[0] for _ in range(20000)])
+    draws = np.stack([sample_sticks(counts, conc, rng)[0] for _ in range(20000)])
     assert (draws[:, :, -1] == 1.0).all()
     greater = np.array([[1, 0], [7, 5]])
     a = 1.0 + counts[:, :2]
@@ -121,17 +119,6 @@ def test_member_stick_conjugacy_common_concentration():
     np.testing.assert_array_less(
         np.abs(draws[:, :, :2].mean(axis=0) - want), 4 * sd / np.sqrt(20000)
     )
-
-
-def test_member_stick_per_class_concentration():
-    # a large class-2 concentration pulls its first stick toward small values
-    counts = np.zeros((2, 2), dtype=int)
-    rng = substream(61, "perclass")
-    draws = np.stack(
-        [sample_member_sticks(counts, np.array([1.0, 50.0]), rng)[0] for _ in range(4000)]
-    )
-    assert draws[:, 0, 0].mean() == pytest.approx(0.5, abs=0.03)
-    assert draws[:, 1, 0].mean() == pytest.approx(1 / 51, abs=0.01)
 
 
 def test_kernel_conjugacy():
@@ -155,7 +142,7 @@ def test_hh_concentration_conjugacy():
     post_rate = rate - (np.log(0.8) + np.log(0.5))
     rng = substream(63, "hhconc")
     draws = np.array(
-        [sample_mem_concentration(log1m[None], shape, rate, False, rng) for _ in range(20000)]
+        [sample_concentration(log1m[None], shape, rate, rng) for _ in range(20000)]
     )
     want = post_shape / post_rate
     se = np.sqrt(post_shape) / post_rate / np.sqrt(20000)
@@ -170,25 +157,11 @@ def test_mem_concentration_common_mode():
     post_rate = rate - logs.sum()
     rng = substream(64, "memconc")
     draws = np.array(
-        [sample_mem_concentration(logs, shape, rate, False, rng) for _ in range(20000)]
+        [sample_concentration(logs, shape, rate, rng) for _ in range(20000)]
     )
     want = post_shape / post_rate
     se = np.sqrt(post_shape) / post_rate / np.sqrt(20000)
     assert abs(draws.mean() - want) < 4 * se
-
-
-def test_mem_concentration_per_class_mode():
-    sticks = np.array([[0.3, 0.4, 1.0], [0.1, 0.6, 1.0]])
-    logs = np.log(1.0 - sticks[:, :2])
-    shape, rate = 0.25, 0.25
-    rng = substream(64, "memconc2")
-    draws = np.stack(
-        [sample_mem_concentration(logs, shape, rate, True, rng) for _ in range(20000)]
-    )
-    assert draws.shape == (20000, 2)
-    want = (shape + 2) / (rate - logs.sum(axis=1))
-    se = np.sqrt(shape + 2) / (rate - logs.sum(axis=1)) / np.sqrt(20000)
-    np.testing.assert_array_less(np.abs(draws.mean(axis=0) - want), 4 * se)
 
 
 def test_count_helpers_match_loops():

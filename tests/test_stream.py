@@ -125,16 +125,24 @@ def _class_arrays(schema, F, S, n, key):
     return hh_class, hh, np.repeat(hh_class, sizes), mem_class, mem
 
 
+def shared_ids(cases):
+    """Ids of (F, S) cases as they read when a per-class concentration axis
+    ran beside them: these shared-concentration cases keep their names."""
+    return [f"False-{F}-{S}" for F, S in cases]
+
+
+RESAMPLE_CASES = [(1, 1), (1, 3), (4, 1), (12, 6), (20, 9)]
+PRIOR_CASES = [(1, 1), (3, 1), (1, 4), (12, 6), (20, 9)]
+
+
 @pytest.mark.parametrize("schema_name", ["toy_schema", "wide_schema", "minimal_schema"])
-@pytest.mark.parametrize("F, S", [(1, 1), (1, 3), (4, 1), (12, 6), (20, 9)])
-@pytest.mark.parametrize("per_class", [False, True])
-def test_resample_parameters_matches_per_kernel_oracle(request, schema_name, F, S, per_class):
+@pytest.mark.parametrize("F, S", RESAMPLE_CASES, ids=shared_ids(RESAMPLE_CASES))
+def test_resample_parameters_matches_per_kernel_oracle(request, schema_name, F, S):
     schema = request.getfixturevalue(schema_name)
-    hyper = Hyperparams.uniform(schema, F, S, per_class_mem_conc=per_class,
-                                mem_conc_shape=0.5, hh_conc_shape=0.5)
+    hyper = Hyperparams.uniform(schema, F, S, mem_conc_shape=0.5, hh_conc_shape=0.5)
     arrays = _class_arrays(schema, F, S, 60, (schema_name, F, S))
     params = prior_draw(hyper, substream(94, F, S))
-    rng, ref = twin_streams("resample", schema_name, F, S, per_class)
+    rng, ref = twin_streams("resample", schema_name, F, S)
     for _ in range(3):
         got = resample_parameters(params, hyper, rng, *arrays)
         want = oracles.resample_parameters(params, hyper, ref, *arrays)
@@ -144,12 +152,11 @@ def test_resample_parameters_matches_per_kernel_oracle(request, schema_name, F, 
 
 
 @pytest.mark.parametrize("schema_name", ["toy_schema", "wide_schema", "minimal_schema"])
-@pytest.mark.parametrize("F, S", [(1, 1), (3, 1), (1, 4), (12, 6), (20, 9)])
-@pytest.mark.parametrize("per_class", [False, True])
-def test_prior_draw_matches_per_kernel_oracle(request, schema_name, F, S, per_class):
+@pytest.mark.parametrize("F, S", PRIOR_CASES, ids=shared_ids(PRIOR_CASES))
+def test_prior_draw_matches_per_kernel_oracle(request, schema_name, F, S):
     schema = request.getfixturevalue(schema_name)
-    hyper = Hyperparams.uniform(schema, F, S, per_class_mem_conc=per_class)
-    rng, ref = twin_streams("prior", schema_name, F, S, per_class)
+    hyper = Hyperparams.uniform(schema, F, S)
+    rng, ref = twin_streams("prior", schema_name, F, S)
     for _ in range(3):
         same_params(prior_draw(hyper, rng), oracles.prior_draw(hyper, ref))
         same_state(rng, ref)
