@@ -110,6 +110,22 @@ def combine(
     replicate estimates are identical (zero between variance) the interval
     degenerates to a normal one; a zero total variance is an error.
     """
+    qbar, ubar, b, total, df = _pool(points, withins)
+    half = float(critical_values(gamma, [df])[0]) * math.sqrt(total)
+    return CombinedEstimate(
+        point=qbar,
+        within_var=ubar,
+        between_var=b,
+        total_var=total,
+        df=df,
+        lo=qbar - half,
+        hi=qbar + half,
+        n_replicates=len(points),
+    )
+
+
+def _pool(points: list[float], withins: list[float]) -> tuple[float, float, float, float, float]:
+    """(q-bar, u-bar, b, total variance, df) of combine's rules."""
     if len(points) != len(withins) or len(points) < 2:
         raise ValueError("need matching lists of at least two replicate estimates")
     L = len(points)
@@ -123,35 +139,23 @@ def combine(
         df = (L - 1) * (1.0 + L * ubar / b) ** 2
     else:
         total = ubar
-        df = float("inf")
+        df = math.inf
     if total <= 0.0:
         raise ValueError("all replicate estimates and within variances are zero")
-    half = _critical_value(gamma, df) * float(np.sqrt(total))
-    return CombinedEstimate(
-        point=qbar,
-        within_var=ubar,
-        between_var=b,
-        total_var=total,
-        df=df,
-        lo=qbar - half,
-        hi=qbar + half,
-        n_replicates=L,
-    )
+    return qbar, ubar, b, total, df
 
 
-def normal_interval(q: float, u: float, gamma: float = 0.95) -> tuple[float, float]:
-    """Single-dataset normal interval around a proportion."""
-    half = _critical_value(gamma, float("inf")) * float(np.sqrt(max(u, 0.0)))
-    return q - half, q + half
-
-
-def _critical_value(gamma: float, df: float) -> float:
-    """Two-sided gamma quantile of Student's t with df degrees of freedom; normal at inf."""
+def critical_values(gamma: float, dfs) -> np.ndarray:
+    """Two-sided gamma quantile of Student's t for each df; normal where df is inf."""
     # imported on first use, so that the commands that pool no intervals start without scipy
     from scipy.special import ndtri, stdtrit
 
     p = (1.0 + gamma) / 2.0
-    return float(ndtri(p) if df == float("inf") else stdtrit(df, p))
+    dfs = np.asarray(dfs, dtype=float)
+    finite = np.isfinite(dfs)
+    out = np.full(dfs.shape, ndtri(p))
+    out[finite] = stdtrit(dfs[finite], p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,7 @@ def cell_report(
     """
     schema = original.schema
     variables = schema.household_vars + schema.individual_vars
-    rows = []
+    cells = []
     for order in range(1, max_order + 1):
         for combo in itertools.combinations(variables, order):
             names = tuple(v.name for v in combo)
@@ -263,8 +267,8 @@ def cell_report(
                     truth = _proportion(pop_counts[0][codes], pop_counts[1])[0]
                 synthetic = [_proportion(c[codes], n) for c, n in rep_counts]
                 label = " & ".join(f"{v}={c + 1}" for v, c in zip(names, codes))  # 1-based
-                rows.append(_build_row(label, (q_orig, u_orig), synthetic, truth, gamma))
-    return rows
+                cells.append((label, truth, (q_orig, u_orig), synthetic))
+    return _report_rows(cells, gamma)
 
 
 def household_report(
@@ -274,44 +278,36 @@ def household_report(
     gamma: float = 0.95,
     population: Dataset | None = None,
 ) -> list[ReportRow]:
-    rows = []
+    estimates = []
     for query in queries:
         truth = None if population is None else estimate_proportion(population, query)[0]
         synthetic = [estimate_proportion(rep, query) for rep in replicates]
-        row = _build_row(query.name, estimate_proportion(original, query), synthetic, truth, gamma)
-        rows.append(row)
+        estimates.append((query.name, truth, estimate_proportion(original, query), synthetic))
+    return _report_rows(estimates, gamma)
+
+
+def _report_rows(estimates, gamma: float) -> list[ReportRow]:
+    """Report rows from (label, truth, the original's (estimate, variance), each
+    replicate's (estimate, variance)); one quantile call serves every interval."""
+    pooled = []
+    for *_, synthetic in estimates:
+        try:
+            pooled.append(_pool([q for q, _ in synthetic], [u for _, u in synthetic]))
+        except ValueError:  # one replicate, or a degenerate all-zero cell
+            pooled.append(None)
+    z, *t = critical_values(gamma, [math.inf] + [pool[4] for pool in pooled if pool]).tolist()
+    t = iter(t)
+    rows = []
+    for (label, truth, (q_orig, u_orig), synthetic), pool in zip(estimates, pooled):
+        half = z * math.sqrt(max(u_orig, 0.0))
+        if pool is None:  # the point with an empty interval
+            q_syn = lo_s = hi_s = float(np.mean([q for q, _ in synthetic]))
+        else:
+            q_syn, total = pool[0], pool[3]
+            half_syn = next(t) * math.sqrt(total)
+            lo_s, hi_s = q_syn - half_syn, q_syn + half_syn
+        rows.append(ReportRow(label, truth, q_orig, q_orig - half, q_orig + half, q_syn, lo_s, hi_s))
     return rows
-
-
-def _build_row(
-    label: str,
-    original: tuple[float, float],
-    synthetic: list[tuple[float, float]],
-    truth: float | None,
-    gamma: float,
-) -> ReportRow:
-    """One report row from the original's and each replicate's (estimate, variance)."""
-    q_orig, u_orig = original
-    lo_o, hi_o = normal_interval(q_orig, u_orig, gamma)
-    points = [q for q, _ in synthetic]
-    withins = [u for _, u in synthetic]
-    try:
-        combined = combine(points, withins, gamma)
-        q_syn, lo_s, hi_s = combined.point, combined.lo, combined.hi
-    except ValueError:
-        # degenerate all-zero cell: report the point with an empty interval
-        q_syn = float(np.mean(points))
-        lo_s = hi_s = q_syn
-    return ReportRow(
-        query=label,
-        truth=truth,
-        q_orig=q_orig,
-        lo_orig=lo_o,
-        hi_orig=hi_o,
-        q_syn=q_syn,
-        lo_syn=lo_s,
-        hi_syn=hi_s,
-    )
 
 
 def write_report_csv(rows: list[ReportRow], path: str | Path) -> None:

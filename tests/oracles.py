@@ -2,7 +2,7 @@
 
 The tests compare the library against these: a dataset's households as
 HouseholdRecord tuples, cell and household-query proportions counted one
-household at a time, the household predicates written per record, the
+household at a time, the normal interval of one row, the household predicates written per record, the
 feasibility of one household, one household's marginal likelihood, the
 infeasible mass of a household size over the whole composition space and by
 simulation, the class logits and candidate likelihoods each caller once built for itself, and
@@ -12,12 +12,13 @@ library's batched support builder, which the risk tests call.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from hhsynth.constraints import check_batch
 from hhsynth.data import HOUSEHOLD, DatasetView, HouseholdRecord
-from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine, normal_interval
+from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine, critical_values
 from hhsynth.model import (
     LOG_FLOOR,
     Params,
@@ -72,6 +73,12 @@ def estimate_proportion(dataset, query) -> tuple[float, float]:
         denom = sum(r.size for r in records)
     q = float(count) / denom
     return q, q * (1.0 - q) / denom
+
+
+def normal_interval(q, u, gamma=0.95) -> tuple[float, float]:
+    """Single-dataset normal interval around a proportion, one row at a time."""
+    half = float(critical_values(gamma, [math.inf])[0]) * math.sqrt(max(u, 0.0))
+    return q - half, q + half
 
 
 def report_row(label, query, original, replicates, gamma=0.95, population=None) -> ReportRow:

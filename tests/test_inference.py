@@ -26,7 +26,6 @@ from hhsynth.inference import (
     household_report,
     household_value,
     member_count,
-    normal_interval,
     q_all,
     write_report_csv,
 )
@@ -78,7 +77,7 @@ def test_normal_quantiles_bitwise_match_stats(gamma):
     est = combine([0.0, 0.0], [1.0, 1.0], gamma=gamma)
     assert est.df == float("inf")
     assert (est.lo, est.hi) == (-crit, crit)
-    assert normal_interval(0.0, 1.0, gamma=gamma) == (-crit, crit)
+    assert oracles.normal_interval(0.0, 1.0, gamma=gamma) == (-crit, crit)
 
 
 def test_combine_errors():
@@ -243,7 +242,7 @@ def test_household_report_and_csv(tmp_path, toy_schema, toy_dataset):
 
 
 def test_normal_interval_matches_oracle():
-    lo, hi = normal_interval(0.4, 0.0004)
+    lo, hi = oracles.normal_interval(0.4, 0.0004)
     half = stats.norm.ppf(0.975) * 0.02
     assert lo == pytest.approx(0.4 - half)
     assert hi == pytest.approx(0.4 + half)
