@@ -15,6 +15,7 @@ process loads only those (the README lists them per command).
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -176,12 +177,20 @@ def _parse(section: str, doc) -> dict:
 
 
 def _build(section: str, make, kw: dict):
-    """make(**kw); a value the library rejects is reported with the YAML keys that set kw."""
+    """make(**kw); a value the library rejects is reported with the YAML keys at fault."""
     try:
         return make(**kw)
     except (TypeError, ValueError) as exc:
-        keys = ", ".join(key for key, (name, _) in _SECTIONS[section].items() if name in kw)
+        keys = _keys_at_fault(section, kw, exc)
         raise UsageError(f"config: {section}: {exc} (set by {keys})") from exc
+
+
+def _keys_at_fault(section: str, names, exc: Exception) -> str:
+    """The section's YAML keys for the library names that the message of exc
+    has as words, in its order; every key that sets one of names if it has none."""
+    keys = {name: key for key, (name, _) in _SECTIONS[section].items() if name in names}
+    named = dict.fromkeys(keys[word] for word in re.findall(r"\w+", str(exc)) if word in keys)
+    return ", ".join(named or keys.values())
 
 
 def load_config(path: Path, seed_override: int | None) -> RunConfig:
@@ -294,7 +303,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
             schema, cfg.toy, substream(cfg.seed, "simulate", "population")
         )
     except SchemaError as exc:  # the message names the ToyConfig fields at fault
-        keys = ", ".join(key for key, (name, _) in _SIMULATE.items() if name in str(exc))
+        keys = _keys_at_fault("simulate", vars(cfg.toy), exc)
         raise UsageError(f"config: simulate: {exc} (set by {keys})") from exc
     sample = sample_households(
         population, cfg.sample_households, substream(cfg.seed, "simulate", "sample")

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .data import HOUSEHOLD, Dataset, Schema, write_csv
+from .tquantile import t_quantile
 
 
 @dataclass(frozen=True)
@@ -147,15 +148,7 @@ def _pool(points: list[float], withins: list[float]) -> tuple[float, float, floa
 
 def critical_values(gamma: float, dfs) -> np.ndarray:
     """Two-sided gamma quantile of Student's t for each df; normal where df is inf."""
-    # imported on first use, so that the commands that pool no intervals start without scipy
-    from scipy.special import ndtri, stdtrit
-
-    p = (1.0 + gamma) / 2.0
-    dfs = np.asarray(dfs, dtype=float)
-    finite = np.isfinite(dfs)
-    out = np.full(dfs.shape, ndtri(p))
-    out[finite] = stdtrit(dfs[finite], p)
-    return out
+    return t_quantile((1.0 + gamma) / 2.0, dfs)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +299,8 @@ def _report_rows(estimates, gamma: float) -> list[ReportRow]:
             q_syn, total = pool[0], pool[3]
             half_syn = next(t) * math.sqrt(total)
             lo_s, hi_s = q_syn - half_syn, q_syn + half_syn
-        rows.append(ReportRow(label, truth, q_orig, q_orig - half, q_orig + half, q_syn, lo_s, hi_s))
+        lo_o, hi_o = q_orig - half, q_orig + half
+        rows.append(ReportRow(label, truth, q_orig, lo_o, hi_o, q_syn, lo_s, hi_s))
     return rows
 
 

@@ -2,8 +2,10 @@
 
 The tests compare the library against these: a dataset's households as
 HouseholdRecord tuples, cell and household-query proportions counted one
-household at a time, the normal interval of one row, the household predicates written per record, the
-feasibility of one household, one household's marginal likelihood, the
+household at a time, the normal interval of one row, 200-bit t and normal
+quantiles (tests/data/t_quantile_ref.json, written by
+tests/make_t_quantile_ref.py) with exact ulp errors, the household
+predicates written per record, the feasibility of one household, one household's marginal likelihood, the
 infeasible mass of a household size over the whole composition space and by
 simulation, the class logits and candidate likelihoods each caller once built for itself, and
 the draws of households and parameters made one variable or one kernel per
@@ -12,7 +14,11 @@ library's batched support builder, which the risk tests call.
 """
 
 import itertools
+import json
 import math
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -79,6 +85,26 @@ def normal_interval(q, u, gamma=0.95) -> tuple[float, float]:
     """Single-dataset normal interval around a proportion, one row at a time."""
     half = float(critical_values(gamma, [math.inf])[0]) * math.sqrt(max(u, 0.0))
     return q - half, q + half
+
+
+T_QUANTILES = json.loads((Path(__file__).parent / "data" / "t_quantile_ref.json").read_text())
+
+
+def reference_t(df: float, gamma: float) -> str:
+    """The reference t quantile at p = (1 + gamma) / 2, as a decimal string."""
+    return next(t for rows in (T_QUANTILES["grid"], T_QUANTILES["tails"])
+                for d, g, t in rows if (d, g) == (df, gamma))
+
+
+def reference_normal(gamma: float) -> str:
+    return next(z for g, z in T_QUANTILES["normal"] if g == gamma)
+
+
+def ulp_error(x: float, reference: str) -> float:
+    """|x - reference| in units in the last place of the double nearest the
+    reference, computed exactly."""
+    exact = Fraction(Decimal(reference))
+    return float(abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact))))
 
 
 def report_row(label, query, original, replicates, gamma=0.95, population=None) -> ReportRow:

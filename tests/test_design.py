@@ -5,7 +5,8 @@ the library's code (docstrings and comments do not count), be imported by
 the release gate (tests/test_acceptance.py), or be a command (cmd_*): the
 library holds no function that only its unit tests call.  The modules'
 relative imports, at any depth of a file, form no cycle.  Only data.py uses
-the csv module, so one function decides how every CSV cell is written.  A
+the csv module, so one function decides how every CSV cell is written, and
+no module imports scipy.  A
 Dataset is its own DatasetView, so the library calls .to_view() once, where
 the benchmark's tracer times it.
 """
@@ -76,17 +77,22 @@ def import_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     return None
 
 
-def csv_uses(src: Path) -> list[str]:
-    """module:line of each import of csv and each csv.<name> reference."""
+def module_uses(src: Path, module: str) -> list[str]:
+    """file:line of each import of the module or of a submodule of it, and of
+    each module.<name> reference."""
+
+    def named(dotted: str) -> bool:
+        return dotted == module or dotted.startswith(module + ".")
+
     uses = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
             if (
-                isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
-                or isinstance(node, ast.ImportFrom) and node.module == "csv"
+                isinstance(node, ast.Import) and any(named(a.name) for a in node.names)
+                or isinstance(node, ast.ImportFrom) and not node.level and named(node.module)
                 or isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
-                and node.value.id == "csv"
+                and node.value.id == module
             ):
                 uses.append(f"{path.name}:{node.lineno}")
     return uses
@@ -147,7 +153,7 @@ def test_the_import_scan_sees_a_cycle(tmp_path):
 
 
 def test_only_data_uses_csv():
-    uses = csv_uses(ROOT / "src" / "hhsynth")
+    uses = module_uses(ROOT / "src" / "hhsynth", "csv")
     assert uses and all(use.startswith("data.py:") for use in uses)
 
 
@@ -155,7 +161,24 @@ def test_the_csv_scan_sees_every_use(tmp_path):
     (tmp_path / "a.py").write_text("def f(fh):\n    import csv\n\n    return csv.writer(fh)\n")
     (tmp_path / "b.py").write_text("from csv import reader\n")
     (tmp_path / "c.py").write_text('"""Writes a csv file."""\n\ncsv_path = "x.csv"\n')
-    assert csv_uses(tmp_path) == ["a.py:2", "a.py:4", "b.py:1"]
+    assert module_uses(tmp_path, "csv") == ["a.py:2", "a.py:4", "b.py:1"]
+
+
+def test_no_library_module_imports_scipy():
+    assert module_uses(ROOT / "src" / "hhsynth", "scipy") == []
+
+
+def test_the_scipy_scan_sees_every_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x):\n    import scipy.special\n\n    return scipy.special.ndtri(x)\n"
+    )
+    (tmp_path / "b.py").write_text("from scipy import stats\n")
+    (tmp_path / "c.py").write_text("from scipy.special import stdtrit\n")
+    # a docstring, a name and a relative import are not uses
+    (tmp_path / "d.py").write_text(
+        '"""Once used scipy.special."""\n\nfrom .scipy import x\n\nscipy_free = True\n'
+    )
+    assert module_uses(tmp_path, "scipy") == ["a.py:2", "a.py:4", "b.py:1", "c.py:1"]
 
 
 def test_the_library_calls_to_view_once():

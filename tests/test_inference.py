@@ -15,6 +15,7 @@ import oracles
 from hhsynth.commands import _build_query
 
 from hhsynth.data import Dataset
+from hhsynth.tquantile import t_quantile
 from hhsynth.inference import (
     CellQuery,
     HouseholdQuery,
@@ -56,23 +57,32 @@ def test_combine_zero_between_uses_normal():
     assert est.hi == pytest.approx(0.5 + half)
 
 
+# The two tests below keep the names they had when scipy computed the quantiles;
+# tests/test_tquantile.py checks the quantile against a 200-bit reference.
 @pytest.mark.parametrize("gamma", [0.9, 0.95, 0.99])
 @pytest.mark.parametrize("target_df", [1.3, 2.0, 7.5, 1e3, 1e8])
 def test_combine_t_quantile_bitwise_matches_stats(target_df, gamma):
+    """combine's half-width is the t quantile at its df times the total sd, bit for
+    bit, and that quantile lies within 21 ulps of the reference at target_df."""
     # two replicates at -d, d: b = 2d^2, and df = (1 + 2 ubar / b)^2 hits target_df
     b = 0.5
     ubar = b * (np.sqrt(target_df) - 1.0) / 2.0
     est = combine([-0.5, 0.5], [ubar, ubar], gamma=gamma)
     assert est.point == 0.0
     assert est.df == pytest.approx(target_df, rel=1e-9)
-    crit = float(stats.t.ppf((1.0 + gamma) / 2.0, est.df))
+    crit = float(t_quantile((1.0 + gamma) / 2.0, [est.df])[0])
     half = crit * float(np.sqrt(est.total_var))
     assert (est.lo, est.hi) == (-half, half)
+    want = oracles.reference_t(target_df, gamma)
+    assert oracles.ulp_error(float(t_quantile((1.0 + gamma) / 2.0, [target_df])[0]), want) <= 21
 
 
 @pytest.mark.parametrize("gamma", [0.9, 0.95, 0.99])
 def test_normal_quantiles_bitwise_match_stats(gamma):
-    crit = float(stats.norm.ppf((1.0 + gamma) / 2.0))
+    """Zero between variance pools to the normal quantile, which lies within 1.5
+    ulps of the reference; the oracle's normal interval uses the same value."""
+    crit = float(t_quantile((1.0 + gamma) / 2.0, [np.inf])[0])
+    assert oracles.ulp_error(crit, oracles.reference_normal(gamma)) <= 1.5
     # zero between variance with unit total variance: the interval is (-crit, crit)
     est = combine([0.0, 0.0], [1.0, 1.0], gamma=gamma)
     assert est.df == float("inf")
