@@ -116,13 +116,14 @@ def _newton(p: float, df: np.ndarray, z: float) -> np.ndarray:
     a = 0.5 * df
     r = _log_gamma_ratio(a)
     t = _hill(p, df, z)
-    live = np.ones(df.shape, dtype=bool)
+    live = np.arange(len(df))
     for _ in range(100):
+        tl = t[live]
         # a step may not send t below half or above twice itself
-        step = np.clip(_step(p, t, df, a, r, exact=False), -0.5 * t, t)
-        t = np.where(live, t + step, t)
-        live &= np.abs(step) > NEWTON_SETTLED * t
-        if not live.any():
+        step = np.clip(_step(p, tl, df[live], a[live], r[live], exact=False), -0.5 * tl, tl)
+        t[live] = tl = tl + step
+        live = live[np.abs(step) > NEWTON_SETTLED * tl]
+        if not len(live):
             return t + _step(p, t, df, a, r, exact=True)
     raise ArithmeticError("t quantile: Newton steps did not settle")
 

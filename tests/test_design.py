@@ -6,9 +6,8 @@ the release gate (tests/test_acceptance.py), or be a command (cmd_*): the
 library holds no function that only its unit tests call.  The modules'
 relative imports, at any depth of a file, form no cycle.  Only data.py uses
 the csv module, so one function decides how every CSV cell is written, and
-no module imports scipy.  A
-Dataset is its own DatasetView, so the library calls .to_view() once, where
-the benchmark's tracer times it.
+no module imports scipy.  A Dataset is its own DatasetView, so the library
+calls .to_view() once, where the benchmark's tracer times it.
 """
 
 import ast
