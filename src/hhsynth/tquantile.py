@@ -46,7 +46,8 @@ STIRLING = (
 )
 STIRLING_FROM = 10.0
 NEWTON_SETTLED = 2.0**-44  # relative step below which the float64 steps stop
-CF_SETTLED = 2.0**-52, 2.0**-64  # relative change that ends each continued fraction
+# relative change of K that ends a row of the float64 and the double-double fraction
+CF_SETTLED, CF_SETTLED_DD = 2.0**-52, 2.0**-64
 
 
 def t_quantile(p: float, df) -> np.ndarray:
@@ -171,7 +172,7 @@ def _log_gamma_ratio(a: np.ndarray) -> np.ndarray:
 
 def _fraction(alpha, beta, w):
     """The continued fraction K of I_w(alpha, beta) (modified Lentz); each row
-    stops changing once a step changes K by less than CF_SETTLED[0]."""
+    stops changing once a step changes K by less than CF_SETTLED."""
     d = 1.0 / (1.0 - (alpha + beta) * w / (alpha + 1.0))
     c, k = np.ones_like(w), d
     live = np.ones(w.shape, dtype=bool)
@@ -183,12 +184,12 @@ def _fraction(alpha, beta, w):
             d, c = np.where(live, 1.0 / (1.0 + coef * d), d), np.where(live, 1.0 + coef / c, c)
             delta = d * c
             k = np.where(live, k * delta, k)
-        live &= np.abs(delta - 1.0) > CF_SETTLED[0]
+        live &= np.abs(delta - 1.0) > CF_SETTLED
     return k
 
 
 def _fraction_dd(alpha, beta, w):
-    """_fraction in double-double, to CF_SETTLED[1]: w, the first term and the
+    """_fraction in double-double, to CF_SETTLED_DD: w, the first term and the
     recurrences are double-double; the later coefficients over w are doubles,
     whose rounding moves the result far less than the first term's would."""
     one = (np.ones_like(alpha), 0.0)
@@ -205,7 +206,7 @@ def _fraction_dd(alpha, beta, w):
             c_new = _dd_add(one, _dd_div(coef, c))
             delta = _dd_mul(d_new, c_new)
             d, c, k = _where(live, d_new, d), _where(live, c_new, c), _where(live, _dd_mul(k, delta), k)
-        live &= np.abs((delta[0] - 1.0) + delta[1]) > CF_SETTLED[1]
+        live &= np.abs((delta[0] - 1.0) + delta[1]) > CF_SETTLED_DD
     return k
 
 
