@@ -39,11 +39,11 @@ class UsageError(Exception):
     """A malformed config, or an input the command needs that is missing."""
 
 
-def _positive(value) -> int:
-    """A count the library takes unchecked: an integer >= 1."""
+def _at_least(low: int, value) -> int:
+    """An integer >= low: a count the library takes unchecked, or numpy's seed."""
     n = int(value)
-    if n < 1:
-        raise ValueError("must be >= 1")
+    if n < low:
+        raise ValueError(f"must be >= {low}")
     return n
 
 
@@ -98,14 +98,14 @@ _CHAIN = {
     "candidate_cap": ("candidate_cap", _or_none(int)),
 }
 _EVALUATE = {
-    "max_order": ("max_order", _positive),
+    "max_order": ("max_order", partial(_at_least, 1)),
     "min_expected": ("min_expected", float),
     "confidence": ("gamma", _open_unit),
     "household_queries": ("household_queries", list),
 }
 _RISK = {
     "kind": ("kind", str),
-    "draws": ("draws", _positive),
+    "draws": ("draws", partial(_at_least, 1)),
     "held_fixed": ("held_fixed", tuple),
     "sizes": ("sizes", _or_none(lambda sizes: tuple(int(s) for s in sizes))),
 }
@@ -113,7 +113,7 @@ _SECTIONS = {
     "simulate": _SIMULATE,
     "model": _MODEL,
     "chain": _CHAIN,
-    "synthesis": {"replicates": ("replicates", _positive)},
+    "synthesis": {"replicates": ("replicates", partial(_at_least, 1))},
     "evaluate": _EVALUATE,
     "risk": _RISK,
 }
@@ -121,7 +121,7 @@ _SECTIONS = {
 _REQUIRED = ("population_households", "sample_households", "size_distribution", "copy_variable",
              "copy_prob", "household_classes", "individual_classes", "iterations", "burn_in")
 # keywords no library object takes; they become RunConfig fields
-_PLAIN = ("sample_households", "replicates", "household_queries", "draws")
+_PLAIN = ("sample_households", "replicates", "gamma", "household_queries", "draws")
 
 
 @dataclass
@@ -140,6 +140,7 @@ class RunConfig:
     model: dict | None = None  # Hyperparams keywords, plus kernel_prior
     chain: ChainConfig | None = None
     replicates: int = 5
+    gamma: float = 0.95  # evaluate.confidence
     cells: dict = field(default_factory=dict)  # cell_report keywords
     household_queries: list = field(default_factory=list)
     draws: int = 25
@@ -206,7 +207,7 @@ def load_config(path: Path, seed_override: int | None) -> RunConfig:
     seed = seed_override if seed_override is not None else doc.get("seed")
     if seed is None:
         raise UsageError("config: a 'seed' is required (or pass --seed)")
-    seed = _value("seed", int, seed)
+    seed = _value("seed", partial(_at_least, 0), seed)
 
     schema_rel = _require(doc, "schema", "the top level")
     schema_path = (config_dir / schema_rel).resolve()
@@ -359,6 +360,11 @@ def cmd_synthesize(cfg: RunConfig, out_dir: Path) -> None:
     schema = load_schema(cfg.schema_path)
     ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")
     meta, records = read_checkpoints(ckpt_path)
+    if cfg.replicates > len(records):
+        raise UsageError(
+            f"config: synthesis.replicates: {cfg.replicates} is above the "
+            f"{len(records)} checkpoints in {ckpt_path}"
+        )
     if meta["mode"] == "truncated":
         reps = synthesize_truncated(schema, records, cfg.replicates)
     else:
@@ -432,7 +438,7 @@ def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     from .data import load_dataset, load_schema
-    from .inference import cell_report, household_report, write_report_csv
+    from .inference import cell_report, household_report, report_rows, write_report_csv
     from .synthesis import read_replicates
 
     schema = load_schema(cfg.schema_path)
@@ -450,14 +456,13 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
         population = load_dataset(
             _resolve(cfg, cfg.population_path, out_dir, "population"), schema
         )
-    rows = cell_report(original, reps.replicates, population=population, **cfg.cells)
-    write_report_csv(rows, out_dir / "cells.csv")
-    log.info("evaluate: %d cells reported", len(rows))
+    cells = cell_report(original, reps, population=population, **cfg.cells)
+    rows = report_rows(cells + household_report(original, reps, queries, population), cfg.gamma)
+    write_report_csv(rows[:len(cells)], out_dir / "cells.csv")
+    log.info("evaluate: %d cells reported", len(cells))
     if queries:
-        gamma = {k: v for k, v in cfg.cells.items() if k == "gamma"}
-        qrows = household_report(original, reps.replicates, queries, population=population, **gamma)
-        write_report_csv(qrows, out_dir / "household_queries.csv")
-        log.info("evaluate: %d household queries reported", len(qrows))
+        write_report_csv(rows[len(cells):], out_dir / "household_queries.csv")
+        log.info("evaluate: %d household queries reported", len(queries))
 
 
 def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
@@ -483,7 +488,7 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
             f"{'rules' if rules else 'no rules'}; run fit again with this config"
         )
     draws = [r.params for r in select_records(records, min(cfg.draws, len(records)))]
-    summary = risk_sweep(original, reps.replicates, draws, replace(cfg.risk, rules=rules))
+    summary = risk_sweep(original, reps, draws, replace(cfg.risk, rules=rules))
     summary.to_csv(out_dir / "risk_summary.csv")
     summary.histogram_to_csv(out_dir / "rank_histogram.csv")
     correct = sum(1 for r in summary.rows if r.rank_of_truth == 1)

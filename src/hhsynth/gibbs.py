@@ -13,6 +13,7 @@ count them with the observed households.
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -325,32 +326,31 @@ def run_chain(
 
     if truncated:
         from .truncated import CapExceededError, generate_augmented
-    for it in range(1, config.n_iterations + 1):
-        if truncated:
-            try:
-                state.augmented = generate_augmented(
-                    state.params, schema, rules, histogram, rng, cap
+    with writer or nullcontext():  # closed, and so flushed, when the chain raises too
+        for it in range(1, config.n_iterations + 1):
+            if truncated:
+                try:
+                    state.augmented = generate_augmented(
+                        state.params, schema, rules, histogram, rng, cap
+                    )
+                except CapExceededError:
+                    if state.augmented is None:
+                        raise
+                    diag.cap_exceeded += 1
+            gibbs_sweep(state, dataset, hyper, rng)
+            diag.record(state)
+            if it > config.burn_in and (it - config.burn_in - 1) % config.thin == 0:
+                record = CheckpointRecord(
+                    iteration=it,
+                    params=state.params.copy(),
+                    hh_class=state.hh_class.copy(),
+                    mem_class=state.mem_class.copy(),
+                    feasible=state.augmented.feasible if truncated else None,
                 )
-            except CapExceededError:
-                if state.augmented is None:
-                    raise
-                diag.cap_exceeded += 1
-        gibbs_sweep(state, dataset, hyper, rng)
-        diag.record(state)
-        if it > config.burn_in and (it - config.burn_in - 1) % config.thin == 0:
-            record = CheckpointRecord(
-                iteration=it,
-                params=state.params.copy(),
-                hh_class=state.hh_class.copy(),
-                mem_class=state.mem_class.copy(),
-                feasible=state.augmented.feasible if truncated else None,
-            )
-            if writer is not None:
-                writer.write(record)
-            else:
-                kept.append(record)
-    if writer is not None:
-        writer.close()
+                if writer is not None:
+                    writer.write(record)
+                else:
+                    kept.append(record)
 
     # the balanced random start occupies every class by construction, so only
     # post-burn-in occupancy says anything about the truncation binding

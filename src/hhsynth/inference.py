@@ -112,7 +112,7 @@ def combine(
     degenerates to a normal one; a zero total variance is an error.
     """
     qbar, ubar, b, total, df = _pool(points, withins)
-    half = float(critical_values(gamma, [df])[0]) * math.sqrt(total)
+    half = float(t_quantile((1.0 + gamma) / 2.0, [df])[0]) * math.sqrt(total)
     return CombinedEstimate(
         point=qbar,
         within_var=ubar,
@@ -144,11 +144,6 @@ def _pool(points: list[float], withins: list[float]) -> tuple[float, float, floa
     if total <= 0.0:
         raise ValueError("all replicate estimates and within variances are zero")
     return qbar, ubar, b, total, df
-
-
-def critical_values(gamma: float, dfs) -> np.ndarray:
-    """Two-sided gamma quantile of Student's t for each df; normal where df is inf."""
-    return t_quantile((1.0 + gamma) / 2.0, dfs)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +229,14 @@ def cell_report(
     replicates: list[Dataset],
     max_order: int = 2,
     min_expected: float = 10.0,
-    gamma: float = 0.95,
     population: Dataset | None = None,
-) -> list[ReportRow]:
-    """Marginal cells of order 1..max_order, original versus combined synthetic.
+) -> list[tuple]:
+    """report_rows' estimates of the marginal cells of order 1..max_order.
 
     Cells are kept only when the original's expected count reaches
     min_expected; pass 0 to report everything.  Each variable combination is
-    counted once per dataset; cells follow itertools.product order.
+    counted once per dataset; cells follow itertools.product order.  This and
+    household_report keep their names because the benchmark's tracer binds them.
     """
     schema = original.schema
     variables = schema.household_vars + schema.individual_vars
@@ -261,34 +256,36 @@ def cell_report(
                 synthetic = [_proportion(c[codes], n) for c, n in rep_counts]
                 label = " & ".join(f"{v}={c + 1}" for v, c in zip(names, codes))  # 1-based
                 cells.append((label, truth, (q_orig, u_orig), synthetic))
-    return _report_rows(cells, gamma)
+    return cells
 
 
 def household_report(
     original: Dataset,
     replicates: list[Dataset],
     queries: list[HouseholdQuery],
-    gamma: float = 0.95,
     population: Dataset | None = None,
-) -> list[ReportRow]:
+) -> list[tuple]:
+    """report_rows' estimates of the queries; named as cell_report says."""
     estimates = []
     for query in queries:
         truth = None if population is None else estimate_proportion(population, query)[0]
         synthetic = [estimate_proportion(rep, query) for rep in replicates]
         estimates.append((query.name, truth, estimate_proportion(original, query), synthetic))
-    return _report_rows(estimates, gamma)
+    return estimates
 
 
-def _report_rows(estimates, gamma: float) -> list[ReportRow]:
+def report_rows(estimates: list[tuple], gamma: float) -> list[ReportRow]:
     """Report rows from (label, truth, the original's (estimate, variance), each
-    replicate's (estimate, variance)); one quantile call serves every interval."""
+    replicate's (estimate, variance)): a normal interval for the original, combine's
+    for the replicates.  One quantile call, which computes each row on its own,
+    serves every interval of evaluate's reports."""
     pooled = []
     for *_, synthetic in estimates:
         try:
             pooled.append(_pool([q for q, _ in synthetic], [u for _, u in synthetic]))
         except ValueError:  # one replicate, or a degenerate all-zero cell
             pooled.append(None)
-    z, *t = critical_values(gamma, [math.inf] + [pool[4] for pool in pooled if pool]).tolist()
+    z, *t = t_quantile((1.0 + gamma) / 2.0, [math.inf] + [p[4] for p in pooled if p]).tolist()
     t = iter(t)
     rows = []
     for (label, truth, (q_orig, u_orig), synthetic), pool in zip(estimates, pooled):

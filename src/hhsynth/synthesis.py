@@ -125,15 +125,9 @@ def write_replicates(reps: SyntheticReplicates, out_dir: str | Path) -> dict:
     return manifest
 
 
-def read_replicates(out_dir: str | Path, schema: Schema) -> SyntheticReplicates:
-    """Load replicates written by write_replicates."""
+def read_replicates(out_dir: str | Path, schema: Schema) -> list[Dataset]:
+    """Load the replicates written by write_replicates, in the manifest's order."""
     out_dir = Path(out_dir)
     with (out_dir / "manifest.json").open(encoding="utf8") as fh:
-        manifest = json.load(fh)
-    replicates = [load_dataset(out_dir / name, schema) for name in manifest["files"]]
-    return SyntheticReplicates(
-        replicates=replicates,
-        source_iterations=list(manifest["source_iterations"]),
-        mode=manifest["mode"],
-        seed=manifest["seed"],
-    )
+        files = json.load(fh)["files"]
+    return [load_dataset(out_dir / name, schema) for name in files]

@@ -24,7 +24,7 @@ import numpy as np
 
 from hhsynth.constraints import check_batch
 from hhsynth.data import HOUSEHOLD, DatasetView, HouseholdRecord
-from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine, critical_values
+from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine
 from hhsynth.model import (
     LOG_FLOOR,
     Params,
@@ -35,6 +35,7 @@ from hhsynth.model import (
 )
 from hhsynth.risk import _household_supports
 from hhsynth.synthesis import select_records
+from hhsynth.tquantile import t_quantile
 from hhsynth.truncated import AugmentedBatch, CapExceededError
 
 
@@ -83,7 +84,7 @@ def estimate_proportion(dataset, query) -> tuple[float, float]:
 
 def normal_interval(q, u, gamma=0.95) -> tuple[float, float]:
     """Single-dataset normal interval around a proportion, one row at a time."""
-    half = float(critical_values(gamma, [math.inf])[0]) * math.sqrt(max(u, 0.0))
+    half = float(t_quantile((1.0 + gamma) / 2.0, [math.inf])[0]) * math.sqrt(max(u, 0.0))
     return q - half, q + half
 
 

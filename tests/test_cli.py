@@ -209,19 +209,28 @@ def test_seed_flag_overrides_config(tmp_path):
     assert load_config(config, 7).seed == 7
 
 
+def test_negative_seed_flag_exits_1(tmp_path, capsys):
+    # numpy's SeedSequence rejects a negative seed; the config layer says so first
+    config = write_workspace(tmp_path)
+    out = tmp_path / "out"
+    assert run("simulate", config, out, "--seed", "-1") == 1
+    assert "usage error: config: seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_config_builds_library_objects(tmp_path):
     config = write_workspace(
         tmp_path,
-        CONFIG_YAML.replace("thin: 3", "thin: 3\n  candidate_cap: 0").replace(
-            "held_fixed: [role]", "held_fixed: [role]\n  sizes: []"
-        ),
+        CONFIG_YAML.replace("thin: 3", "thin: 3\n  candidate_cap: 0")
+        .replace("held_fixed: [role]", "held_fixed: [role]\n  sizes: []")
+        .replace("min_expected: 0\n", "min_expected: 0\n  confidence: 0.9\n"),
     )
     cfg = load_config(config, None)
     assert cfg.chain == ChainConfig(n_iterations=60, burn_in=30, thin=3, seed=4242)
     assert cfg.risk == RiskConfig("individual", held_fixed=("role",))
     assert (cfg.toy.n_households, cfg.toy.head_code, cfg.toy.other_code) == (400, 0, 1)
     assert cfg.model == {"n_hh_classes": 6, "n_mem_classes": 4, "kernel_prior": "empirical"}
-    assert cfg.cells == {"max_order": 1, "min_expected": 0.0}
+    assert (cfg.cells, cfg.gamma) == ({"max_order": 1, "min_expected": 0.0}, 0.9)
     assert (cfg.sample_households, cfg.replicates, cfg.draws) == (120, 3, 4)
     assert len(cfg.household_queries) == 4
 
@@ -243,7 +252,8 @@ def test_sections_left_out_take_the_defaults(tmp_path):
     cfg = load_config(config, None)
     assert (cfg.toy, cfg.model, cfg.chain) == (None, None, None)
     assert cfg.risk == RiskConfig("individual")
-    assert (cfg.replicates, cfg.draws, cfg.cells, cfg.household_queries) == (5, 25, {}, [])
+    assert (cfg.replicates, cfg.gamma, cfg.draws, cfg.cells) == (5, 0.95, 25, {})
+    assert cfg.household_queries == []
 
 
 @pytest.mark.parametrize(
@@ -259,6 +269,7 @@ def test_bundled_configs_load(path):
 # (command, text in CONFIG_YAML, its replacement, the key stderr must name); a row
 # that edits several places gives tuples of texts and replacements
 BAD_CONFIGS = [
+    ("fit", "seed: 4242", "seed: -1", "seed: must be >= 0"),
     ("fit", "burn_in: 30", "burn_in: 60", "burn_in"),
     ("fit", "iterations: 60", "iterations: six", "iterations"),
     ("simulate", "iterations: 60", "iterations: six", "iterations"),
@@ -364,6 +375,20 @@ def test_report_without_replicates_exits_1(tmp_path, capsys, command):
     assert "manifest.json; run synthesize first" in capsys.readouterr().err
 
 
+def test_more_replicates_than_checkpoints_exits_1(pipeline, tmp_path, capsys):
+    # iterations 60, burn_in 30 and thin 3 keep 10 checkpoints
+    config = write_workspace(tmp_path, CONFIG_YAML.replace("replicates: 3", "replicates: 50"))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[1], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run("synthesize", config, out) == 1
+    assert capsys.readouterr().err == (
+        "usage error: config: synthesis.replicates: 50 is above the 10 checkpoints in "
+        f"{out / 'checkpoints.jsonl'}\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_risk_on_a_truncated_fit_without_rules_exits_1(pipeline, tmp_path, capsys):
     # the fit ran with rules; a config that has lost them cannot score it
     config = write_workspace(tmp_path, CONFIG_YAML.replace("rules: rules.txt\n", ""))
@@ -425,9 +450,8 @@ def test_pipeline_synthetic_loadable(pipeline):
     sample = load_dataset(out / "sample.csv", schema)
     assert sample.n_households == 120
     reps = read_replicates(out, schema)
-    assert len(reps.replicates) == 3
-    assert reps.mode == "truncated"
-    for replicate in reps.replicates:
+    assert len(reps) == 3
+    for replicate in reps:
         assert replicate.n_households == 120
 
 
@@ -439,6 +463,28 @@ def test_pipeline_cells_cover_order_one(pipeline):
     assert lines[0].startswith("query,truth,")
     # truth column filled because the config names a population file
     assert lines[1].split(",")[1] != ""
+
+
+def test_evaluate_takes_every_quantile_in_one_call(pipeline, tmp_path, monkeypatch):
+    from hhsynth import inference
+
+    calls, t_quantile = [], inference.t_quantile
+
+    def counted(p, dfs):
+        calls.append(len(dfs))
+        return t_quantile(p, dfs)
+
+    monkeypatch.setattr(inference, "t_quantile", counted)
+    config, out = pipeline
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    (work / "cells.csv").unlink()
+    (work / "household_queries.csv").unlink()
+    assert run("evaluate", config, work) == 0
+    # the normal quantile, then one df per cell row and per query row
+    assert calls == [1 + 11 + 4]
+    for name in ("cells.csv", "household_queries.csv"):
+        assert (work / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_pipeline_household_queries(pipeline):

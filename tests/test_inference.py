@@ -28,6 +28,7 @@ from hhsynth.inference import (
     household_value,
     member_count,
     q_all,
+    report_rows,
     write_report_csv,
 )
 
@@ -190,7 +191,8 @@ def test_predicate_level_checks(toy_schema):
 
 
 def test_cell_report_order_one_covers_every_code(toy_dataset):
-    rows = cell_report(toy_dataset, [toy_dataset, toy_dataset], max_order=1, min_expected=0)
+    estimates = cell_report(toy_dataset, [toy_dataset, toy_dataset], max_order=1, min_expected=0)
+    rows = report_rows(estimates, 0.95)
     assert len(rows) == 2 + 3 + 2 + 4
     # per-variable cells partition the data, so each variable sums to 1
     for prefix, card in [("own=", 2), ("hh_size=", 3), ("role=", 2), ("color=", 4)]:
@@ -201,7 +203,8 @@ def test_cell_report_order_one_covers_every_code(toy_dataset):
 
 
 def test_cell_report_identical_synthetic_reproduces_original(toy_dataset):
-    rows = cell_report(toy_dataset, [toy_dataset, toy_dataset], max_order=2, min_expected=0)
+    estimates = cell_report(toy_dataset, [toy_dataset, toy_dataset], max_order=2, min_expected=0)
+    rows = report_rows(estimates, 0.95)
     assert len(rows) == 11 + 44
     for row in rows:
         assert row.q_syn == pytest.approx(row.q_orig, abs=1e-12)
@@ -209,10 +212,10 @@ def test_cell_report_identical_synthetic_reproduces_original(toy_dataset):
 
 
 def test_cell_report_expected_count_filter(toy_dataset):
-    rows = cell_report(toy_dataset, [toy_dataset, toy_dataset], max_order=1, min_expected=2)
-    labels = {r.query for r in rows}
+    estimates = cell_report(toy_dataset, [toy_dataset, toy_dataset], max_order=1, min_expected=2)
+    rows = report_rows(estimates, 0.95)
     # hh_size=3 appears in one household of five: expected count 1, dropped
-    assert "hh_size=3" not in labels
+    assert "hh_size=3" not in {r.query for r in rows}
     assert len(rows) == 10
 
 
@@ -221,10 +224,10 @@ def test_cell_report_truth_column(toy_schema, toy_dataset):
         toy_schema,
         [((0, 0), [(0, 0)]), ((0, 0), [(0, 0)]), ((1, 0), [(0, 1)]), ((1, 0), [(0, 1)])],
     )
-    rows = cell_report(
+    estimates = cell_report(
         toy_dataset, [toy_dataset], max_order=1, min_expected=0, population=population
     )
-    by_label = {r.query: r for r in rows}
+    by_label = {r.query: r for r in report_rows(estimates, 0.95)}
     assert by_label["own=1"].truth == pytest.approx(0.5)
     assert by_label["color=1"].truth == pytest.approx(0.5)
 
@@ -234,7 +237,7 @@ def test_household_report_and_csv(tmp_path, toy_schema, toy_dataset):
         HouseholdQuery("same_color", all_members_equal(toy_schema, "color")),
         HouseholdQuery("has_color_4", exists_member(toy_schema, color=3)),
     ]
-    rows = household_report(toy_dataset, [toy_dataset, toy_dataset], queries)
+    rows = report_rows(household_report(toy_dataset, [toy_dataset, toy_dataset], queries), 0.95)
     assert [r.query for r in rows] == ["same_color", "has_color_4"]
     assert rows[0].q_orig == pytest.approx(4 / 5)
 
@@ -308,7 +311,7 @@ def test_cell_report_bitwise_matches_record_oracle(min_expected, with_population
     # no replicate has a size-4 household: those cells are zero in every replicate
     replicates = [random_dataset(seed, 24 + seed, sizes=(1, 2, 3)) for seed in (2, 3, 4)]
     population = random_dataset(5, 80) if with_population else None
-    got = cell_report(original, replicates, 3, min_expected, population=population)
+    got = report_rows(cell_report(original, replicates, 3, min_expected, population), 0.95)
     want = oracles.cell_report(original, replicates, 3, min_expected, population=population)
     assert bits(got) == bits(want)
     assert all((row.truth is None) != with_population for row in got)
@@ -324,12 +327,8 @@ def test_household_report_bitwise_matches_record_oracle(with_population):
     original = random_dataset(11, 40)
     replicates = [random_dataset(seed, 30 + seed) for seed in (12, 13)]
     population = random_dataset(14, 90) if with_population else None
-    got = household_report(
-        original,
-        replicates,
-        [_build_query(ORACLE_SCHEMA, spec) for spec in QUERY_SPECS],
-        population=population,
-    )
+    queries = [_build_query(ORACLE_SCHEMA, spec) for spec in QUERY_SPECS]
+    got = report_rows(household_report(original, replicates, queries, population), 0.95)
     want = [
         oracles.report_row(query.name, query, original, replicates, population=population)
         for query in (oracles.record_query(ORACLE_SCHEMA, spec) for spec in QUERY_SPECS)

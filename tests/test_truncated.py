@@ -6,6 +6,8 @@ variance give sharp statistical checks against the enumerated infeasible
 probability computed by a separate code path.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,18 @@ def test_sweep_without_previous_batch_propagates(toy_schema, toy_dataset, head_r
         run_chain(
             toy_dataset, hyper, ChainConfig(6, 3, seed=77, candidate_cap=1), rules=head_rules
         )
+
+
+def test_checkpoint_file_is_closed_when_the_chain_raises(
+    tmp_path, toy_schema, toy_dataset, head_rules
+):
+    hyper = Hyperparams.uniform(toy_schema, 3, 2)
+    path = tmp_path / "checkpoints.jsonl"
+    config = ChainConfig(6, 3, seed=77, candidate_cap=1)
+    with pytest.raises(CapExceededError) as info:
+        run_chain(toy_dataset, hyper, config, rules=head_rules, checkpoint_path=path)
+    # info keeps the traceback, and with it run_chain's frame and its writer, alive;
+    # the file must be closed, so its meta line is on disk, all the same
+    assert info.type is CapExceededError
+    meta = json.loads(path.read_text(encoding="utf8").splitlines()[0])
+    assert (meta["mode"], meta["seed"]) == ("truncated", 77)
