@@ -39,9 +39,16 @@ class UsageError(Exception):
     """A malformed config, or an input the command needs that is missing."""
 
 
+def _integer(value) -> int:
+    """An integer as YAML gives it; a bool, a float or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, not {value!r}")
+    return value
+
+
 def _at_least(low: int, value) -> int:
     """An integer >= low: a count the library takes unchecked, or numpy's seed."""
-    n = int(value)
+    n = _integer(value)
     if n < low:
         raise ValueError(f"must be >= {low}")
     return n
@@ -72,19 +79,19 @@ def _kernel_prior(value) -> str:
 # Each section's table maps a YAML key to (library keyword, parser).  Codes in
 # the YAML are 1-based; the library's are 0-based.
 _SIMULATE = {
-    "population_households": ("n_households", int),
-    "sample_households": ("sample_households", int),
-    "size_distribution": ("size_probs", _mapping(int, float)),
+    "population_households": ("n_households", _integer),
+    "sample_households": ("sample_households", partial(_at_least, 1)),
+    "size_distribution": ("size_probs", _mapping(_integer, float)),
     "copy_variable": ("copy_variable", str),
     "copy_prob": ("copy_prob", float),
     "role_variable": ("role_variable", _or_none(str)),
-    "head_code": ("head_code", lambda code: int(code) - 1),
-    "other_code": ("other_code", lambda code: int(code) - 1),
+    "head_code": ("head_code", lambda code: _integer(code) - 1),
+    "other_code": ("other_code", lambda code: _integer(code) - 1),
     "marginals": ("marginals", _mapping(str, partial(np.asarray, dtype=float))),
 }
 _MODEL = {
-    "household_classes": ("n_hh_classes", int),
-    "individual_classes": ("n_mem_classes", int),
+    "household_classes": ("n_hh_classes", _integer),
+    "individual_classes": ("n_mem_classes", _integer),
     "kernel_prior": ("kernel_prior", _kernel_prior),
     "hh_conc_shape": ("hh_conc_shape", float),
     "hh_conc_rate": ("hh_conc_rate", float),
@@ -92,10 +99,10 @@ _MODEL = {
     "mem_conc_rate": ("mem_conc_rate", float),
 }
 _CHAIN = {
-    "iterations": ("n_iterations", int),
-    "burn_in": ("burn_in", int),
-    "thin": ("thin", int),
-    "candidate_cap": ("candidate_cap", _or_none(int)),
+    "iterations": ("n_iterations", _integer),
+    "burn_in": ("burn_in", _integer),
+    "thin": ("thin", _integer),
+    "candidate_cap": ("candidate_cap", _or_none(_integer)),
 }
 _EVALUATE = {
     "max_order": ("max_order", partial(_at_least, 1)),
@@ -107,7 +114,7 @@ _RISK = {
     "kind": ("kind", str),
     "draws": ("draws", partial(_at_least, 1)),
     "held_fixed": ("held_fixed", tuple),
-    "sizes": ("sizes", _or_none(lambda sizes: tuple(int(s) for s in sizes))),
+    "sizes": ("sizes", _or_none(lambda sizes: tuple(map(_integer, sizes)))),
 }
 _SECTIONS = {
     "simulate": _SIMULATE,
@@ -419,8 +426,8 @@ def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery
             schema,
             variable,
             code(variable, _require(spec, "code", where)),
-            min_count=int(spec.get("min", 0)),
-            max_count=int(spec["max"]) if "max" in spec else None,
+            min_count=_integer(spec.get("min", 0)),
+            max_count=_integer(spec["max"]) if "max" in spec else None,
         )
     elif kind == "hh_value":
         variable = _require(spec, "variable", where)
@@ -432,7 +439,7 @@ def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery
     return HouseholdQuery(
         name=str(spec.get("name", kind)),
         predicate=pred,
-        size=int(spec["size"]) if "size" in spec else None,
+        size=_integer(spec["size"]) if "size" in spec else None,
     )
 
 

@@ -23,7 +23,7 @@ class ChainConfig:
     burn_in: int
     thin: int = 1
     seed: int = 0
-    candidate_cap: int | None = None  # truncated mode; defaults to 1000 * n
+    candidate_cap: int | None = None  # truncated mode; None means 1000 * n
 
     def __post_init__(self):
         if self.n_iterations < 1:
@@ -32,6 +32,8 @@ class ChainConfig:
             raise ValueError("burn_in must lie in [0, n_iterations)")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.candidate_cap is not None and self.candidate_cap < 1:
+            raise ValueError("candidate_cap must be >= 1")
 
 
 @dataclass

@@ -14,7 +14,9 @@ supported, written one per line ('#' starts a comment):
         a forbidden combination.  Comma-joined literals must hold on one
         member (or are household-level conditions); '&'-separated groups
         must be witnessed by distinct members.  The household is infeasible
-        when all groups match simultaneously.
+        when all groups match simultaneously.  check_batch decides distinct
+        witnesses by Hall's condition, with 2^T - 1 whole-array checks for T
+        groups and no Python loop over households.
 
 VALUE tokens are 1-based category codes or labels from the schema.
 
@@ -25,6 +27,7 @@ iter_cells, the one enumerator of code combinations here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -191,42 +194,6 @@ def _parse_rule(line: str, schema: Schema) -> Rule:
     raise RuleError(f"unknown rule kind {head!r}")
 
 
-def _injective_match(candidates: list[np.ndarray]) -> np.ndarray:
-    """Rows where distinct members can witness every pattern.
-
-    candidates[t] is a (B, h) bool matrix of members matching pattern t.
-    Small pattern counts only; backtracking over patterns ordered by
-    match count keeps this cheap.
-    """
-    n_pat = len(candidates)
-    B = candidates[0].shape[0]
-    if n_pat == 1:
-        return candidates[0].any(axis=1)
-    stacked = np.stack(candidates)  # (T, B, h)
-    out = np.zeros(B, dtype=bool)
-    # quick necessary condition: every pattern matched and enough distinct members
-    feasible_rows = np.flatnonzero(
-        stacked.any(axis=2).all(axis=0) & (stacked.any(axis=0).sum(axis=1) >= n_pat)
-    )
-    for b in feasible_rows:
-        rows = [np.flatnonzero(stacked[t, b]) for t in range(n_pat)]
-        order = sorted(range(n_pat), key=lambda t: len(rows[t]))
-
-        def extend(t: int, used: set) -> bool:
-            if t == n_pat:
-                return True
-            for j in rows[order[t]]:
-                if j not in used:
-                    used.add(j)
-                    if extend(t + 1, used):
-                        return True
-                    used.discard(j)
-            return False
-
-        out[b] = extend(0, set())
-    return out
-
-
 def check_batch(rules: RuleSet, hh_codes: np.ndarray, mem_codes: np.ndarray) -> np.ndarray:
     """Vectorized feasibility for B same-size households.
 
@@ -257,14 +224,15 @@ def check_batch(rules: RuleSet, hh_codes: np.ndarray, mem_codes: np.ndarray) -> 
             fired = np.ones(B, dtype=bool)
             for idx, code in rule.hh_literals:
                 fired &= hh_codes[:, idx] == code
-            if rule.member_patterns and fired.any():
-                matches = []
-                for pattern in rule.member_patterns:
-                    m = np.ones(mem_codes.shape[:2], dtype=bool)
-                    for idx, code in pattern:
-                        m &= mem_codes[:, :, idx] == code
-                    matches.append(m)
-                fired &= _injective_match(matches)
+            matches = [  # (B, h): the members matching each pattern
+                np.logical_and.reduce([mem_codes[:, :, idx] == code for idx, code in pattern])
+                for pattern in rule.member_patterns
+            ]
+            # Hall's condition: distinct members witness all T patterns exactly
+            # when every k of them are matched together by at least k members
+            for k in range(1, len(matches) + 1):
+                for group in itertools.combinations(matches, k):
+                    fired &= np.logical_or.reduce(group).sum(axis=1) >= k
             ok &= ~fired
         else:  # pragma: no cover
             raise TypeError(f"unknown rule type {type(rule).__name__}")

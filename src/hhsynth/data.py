@@ -350,6 +350,8 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
                 f"{path}: header {header} does not match expected columns {expected}"
             )
         rows = list(reader)
+    if not rows:
+        raise SchemaError(f"{path}: no households")
     col = {name: header.index(name) for name in expected}
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):

@@ -5,7 +5,9 @@ HouseholdRecord tuples, cell and household-query proportions counted one
 household at a time, the normal interval of one row, 200-bit t and normal
 quantiles (tests/data/t_quantile_ref.json, written by
 tests/make_t_quantile_ref.py) with exact ulp errors, the household
-predicates written per record, the feasibility of one household, one household's marginal likelihood, the
+predicates written per record, the feasibility of one household (by the
+library and by trying every injective assignment of a forbid rule's groups
+to members), one household's marginal likelihood, the
 infeasible mass of a household size over the whole composition space and by
 simulation, the class logits and candidate likelihoods each caller once built for itself, and
 the draws of households and parameters made one variable or one kernel per
@@ -22,7 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from hhsynth.constraints import check_batch
+from hhsynth.constraints import (
+    ExactlyOneOfRole,
+    MinValueForRole,
+    PairwiseOrderByRole,
+    check_batch,
+)
 from hhsynth.data import HOUSEHOLD, DatasetView, HouseholdRecord
 from hhsynth.inference import CellQuery, HouseholdQuery, ReportRow, combine
 from hhsynth.model import (
@@ -216,6 +223,35 @@ def check_household(rules, record: HouseholdRecord) -> bool:
     hh = np.asarray(record.hh_values, dtype=np.int64)[None, :]
     mem = np.asarray(record.members, dtype=np.int64)[None, :, :]
     return bool(check_batch(rules, hh, mem)[0])
+
+
+def feasible_by_brute_force(rules, record: HouseholdRecord) -> bool:
+    """Feasibility of one household record, one rule at a time: a forbid
+    rule's groups are tried on every injective assignment to members."""
+    members = record.members
+    for rule in rules.rules:
+        if isinstance(rule, ExactlyOneOfRole):
+            if sum(1 for m in members if m[rule.var_index] == rule.code) != 1:
+                return False
+        elif isinstance(rule, MinValueForRole):
+            if any(m[rule.role_index] == rule.role_code and m[rule.value_index] < rule.min_code
+                   for m in members):
+                return False
+        elif isinstance(rule, PairwiseOrderByRole):
+            lows = [m[rule.order_index] for m in members if m[rule.role_index] == rule.low_code]
+            highs = [m[rule.order_index] for m in members if m[rule.role_index] == rule.high_code]
+            if any(lo + rule.min_gap > hi for lo in lows for hi in highs):
+                return False
+        else:  # ForbiddenCombination: some member per group, no member twice
+            hh_holds = all(record.hh_values[k] == code for k, code in rule.hh_literals)
+            witnessed = any(
+                all(members[j][k] == code for j, pattern in zip(chosen, rule.member_patterns)
+                    for k, code in pattern)
+                for chosen in itertools.permutations(range(len(members)), len(rule.member_patterns))
+            )
+            if hh_holds and witnessed:
+                return False
+    return True
 
 
 def household_likelihood(record: HouseholdRecord, params) -> float:

@@ -195,6 +195,17 @@ def test_corrupt_data_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rules", ["rules: rules.txt\n", ""], ids=["truncated", "untruncated"])
+def test_data_with_no_households_exits_2(tmp_path, capsys, rules):
+    config = write_workspace(tmp_path, CONFIG_YAML.replace("rules: rules.txt\n", rules))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sample.csv").write_text("household_id,own,hh_size,person_index,role,color\n")
+    assert run("fit", config, out) == 2
+    assert f"{out / 'sample.csv'}: no households" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["sample.csv"]
+
+
 def test_build_query_unknown_kind(tmp_path):
     (tmp_path / "schema.yaml").write_text(SCHEMA_YAML)
     schema = load_schema(tmp_path / "schema.yaml")
@@ -270,6 +281,15 @@ def test_bundled_configs_load(path):
 # that edits several places gives tuples of texts and replacements
 BAD_CONFIGS = [
     ("fit", "seed: 4242", "seed: -1", "seed: must be >= 0"),
+    ("fit", "seed: 4242", "seed: 1.7", "seed: must be an integer, not 1.7"),
+    ("fit", "iterations: 60", "iterations: 60.5", "chain.iterations: must be an integer, not 60.5"),
+    (
+        "fit",
+        "household_classes: 6",
+        "household_classes: true",
+        "model.household_classes: must be an integer, not True",
+    ),
+    ("fit", "thin: 3", "thin: 3\n  candidate_cap: -5", "candidate_cap must be >= 1"),
     ("fit", "burn_in: 30", "burn_in: 60", "burn_in"),
     ("fit", "iterations: 60", "iterations: six", "iterations"),
     ("simulate", "iterations: 60", "iterations: six", "iterations"),
@@ -293,6 +313,14 @@ BAD_CONFIGS = [
         "risk.sizes",
     ),
     ("simulate", "sample_households: 120", "sample_households: 500", "sample_households"),
+    ("simulate", "sample_households: 120", "sample_households: 0", "sample_households: must be >= 1"),
+    (
+        "simulate",
+        "{1: 0.3, 2: 0.5, 3: 0.2}",
+        "{1: 0.3, 2.5: 0.5, 3: 0.2}",
+        "simulate.size_distribution: must be an integer, not 2.5",
+    ),
+    ("evaluate", "variable: color, size: 2", "variable: color, size: 2.0", "not 2.0"),
     ("simulate", "color: [0.4, 0.3, 0.2, 0.1]", "color: [0.4, 0.3, 0.3]", "marginals"),
     ("simulate", "head_code: 1", "head_code: 3", "head_code"),
     ("simulate", "role_variable: role", "role_variable: rol", "role_variable 'rol'"),

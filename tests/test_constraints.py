@@ -2,7 +2,8 @@
 
 The vectorized batch checker is validated two ways: hand-picked truth-table
 cases per rule family, and a sweep of random households compared against a
-deliberately naive per-record reimplementation of the rule semantics.
+deliberately naive per-record reimplementation of the rule semantics
+(oracles.feasible_by_brute_force).
 """
 
 import itertools
@@ -11,10 +12,6 @@ import numpy as np
 import pytest
 
 from hhsynth.constraints import (
-    ExactlyOneOfRole,
-    ForbiddenCombination,
-    MinValueForRole,
-    PairwiseOrderByRole,
     RuleError,
     RuleSet,
     check_batch,
@@ -28,7 +25,7 @@ from hhsynth.data import HouseholdRecord
 from hhsynth.rng import substream
 
 from conftest import build_schema
-from oracles import check_household, records_of
+from oracles import check_household, feasible_by_brute_force, records_of
 
 # role(2): 1=head 2=other; age(5) ordered by code; relation(3): 1=head 2=spouse 3=child
 FAMILY = build_schema(
@@ -47,41 +44,6 @@ forbid own = 2 & rel = 2, age = 1
 
 def record(hh, members):
     return HouseholdRecord(household_id="t", hh_values=tuple(hh), members=tuple(members))
-
-
-def naive_check(rules, hh, members):
-    """Slow reference semantics, one rule at a time."""
-    for rule in rules.rules:
-        if isinstance(rule, ExactlyOneOfRole):
-            if sum(1 for m in members if m[rule.var_index] == rule.code) != 1:
-                return False
-        elif isinstance(rule, MinValueForRole):
-            for m in members:
-                if m[rule.role_index] == rule.role_code and m[rule.value_index] < rule.min_code:
-                    return False
-        elif isinstance(rule, PairwiseOrderByRole):
-            lows = [m[rule.order_index] for m in members if m[rule.role_index] == rule.low_code]
-            highs = [m[rule.order_index] for m in members if m[rule.role_index] == rule.high_code]
-            for lo in lows:
-                for hi in highs:
-                    if lo + rule.min_gap > hi:
-                        return False
-        elif isinstance(rule, ForbiddenCombination):
-            if any(hh[k] != code for k, code in rule.hh_literals):
-                continue
-            # witness: distinct members matching the patterns, any assignment
-            idx = range(len(members))
-            matched = False
-            for combo in itertools.permutations(idx, len(rule.member_patterns)):
-                if all(
-                    all(members[j][k] == code for k, code in pattern)
-                    for j, pattern in zip(combo, rule.member_patterns)
-                ):
-                    matched = True
-                    break
-            if matched:
-                return False
-    return True
 
 
 def test_compile_rule_kinds():
@@ -179,10 +141,47 @@ def test_batch_agrees_with_naive_oracle():
             axis=2,
         )
         got = check_batch(rules, hh, mem)
-        want = np.array(
-            [naive_check(rules, hh[b], [tuple(m) for m in mem[b]]) for b in range(B)]
-        )
+        want = [feasible_by_brute_force(rules, record(a, b)) for a, b in zip(hh, mem.tolist())]
         np.testing.assert_array_equal(got, want)
+
+
+# few codes per variable, so a forbid rule's groups often match the same members
+WITNESS = build_schema(household=[("own", 2), ("hh_size*", 6)], individual=[("a", 2), ("b", 3)])
+
+
+def random_forbid_rule(rng, n_groups: int) -> str:
+    """A forbid rule of n_groups '&' groups of one or two member literals; a
+    group may repeat an earlier one, and may carry a household literal."""
+    groups = []
+    for _ in range(n_groups):
+        if groups and rng.random() < 0.3:
+            groups.append(groups[int(rng.integers(len(groups)))])
+            continue
+        names = ["a", "b"] if rng.random() < 0.4 else [["a", "b"][int(rng.integers(2))]]
+        literals = [f"{n} = {int(rng.integers(1, WITNESS.variable(n).cardinality + 1))}"
+                    for n in names]
+        if rng.random() < 0.15:
+            literals.append(f"own = {int(rng.integers(1, 3))}")
+        groups.append(", ".join(literals))
+    return "forbid " + " & ".join(groups)
+
+
+@pytest.mark.parametrize("h", range(1, 7))
+def test_distinct_witnesses_equal_brute_force(h):
+    # includes more groups than members (h < 4), where no rule can fire
+    rng = substream(79, "witness", h)
+    B = 150
+    for n_groups in range(1, 5):
+        hh = np.stack([rng.integers(0, 2, size=B), np.full(B, h - 1)], axis=1)
+        mem = np.stack([rng.integers(0, 2, size=(B, h)), rng.integers(0, 3, size=(B, h))], axis=2)
+        records = [record(a, b) for a, b in zip(hh.tolist(), mem.tolist())]
+        outcomes = set()
+        for _ in range(8):
+            rules = compile_rules(random_forbid_rule(rng, n_groups), WITNESS)
+            want = [feasible_by_brute_force(rules, r) for r in records]
+            np.testing.assert_array_equal(check_batch(rules, hh, mem), want)
+            outcomes |= set(want)
+        assert outcomes == ({True, False} if n_groups <= h else {True})
 
 
 def test_member_permutation_invariance():

@@ -240,6 +240,8 @@ def test_load_dataset_accepts_any_column_order(tmp_path, toy_schema):
         # person_index beyond any household's size, or below 1
         ("1,a,1,99999999999999999999,1,1\n", "person_index must run"),
         ("1,a,1,0,1,1\n", "person_index must run"),
+        # a header and no households
+        ("", "bad.csv: no households"),
     ],
 )
 def test_load_dataset_rejects(tmp_path, toy_schema, body, fragment):
@@ -345,4 +347,6 @@ def test_empty_dataset(tmp_path, toy_schema):
         assert path.read_text().splitlines() == [
             "household_id,person_index,own,hh_size,role,color"
         ]
-        assert load_dataset(path, toy_schema).n_households == 0
+        # writing one is fine, but no command can use a data file without households
+        with pytest.raises(SchemaError, match="no households"):
+            load_dataset(path, toy_schema)

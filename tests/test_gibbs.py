@@ -345,6 +345,10 @@ def test_chain_config_validation():
         ChainConfig(n_iterations=5, burn_in=5)
     with pytest.raises(ValueError, match="thin"):
         ChainConfig(n_iterations=5, burn_in=0, thin=0)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="candidate_cap must be >= 1"):
+            ChainConfig(n_iterations=5, burn_in=0, candidate_cap=cap)
+    assert ChainConfig(n_iterations=5, burn_in=0, candidate_cap=None).candidate_cap is None
 
 
 def test_init_state_is_valid(toy_schema, toy_dataset):
