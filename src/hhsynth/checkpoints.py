@@ -4,12 +4,15 @@ JSON float serialization uses repr, which round-trips doubles exactly, so a
 written checkpoint reloads bit-for-bit.  Truncated-mode records additionally
 carry the iteration's feasible by-product households as a DatasetView, stored
 as its household codes, member codes and sizes, which the synthesizer
-releases as they are.
+releases as they are.  A reader that needs a few draws, or only their
+parameters, parses only those: the writer puts each record's parameters right
+after its iteration, where the reader finds them without parsing the rest.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -120,9 +123,34 @@ def hyper_meta(hyper: Hyperparams) -> dict:
     return doc
 
 
-def read_checkpoints(path: str | Path) -> tuple[dict, list[CheckpointRecord]]:
-    """Load the meta line and every record from a checkpoint file."""
-    records = []
+def select_records(records: list, n: int) -> list:
+    """Evenly spaced selection across the retained draws, endpoints included."""
+    if n < 1:
+        raise ValueError("need at least one replicate")
+    if len(records) < n:
+        raise ValueError(f"only {len(records)} checkpoints for {n} replicates")
+    if n == 1:
+        return [records[-1]]
+    picks = np.round(np.linspace(0, len(records) - 1, n)).astype(int)
+    return [records[i] for i in picks]
+
+
+# how the writer starts each record line: the iteration, then the parameters
+_PARAMS_AT = re.compile(r'\{"iteration": -?\d+, "params": ')
+
+
+def read_checkpoints(
+    path: str | Path, n: int | None = None, params_only: bool = False
+) -> tuple[dict, list]:
+    """Load the meta line and the records: every one, or the n that
+    select_records(records, n) picks.
+
+    Only the picked lines are parsed; when the file holds fewer than n records
+    it returns them all, and the caller compares the count.  With params_only,
+    each picked record yields its Params alone, decoded from where the writer
+    puts them without parsing the rest of the line; a line laid out otherwise
+    is parsed in full.
+    """
     with Path(path).open(encoding="utf8") as fh:
         first = fh.readline()
         if not first:
@@ -130,13 +158,19 @@ def read_checkpoints(path: str | Path) -> tuple[dict, list[CheckpointRecord]]:
         meta = json.loads(first)
         if meta.get("format") != FORMAT_NAME:
             raise ValueError(f"{path}: not a checkpoint file")
-        for line in fh:
-            if line.strip():
-                doc = json.loads(line)
-                if isinstance(doc["params"]["mem_conc"], list):
-                    raise ValueError(
-                        f"{path}: written by a fit with one member concentration per class, "
-                        "which is no longer supported; run fit again"
-                    )
-                records.append(record_from_jsonable(doc))
+        lines = [line for line in fh if line.strip()]
+    if n is not None and lines:
+        lines = select_records(lines, min(n, len(lines)))
+    raw_decode = json.JSONDecoder().raw_decode
+    records = []
+    for line in lines:
+        at = _PARAMS_AT.match(line) if params_only else None
+        doc = {"params": raw_decode(line, at.end())[0]} if at else json.loads(line)
+        if isinstance(doc["params"]["mem_conc"], list):
+            raise ValueError(
+                f"{path}: written by a fit with one member concentration per class, "
+                "which is no longer supported; run fit again"
+            )
+        records.append(params_from_jsonable(doc["params"]) if params_only
+                       else record_from_jsonable(doc))
     return meta, records

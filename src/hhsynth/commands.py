@@ -61,9 +61,26 @@ def _open_unit(value) -> float:
     return p
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, not {value!r}")
+    return value
+
+
+def _integers(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"must be a list, not {value!r}")
+    return tuple(map(_integer, value))
+
+
 def _or_none(parse):
-    """parse, except that an empty value (null, 0, []) keeps the library's None."""
-    return lambda value: parse(value) if value else None
+    """parse, except that null, 0 and [] keep the library's None; false and "" go to parse."""
+    def parse_or_none(value):
+        if value is None or value == [] or (type(value) is int and value == 0):
+            return None
+        return parse(value)
+
+    return parse_or_none
 
 
 def _mapping(parse_key, parse_value):
@@ -84,7 +101,7 @@ _SIMULATE = {
     "size_distribution": ("size_probs", _mapping(_integer, float)),
     "copy_variable": ("copy_variable", str),
     "copy_prob": ("copy_prob", float),
-    "role_variable": ("role_variable", _or_none(str)),
+    "role_variable": ("role_variable", _or_none(_text)),
     "head_code": ("head_code", lambda code: _integer(code) - 1),
     "other_code": ("other_code", lambda code: _integer(code) - 1),
     "marginals": ("marginals", _mapping(str, partial(np.asarray, dtype=float))),
@@ -114,7 +131,7 @@ _RISK = {
     "kind": ("kind", str),
     "draws": ("draws", partial(_at_least, 1)),
     "held_fixed": ("held_fixed", tuple),
-    "sizes": ("sizes", _or_none(lambda sizes: tuple(map(_integer, sizes)))),
+    "sizes": ("sizes", _or_none(_integers)),
 }
 _SECTIONS = {
     "simulate": _SIMULATE,
@@ -366,7 +383,7 @@ def cmd_synthesize(cfg: RunConfig, out_dir: Path) -> None:
 
     schema = load_schema(cfg.schema_path)
     ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")
-    meta, records = read_checkpoints(ckpt_path)
+    meta, records = read_checkpoints(ckpt_path, cfg.replicates)
     if cfg.replicates > len(records):
         raise UsageError(
             f"config: synthesis.replicates: {cfg.replicates} is above the "
@@ -377,6 +394,14 @@ def cmd_synthesize(cfg: RunConfig, out_dir: Path) -> None:
     else:
         data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
         dataset = load_dataset(data_path, schema)
+        for record in records:
+            fitted = (len(record.hh_class), len(record.mem_class))
+            if fitted != (dataset.n_households, dataset.n_individuals):
+                raise UsageError(
+                    f"{ckpt_path} comes from a fit on {fitted[0]} households and {fitted[1]} "
+                    f"individuals, but {data_path} has {dataset.n_households} households and "
+                    f"{dataset.n_individuals} individuals; run fit again"
+                )
         reps = synthesize_untruncated(dataset, records, cfg.replicates, cfg.seed)
     manifest = write_replicates(reps, out_dir)
     log.info(
@@ -476,7 +501,7 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
     from .checkpoints import read_checkpoints
     from .data import load_dataset, load_schema
     from .risk import risk_sweep
-    from .synthesis import read_replicates, select_records
+    from .synthesis import read_replicates
 
     schema = load_schema(cfg.schema_path)
     for name in cfg.risk.held_fixed:
@@ -487,14 +512,13 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
     _output_of("synthesize", "replicates", out_dir / "manifest.json")
     reps = read_replicates(out_dir, schema)
     ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")
-    meta, records = read_checkpoints(ckpt_path)
+    meta, draws = read_checkpoints(ckpt_path, cfg.draws, params_only=True)
     rules = _load_rules(cfg, schema)
     if meta["mode"] != ("truncated" if rules else "untruncated"):
         raise UsageError(
             f"{ckpt_path} comes from a fit in {meta['mode']} mode, but the config has "
             f"{'rules' if rules else 'no rules'}; run fit again with this config"
         )
-    draws = [r.params for r in select_records(records, min(cfg.draws, len(records)))]
     summary = risk_sweep(original, reps, draws, replace(cfg.risk, rules=rules))
     summary.to_csv(out_dir / "risk_summary.csv")
     summary.histogram_to_csv(out_dir / "rank_histogram.csv")

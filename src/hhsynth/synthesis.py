@@ -31,18 +31,6 @@ class SyntheticReplicates:
     seed: int | None = None
 
 
-def select_records(records: list[CheckpointRecord], n: int) -> list[CheckpointRecord]:
-    """Evenly spaced selection across the retained draws, endpoints included."""
-    if n < 1:
-        raise ValueError("need at least one replicate")
-    if len(records) < n:
-        raise ValueError(f"only {len(records)} checkpoints for {n} replicates")
-    if n == 1:
-        return [records[-1]]
-    picks = np.round(np.linspace(0, len(records) - 1, n)).astype(int)
-    return [records[i] for i in picks]
-
-
 def synthesize_untruncated(
     dataset: Dataset,
     records: list[CheckpointRecord],
@@ -54,6 +42,7 @@ def synthesize_untruncated(
     Each replicate draws its household variables but the size, then its
     member variables, from one block of uniforms.
     """
+    from .checkpoints import select_records
     from .model import DrawTables, with_size_column
     from .rng import substream
 
@@ -86,6 +75,8 @@ def synthesize_truncated(
     n_replicates: int,
 ) -> SyntheticReplicates:
     """Fully synthetic replicates from the feasible by-product households."""
+    from .checkpoints import select_records
+
     chosen = select_records(records, n_replicates)
     replicates = []
     for record in chosen:

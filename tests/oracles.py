@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hhsynth.checkpoints import select_records
 from hhsynth.constraints import (
     ExactlyOneOfRole,
     MinValueForRole,
@@ -41,7 +42,6 @@ from hhsynth.model import (
     stick_break,
 )
 from hhsynth.risk import _household_supports
-from hhsynth.synthesis import select_records
 from hhsynth.tquantile import t_quantile
 from hhsynth.truncated import AugmentedBatch, CapExceededError
 

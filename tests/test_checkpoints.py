@@ -15,6 +15,7 @@ from hhsynth.checkpoints import (
     read_checkpoints,
     record_from_jsonable,
     record_to_jsonable,
+    select_records,
 )
 from hhsynth.data import DatasetView
 from hhsynth.gibbs import ChainConfig, run_chain
@@ -152,4 +153,89 @@ def test_reader_rejects_a_per_class_concentration(tmp_path, toy_schema):
     with path.open("a", encoding="utf8") as fh:
         fh.write(json.dumps(doc) + "\n")
     with pytest.raises(ValueError, match=r"old\.jsonl: .*per class.*run fit again"):
+        read_checkpoints(path)
+    # the line is laid out as the writer lays it out, so only its params are decoded
+    assert path.read_text().splitlines()[1].startswith('{"iteration": 1, "params": {')
+    with pytest.raises(ValueError, match=r"old\.jsonl: .*per class.*run fit again"):
+        read_checkpoints(path, 1, params_only=True)
+
+
+def write_chain(path, schema, n_records, truncated):
+    """n_records checkpoint records of prior draws, each with its own class
+    arrays and, if truncated, its own feasible households."""
+    hyper = Hyperparams.uniform(schema, 3, 2)
+    records = []
+    with CheckpointWriter(path, {"mode": "truncated" if truncated else "untruncated"}) as writer:
+        for i in range(n_records):
+            feasible = None
+            if truncated:
+                feasible = DatasetView.from_arrays(
+                    np.array([[i % 2, 0], [1, 1]]), np.array([[i % 2, i % 4], [1, 3], [0, 0]]),
+                    [1, 2],
+                )
+            record = CheckpointRecord(
+                iteration=3 * (i + 1),
+                params=prior_draw(hyper, substream(54, i)),
+                hh_class=np.array([i % 3, 1]),
+                mem_class=np.array([0, i % 2, 1]),
+                feasible=feasible,
+            )
+            writer.write(record)
+            records.append(record)
+    return records
+
+
+def assert_records_equal(a, b):
+    assert a.iteration == b.iteration
+    assert_params_equal(a.params, b.params)
+    np.testing.assert_array_equal(a.hh_class, b.hh_class)
+    np.testing.assert_array_equal(a.mem_class, b.mem_class)
+    assert (a.feasible is None) == (b.feasible is None)
+    if a.feasible is not None:
+        for name in ("hh_codes", "mem_codes", "sizes"):
+            np.testing.assert_array_equal(getattr(a.feasible, name), getattr(b.feasible, name))
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["untruncated", "truncated"])
+def test_reading_n_records_equals_selecting_them_from_a_full_read(tmp_path, toy_schema, truncated):
+    path = tmp_path / "chain.jsonl"
+    written = write_chain(path, toy_schema, 7, truncated)
+    _, everything = read_checkpoints(path)
+    for want, got in zip(written, everything, strict=True):
+        assert_records_equal(want, got)
+    for n in range(1, 8):
+        _, chosen = read_checkpoints(path, n)
+        _, params = read_checkpoints(path, n, params_only=True)
+        picked = select_records(everything, n)
+        assert [r.iteration for r in chosen] == [r.iteration for r in picked]
+        for want, got, got_params in zip(picked, chosen, params, strict=True):
+            assert_records_equal(want, got)
+            assert_params_equal(want.params, got_params)
+    # more records asked for than the file holds: every record, for the caller to count
+    _, beyond = read_checkpoints(path, 9)
+    assert [r.iteration for r in beyond] == [r.iteration for r in everything]
+
+
+def test_params_only_read_falls_back_to_a_full_parse(tmp_path, toy_schema):
+    path = tmp_path / "chain.jsonl"
+    written = write_chain(path, toy_schema, 3, truncated=True)
+    meta, *lines = path.read_text().splitlines()
+    compact = json.dumps(json.loads(lines[0]), separators=(",", ":"))
+    reordered = json.dumps(dict(reversed(json.loads(lines[1]).items())))
+    assert not reordered.startswith('{"iteration"')
+    path.write_text("\n".join([meta, compact, reordered, lines[2]]) + "\n")
+    _, params = read_checkpoints(path, params_only=True)
+    for want, got in zip(written, params, strict=True):
+        assert_params_equal(want.params, got)
+
+
+def test_a_record_no_read_picks_is_not_parsed(tmp_path, toy_schema):
+    path = tmp_path / "chain.jsonl"
+    written = write_chain(path, toy_schema, 3, truncated=False)
+    meta, first, _, last = path.read_text().splitlines()
+    path.write_text("\n".join([meta, first, '{"iteration": 6, "params": {"hh_sticks": [', last]))
+    _, (one, three) = read_checkpoints(path, 2)
+    assert_records_equal(one, written[0])
+    assert_records_equal(three, written[2])
+    with pytest.raises(json.JSONDecodeError):
         read_checkpoints(path)

@@ -342,6 +342,38 @@ BAD_CONFIGS = [
         "kernel_prior: empirical\n  per_class_mem_conc: true",
         "unknown keys ['per_class_mem_conc'] in model",
     ),
+    # only null, 0 and [] keep a default; false and "" are values the parser rejects
+    (
+        "fit",
+        "thin: 3",
+        "thin: 3\n  candidate_cap: false",
+        "chain.candidate_cap: must be an integer, not False",
+    ),
+    (
+        "fit",
+        "thin: 3",
+        'thin: 3\n  candidate_cap: ""',
+        "chain.candidate_cap: must be an integer, not ''",
+    ),
+    (
+        "simulate",
+        "role_variable: role",
+        "role_variable: false",
+        "simulate.role_variable: must be a string, not False",
+    ),
+    ("simulate", "role_variable: role", 'role_variable: ""', "role_variable ''"),
+    (
+        "risk",
+        "held_fixed: [role]",
+        "held_fixed: [role]\n  sizes: false",
+        "risk.sizes: must be a list, not False",
+    ),
+    (
+        "risk",
+        "held_fixed: [role]",
+        'held_fixed: [role]\n  sizes: ""',
+        "risk.sizes: must be a list, not ''",
+    ),
 ]
 
 
@@ -414,6 +446,26 @@ def test_more_replicates_than_checkpoints_exits_1(pipeline, tmp_path, capsys):
         "usage error: config: synthesis.replicates: 50 is above the 10 checkpoints in "
         f"{out / 'checkpoints.jsonl'}\n"
     )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_synthesize_from_a_fit_on_other_data_exits_1(tmp_path, capsys):
+    # untruncated synthesis keeps each household's fitted classes, so the
+    # checkpoints must come from a fit on the data it reads
+    out = tmp_path / "out"
+    config = write_workspace(tmp_path, CONFIG_YAML.replace("rules: rules.txt\n", ""))
+    for command in ("simulate", "fit"):
+        assert run(command, config, out) == 0, command
+    fewer = write_workspace(
+        tmp_path, config.read_text().replace("sample_households: 120", "sample_households: 100")
+    )
+    assert run("simulate", fewer, out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run("synthesize", fewer, out) == 1
+    err = capsys.readouterr().err
+    assert "comes from a fit on 120 households" in err
+    assert f"but {out / 'sample.csv'} has 100 households" in err
+    assert err.endswith("; run fit again\n")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

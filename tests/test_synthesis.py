@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from hhsynth.checkpoints import CheckpointRecord
+from hhsynth.checkpoints import CheckpointRecord, select_records
 from hhsynth.constraints import compile_rules
 from hhsynth.gibbs import ChainConfig, run_chain
 from hhsynth.model import Hyperparams, prior_draw
 from hhsynth.rng import substream
 from hhsynth.synthesis import (
     read_replicates,
-    select_records,
     synthesize_truncated,
     synthesize_untruncated,
     write_replicates,
