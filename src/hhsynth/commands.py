@@ -67,10 +67,14 @@ def _text(value) -> str:
     return value
 
 
-def _integers(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ValueError(f"must be a list, not {value!r}")
-    return tuple(map(_integer, value))
+def _list_of(parse):
+    """A YAML list read as a tuple of parse(item); any other value is an error."""
+    def parse_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"must be a list, not {value!r}")
+        return tuple(map(parse, value))
+
+    return parse_list
 
 
 def _or_none(parse):
@@ -130,8 +134,8 @@ _EVALUATE = {
 _RISK = {
     "kind": ("kind", str),
     "draws": ("draws", partial(_at_least, 1)),
-    "held_fixed": ("held_fixed", tuple),
-    "sizes": ("sizes", _or_none(_integers)),
+    "held_fixed": ("held_fixed", _list_of(_text)),
+    "sizes": ("sizes", _or_none(_list_of(_integer))),
 }
 _SECTIONS = {
     "simulate": _SIMULATE,

@@ -374,6 +374,15 @@ BAD_CONFIGS = [
         'held_fixed: [role]\n  sizes: ""',
         "risk.sizes: must be a list, not ''",
     ),
+    # held_fixed is a list of names: a string is read neither as its letters nor as none
+    ("risk", "held_fixed: [role]", 'held_fixed: ""', "risk.held_fixed: must be a list, not ''"),
+    (
+        "risk",
+        "held_fixed: [role]",
+        "held_fixed: role",
+        "risk.held_fixed: must be a list, not 'role'",
+    ),
+    ("risk", "held_fixed: [role]", "held_fixed: [1]", "risk.held_fixed: must be a string, not 1"),
 ]
 
 
