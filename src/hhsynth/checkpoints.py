@@ -145,32 +145,39 @@ def read_checkpoints(
     """Load the meta line and the records: every one, or the n that
     select_records(records, n) picks.
 
-    Only the picked lines are parsed; when the file holds fewer than n records
-    it returns them all, and the caller compares the count.  With params_only,
-    each picked record yields its Params alone, decoded from where the writer
-    puts them without parsing the rest of the line; a line laid out otherwise
-    is parsed in full.
+    Only the picked lines are parsed, and only they are held: a first pass
+    notes where each record line starts, then the reader seeks to the picked
+    ones.  When the file holds fewer than n records it returns them all, and
+    the caller compares the count.  With params_only, each picked record
+    yields its Params alone, decoded from where the writer puts them without
+    parsing the rest of the line; a line laid out otherwise is parsed in full.
     """
-    with Path(path).open(encoding="utf8") as fh:
+    with Path(path).open("rb") as fh:
         first = fh.readline()
         if not first:
             raise ValueError(f"{path}: empty checkpoint file")
         meta = json.loads(first)
         if meta.get("format") != FORMAT_NAME:
             raise ValueError(f"{path}: not a checkpoint file")
-        lines = [line for line in fh if line.strip()]
-    if n is not None and lines:
-        lines = select_records(lines, min(n, len(lines)))
-    raw_decode = json.JSONDecoder().raw_decode
-    records = []
-    for line in lines:
-        at = _PARAMS_AT.match(line) if params_only else None
-        doc = {"params": raw_decode(line, at.end())[0]} if at else json.loads(line)
-        if isinstance(doc["params"]["mem_conc"], list):
-            raise ValueError(
-                f"{path}: written by a fit with one member concentration per class, "
-                "which is no longer supported; run fit again"
-            )
-        records.append(params_from_jsonable(doc["params"]) if params_only
-                       else record_from_jsonable(doc))
+        starts, offset = [], len(first)  # byte offsets of the record lines
+        for line in fh:
+            if line.strip():
+                starts.append(offset)
+            offset += len(line)
+        if n is not None and starts:
+            starts = select_records(starts, min(n, len(starts)))
+        raw_decode = json.JSONDecoder().raw_decode
+        records = []
+        for start in starts:
+            fh.seek(start)
+            line = fh.readline().decode("utf8")
+            at = _PARAMS_AT.match(line) if params_only else None
+            doc = {"params": raw_decode(line, at.end())[0]} if at else json.loads(line)
+            if isinstance(doc["params"]["mem_conc"], list):
+                raise ValueError(
+                    f"{path}: written by a fit with one member concentration per class, "
+                    "which is no longer supported; run fit again"
+                )
+            records.append(params_from_jsonable(doc["params"]) if params_only
+                           else record_from_jsonable(doc))
     return meta, records

@@ -46,6 +46,13 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A number as YAML gives it, an integer or a float; a bool or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, not {value!r}")
+    return float(value)
+
+
 def _at_least(low: int, value) -> int:
     """An integer >= low: a count the library takes unchecked, or numpy's seed."""
     n = _integer(value)
@@ -55,7 +62,7 @@ def _at_least(low: int, value) -> int:
 
 
 def _open_unit(value) -> float:
-    p = float(value)
+    p = _number(value)
     if not 0.0 < p < 1.0:
         raise ValueError("must lie in (0, 1)")
     return p
@@ -102,22 +109,22 @@ def _kernel_prior(value) -> str:
 _SIMULATE = {
     "population_households": ("n_households", _integer),
     "sample_households": ("sample_households", partial(_at_least, 1)),
-    "size_distribution": ("size_probs", _mapping(_integer, float)),
+    "size_distribution": ("size_probs", _mapping(_integer, _number)),
     "copy_variable": ("copy_variable", str),
-    "copy_prob": ("copy_prob", float),
+    "copy_prob": ("copy_prob", _number),
     "role_variable": ("role_variable", _or_none(_text)),
     "head_code": ("head_code", lambda code: _integer(code) - 1),
     "other_code": ("other_code", lambda code: _integer(code) - 1),
-    "marginals": ("marginals", _mapping(str, partial(np.asarray, dtype=float))),
+    "marginals": ("marginals", _mapping(str, lambda probs: np.array(_list_of(_number)(probs)))),
 }
 _MODEL = {
     "household_classes": ("n_hh_classes", _integer),
     "individual_classes": ("n_mem_classes", _integer),
     "kernel_prior": ("kernel_prior", _kernel_prior),
-    "hh_conc_shape": ("hh_conc_shape", float),
-    "hh_conc_rate": ("hh_conc_rate", float),
-    "mem_conc_shape": ("mem_conc_shape", float),
-    "mem_conc_rate": ("mem_conc_rate", float),
+    "hh_conc_shape": ("hh_conc_shape", _number),
+    "hh_conc_rate": ("hh_conc_rate", _number),
+    "mem_conc_shape": ("mem_conc_shape", _number),
+    "mem_conc_rate": ("mem_conc_rate", _number),
 }
 _CHAIN = {
     "iterations": ("n_iterations", _integer),
@@ -127,7 +134,7 @@ _CHAIN = {
 }
 _EVALUATE = {
     "max_order": ("max_order", partial(_at_least, 1)),
-    "min_expected": ("min_expected", float),
+    "min_expected": ("min_expected", _number),
     "confidence": ("gamma", _open_unit),
     "household_queries": ("household_queries", list),
 }
@@ -517,6 +524,8 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
     reps = read_replicates(out_dir, schema)
     ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")
     meta, draws = read_checkpoints(ckpt_path, cfg.draws, params_only=True)
+    if not draws:  # a fit that failed on its first sweep leaves the meta line only
+        raise UsageError(f"{ckpt_path} holds no draws; run fit again")
     rules = _load_rules(cfg, schema)
     if meta["mode"] != ("truncated" if rules else "untruncated"):
         raise UsageError(

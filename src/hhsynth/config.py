@@ -1,7 +1,8 @@
 """The settings objects of the chain, the toy generator and risk.
 
-This module needs only the standard library, so the command layer can build
-and check every config section before it loads numpy or a numerical module.
+This module needs only the standard library.  The command layer builds and
+checks every config section before it imports a numerical library module
+(it imports numpy itself, at module level).
 ``hhsynth.gibbs``, ``hhsynth.simulate`` and ``hhsynth.risk`` import these
 classes from here, so each is also found there.
 """

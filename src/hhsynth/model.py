@@ -84,6 +84,9 @@ class Hyperparams:
         for weights in list(self.hh_kernel_prior) + list(self.mem_kernel_prior):
             if np.any(np.asarray(weights) <= 0):
                 raise ValueError("kernel prior weights must be positive")
+        for name in ("hh_conc_shape", "hh_conc_rate", "mem_conc_shape", "mem_conc_rate"):
+            if not 0.0 < getattr(self, name) < np.inf:  # nan fails too
+                raise ValueError(f"{name} must be positive and finite, not {getattr(self, name)}")
 
     @classmethod
     def uniform(cls, schema: Schema, n_hh_classes: int, n_mem_classes: int, **kw) -> Hyperparams:
@@ -326,28 +329,16 @@ class CDFTable(NamedTuple):
 
 
 class DrawTables:
-    """The CDF tables of one parameter draw that household generation reads."""
+    """The CDF tables of one parameter draw that draw_households reads; hh
+    leaves out the size, which generate_augmented (one DrawTables per sweep)
+    and synthesize_untruncated both force."""
 
     def __init__(self, params: Params, schema: Schema):
-        self.F, self.S = params.n_hh_classes, params.n_mem_classes
-        self.mem_class = CDFTable.of([params.mem_weights], self.F)  # row g: household class g
-        self.mem = CDFTable.of(params.mem_kernels, self.F * self.S)  # row g * S + m
-        self._hh_kernels = params.hh_kernels
-        self._size_index = schema.size_index
-        self._hh: dict[bool, CDFTable] = {}
-
-    def hh(self, with_size: bool) -> CDFTable:
-        """The household variables, the size included or not; built on first use."""
-        if with_size not in self._hh:
-            kernels = list(self._hh_kernels)
-            if not with_size:
-                del kernels[self._size_index]
-            self._hh[with_size] = CDFTable.of(kernels, self.F)
-        return self._hh[with_size]
-
-    def members(self, mem_g: np.ndarray, mem_class: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Individual-variable codes (M, p) of members of the given classes."""
-        return self.mem.draw(mem_g * self.S + mem_class, u)
+        F, self.S = params.n_hh_classes, params.n_mem_classes
+        self.mem_class = CDFTable.of([params.mem_weights], F)  # row g: household class g
+        self.mem = CDFTable.of(params.mem_kernels, F * self.S)  # row g * S + m
+        free = [k for i, k in enumerate(params.hh_kernels) if i != schema.size_index]
+        self.hh = CDFTable.of(free, F)
 
 
 def draw_households(
@@ -357,34 +348,39 @@ def draw_households(
     rng: np.random.Generator,
     sizes: np.ndarray | None = None,
     tables: DrawTables | None = None,
+    mem_class: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Generate households given their classes.
 
-    Draws household variables (size included unless sizes is passed, in which
-    case the size code is forced), then member classes and member variables,
-    each variable over all rows in turn.  The uniforms come in one block, or
-    in two when the sizes are drawn.  tables, if given, are
-    DrawTables(params, schema).  Returns (hh_codes, mem_codes, sizes,
-    mem_class) with member rows grouped by household in order.
+    Draws household variables (the size too unless sizes forces it), then
+    member classes unless mem_class gives them, then member variables, each
+    variable over all rows in turn, from one block of uniforms, or two when
+    the sizes are drawn.  tables, if given, are DrawTables(params, schema).
+    generate_augmented draws candidates of one forced size with it, and
+    synthesize_untruncated redraws households keeping their sizes and
+    classes.  Returns (hh_codes, mem_codes, sizes, mem_class), member rows
+    grouped by household in order.
     """
     tables = DrawTables(params, schema) if tables is None else tables
     B, p = hh_class.shape[0], len(params.mem_kernels)
     s = schema.size_index
+    per_member = p + (mem_class is None)  # uniforms per member row
     if sizes is None:
-        hh_codes = tables.hh(with_size=True).draw(hh_class, rng.random(B * len(params.hh_kernels)))
+        hh_table = CDFTable.of(params.hh_kernels, params.n_hh_classes)
+        hh_codes = hh_table.draw(hh_class, rng.random(B * len(params.hh_kernels)))
         sizes = hh_codes[:, s] + 1
-        u = rng.random(int(sizes.sum()) * (1 + p))
+        u = rng.random(int(sizes.sum()) * per_member)
     else:
         sizes = np.full(B, sizes, dtype=np.int64)
         n_free = B * (len(params.hh_kernels) - 1)
-        u = rng.random(n_free + int(sizes.sum()) * (1 + p))
-        free = tables.hh(with_size=False).draw(hh_class, u[:n_free])
-        hh_codes = with_size_column(free, s, sizes - 1)
+        u = rng.random(n_free + int(sizes.sum()) * per_member)
+        hh_codes = with_size_column(tables.hh.draw(hh_class, u[:n_free]), s, sizes - 1)
         u = u[n_free:]
     mem_g = hh_class[np.repeat(np.arange(B), sizes)]
-    M = mem_g.shape[0]
-    mem_class = tables.mem_class.draw(mem_g, u[:M])[:, 0]
-    return hh_codes, tables.members(mem_g, mem_class, u[M:]), sizes, mem_class
+    if mem_class is None:
+        mem_class = tables.mem_class.draw(mem_g, u[: len(mem_g)])[:, 0]
+        u = u[len(mem_g) :]
+    return hh_codes, tables.mem.draw(mem_g * tables.S + mem_class, u), sizes, mem_class
 
 
 def with_size_column(free: np.ndarray, size_index: int, size_codes: np.ndarray) -> np.ndarray:

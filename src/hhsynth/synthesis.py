@@ -39,28 +39,22 @@ def synthesize_untruncated(
 ) -> SyntheticReplicates:
     """Partially synthetic replicates: sizes and class assignments kept.
 
-    Each replicate draws its household variables but the size, then its
-    member variables, from one block of uniforms.
+    draw_households redraws each replicate's other variables, household
+    variables first, from one block of uniforms.
     """
     from .checkpoints import select_records
-    from .model import DrawTables, with_size_column
+    from .model import draw_households
     from .rng import substream
 
-    schema = dataset.schema
-    s = schema.size_index
-    n_free = dataset.n_households * (len(schema.household_vars) - 1)
     chosen = select_records(records, n_replicates)
     replicates = []
     for l, record in enumerate(chosen):
-        rng = substream(seed, "synthesize", l)
-        tables = DrawTables(record.params, schema)
-        g = record.hh_class
-        u = rng.random(n_free + dataset.n_individuals * len(schema.individual_vars))
-        free = tables.hh(with_size=False).draw(g, u[:n_free])
-        hh_codes = with_size_column(free, s, dataset.hh_codes[:, s])  # size copied, never redrawn
-        mem_codes = tables.members(g[dataset.mem_hh], record.mem_class, u[n_free:])
-        synthetic = DatasetView.from_arrays(hh_codes, mem_codes, dataset.sizes)
-        replicates.append(Dataset(schema, view=synthetic, ids=dataset.ids))
+        hh_codes, mem_codes, sizes, _ = draw_households(
+            record.params, dataset.schema, record.hh_class, substream(seed, "synthesize", l),
+            sizes=dataset.sizes, mem_class=record.mem_class,
+        )  # sizes copied, never redrawn
+        synthetic = DatasetView.from_arrays(hh_codes, mem_codes, sizes)
+        replicates.append(Dataset(dataset.schema, view=synthetic, ids=dataset.ids))
     return SyntheticReplicates(
         replicates=replicates,
         source_iterations=[r.iteration for r in chosen],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,3 +240,40 @@ def test_a_record_no_read_picks_is_not_parsed(tmp_path, toy_schema):
     assert_records_equal(three, written[2])
     with pytest.raises(json.JSONDecodeError):
         read_checkpoints(path)
+
+
+def test_blank_lines_are_not_records(tmp_path, toy_schema):
+    path = tmp_path / "chain.jsonl"
+    written = write_chain(path, toy_schema, 5, truncated=True)
+    meta, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([meta, "", *[f"{line}\n  " for line in lines], ""]))
+    for n in (None, 1, 3, 5, 9):
+        _, got = read_checkpoints(path, n)
+        want = written if n is None or n > 5 else select_records(written, n)
+        for a, b in zip(want, got, strict=True):
+            assert_records_equal(a, b)
+
+
+@pytest.mark.parametrize("params_only", [False, True], ids=["records", "params"])
+def test_reading_one_record_holds_only_its_line(tmp_path, toy_schema, params_only):
+    # 40 records of about 60 kB each: reading one must not hold the other 39
+    path = tmp_path / "chain.jsonl"
+    hyper = Hyperparams.uniform(toy_schema, 3, 2)
+    with CheckpointWriter(path, {"mode": "untruncated"}) as writer:
+        for i in range(40):
+            writer.write(CheckpointRecord(
+                iteration=i,
+                params=prior_draw(hyper, substream(55, i)),
+                hh_class=np.arange(10_000) % 3,
+                mem_class=np.arange(10_000) % 2,
+            ))
+    size = path.stat().st_size
+    assert size > 2_000_000
+    tracemalloc.start()
+    try:
+        _, (record,) = read_checkpoints(path, 1, params_only=params_only)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params_only or record.iteration == 39  # one pick is the last draw
+    assert peak < size / 4

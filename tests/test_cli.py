@@ -383,6 +383,52 @@ BAD_CONFIGS = [
         "risk.held_fixed: must be a list, not 'role'",
     ),
     ("risk", "held_fixed: [role]", "held_fixed: [1]", "risk.held_fixed: must be a string, not 1"),
+    # number keys take YAML numbers: a bool or a quoted number is not read as one
+    ("simulate", "copy_prob: 0.9", "copy_prob: true", "simulate.copy_prob: must be a number, not True"),
+    (
+        "simulate",
+        "{1: 0.3, 2: 0.5, 3: 0.2}",
+        '{1: 0.3, 2: "0.5", 3: 0.2}',
+        "simulate.size_distribution: must be a number, not '0.5'",
+    ),
+    (
+        "simulate",
+        "color: [0.4, 0.3, 0.2, 0.1]",
+        'color: [0.4, "0.3", true, 0.1]',
+        "simulate.marginals: must be a number, not '0.3'",
+    ),
+    (
+        "fit",
+        "kernel_prior: empirical",
+        "kernel_prior: empirical\n  mem_conc_shape: false",
+        "model.mem_conc_shape: must be a number, not False",
+    ),
+    ("evaluate", "min_expected: 0\n", 'min_expected: "5"\n', "evaluate.min_expected: must be a number"),
+    (
+        "evaluate",
+        "min_expected: 0\n",
+        'min_expected: 0\n  confidence: "0.9"\n',
+        "evaluate.confidence: must be a number, not '0.9'",
+    ),
+    # the Gamma prior's shapes and rates are positive and finite
+    (
+        "fit",
+        "kernel_prior: empirical",
+        "kernel_prior: empirical\n  hh_conc_rate: 0",
+        "model: hh_conc_rate must be positive and finite, not 0.0 (set by hh_conc_rate)",
+    ),
+    (
+        "fit",
+        "kernel_prior: empirical",
+        "kernel_prior: empirical\n  hh_conc_rate: -1",
+        "hh_conc_rate must be positive and finite, not -1.0",
+    ),
+    (
+        "fit",
+        "kernel_prior: empirical",
+        "kernel_prior: empirical\n  mem_conc_shape: .inf",
+        "mem_conc_shape must be positive and finite, not inf",
+    ),
 ]
 
 
@@ -475,6 +521,23 @@ def test_synthesize_from_a_fit_on_other_data_exits_1(tmp_path, capsys):
     assert "comes from a fit on 120 households" in err
     assert f"but {out / 'sample.csv'} has 100 households" in err
     assert err.endswith("; run fit again\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("rules", ["rules: rules.txt\n", ""], ids=["truncated", "untruncated"])
+def test_risk_on_checkpoints_without_draws_exits_1(pipeline, tmp_path, capsys, rules):
+    # a fit that raised on its first sweep leaves the meta line alone
+    config = write_workspace(tmp_path, CONFIG_YAML.replace("rules: rules.txt\n", rules))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[1], out)
+    ckpt = out / "checkpoints.jsonl"
+    meta = json.loads(ckpt.read_text().splitlines()[0])
+    ckpt.write_text(json.dumps({**meta, "mode": "truncated" if rules else "untruncated"}) + "\n")
+    for name in ("risk_summary.csv", "rank_histogram.csv"):
+        (out / name).unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run("risk", config, out) == 1
+    assert capsys.readouterr().err == f"usage error: {ckpt} holds no draws; run fit again\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

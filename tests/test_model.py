@@ -396,3 +396,11 @@ def test_params_validate_catches_broken_weights(toy_params):
     broken.hh_weights[0] += 0.1
     with pytest.raises(AssertionError):
         broken.validate()
+
+
+@pytest.mark.parametrize("name", ["hh_conc_shape", "hh_conc_rate", "mem_conc_shape", "mem_conc_rate"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+def test_gamma_prior_shapes_and_rates_must_be_positive_and_finite(toy_schema, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        Hyperparams.uniform(toy_schema, 3, 2, **{name: value})
+    Hyperparams.uniform(toy_schema, 3, 2, **{name: 1e-3})

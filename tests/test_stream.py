@@ -176,3 +176,28 @@ def test_synthesize_untruncated_matches_per_variable_oracle(request, schema_name
     for replicate, (hh_codes, mem_codes) in zip(got.replicates, want):
         same_bits(replicate.to_view().hh_codes, hh_codes)
         same_bits(replicate.to_view().mem_codes, mem_codes)
+
+
+@pytest.mark.parametrize("schema_name", SCHEMAS)
+def test_given_member_classes_are_returned_and_not_drawn(request, schema_name):
+    # untruncated synthesis keeps the fitted member classes: the generator
+    # draws the free household variables and the member variables only
+    schema = request.getfixturevalue(schema_name)
+    params = params_for(schema, 5, 4, "given")
+    inputs = substream(90, schema_name)
+    classes = inputs.integers(5, size=40)
+    sizes = inputs.integers(1, schema.max_size + 1, size=40)
+    given = inputs.integers(4, size=int(sizes.sum()))
+    kept = given.copy()
+    rng, ref = twin_streams("given", schema_name)
+    hh, mem, out_sizes, mem_class = draw_households(
+        params, schema, classes, rng, sizes=sizes, mem_class=given
+    )
+    assert mem_class is given
+    same_bits(given, kept)
+    same_bits(out_sizes, sizes)
+    np.testing.assert_array_equal(hh[:, schema.size_index], sizes - 1)
+    assert mem.shape == (sizes.sum(), len(schema.individual_vars))
+    n_free = 40 * (len(schema.household_vars) - 1)
+    ref.random(n_free + int(sizes.sum()) * len(schema.individual_vars))
+    assert rng.random() == ref.random()
