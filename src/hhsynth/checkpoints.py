@@ -7,6 +7,11 @@ as its household codes, member codes and sizes, which the synthesizer
 releases as they are.  A reader that needs a few draws, or only their
 parameters, parses only those: the writer puts each record's parameters right
 after its iteration, where the reader finds them without parsing the rest.
+
+The writer lays out each record line itself.  The parameters go through
+json.dumps; the class arrays and the feasible households' int arrays are
+encoded straight from the arrays, with no Python object per code, into the
+bytes json.dumps gives their nested lists.
 """
 
 from __future__ import annotations
@@ -63,22 +68,6 @@ def params_from_jsonable(doc: dict) -> Params:
     )
 
 
-def record_to_jsonable(record: CheckpointRecord) -> dict:
-    doc = {
-        "iteration": record.iteration,
-        "params": params_to_jsonable(record.params),
-        "hh_class": record.hh_class.tolist(),
-        "mem_class": record.mem_class.tolist(),
-    }
-    if record.feasible is not None:
-        doc["feasible"] = {
-            "hh_codes": record.feasible.hh_codes.tolist(),
-            "mem_codes": record.feasible.mem_codes.tolist(),
-            "sizes": record.feasible.sizes.tolist(),
-        }
-    return doc
-
-
 def record_from_jsonable(doc: dict) -> CheckpointRecord:
     feasible = None
     if "feasible" in doc:
@@ -93,6 +82,25 @@ def record_from_jsonable(doc: dict) -> CheckpointRecord:
     )
 
 
+def _int_array_json(a: np.ndarray) -> str:
+    """json.dumps(a.tolist()) of a 1-D or 2-D int array, from one byte buffer.
+
+    Each value in the array's range gets two strings, one ending in ", " and
+    one ending a row; the array indexes them into a fixed-width byte array,
+    whose padding is dropped.  Codes and class ids span a short range, so
+    the table is small.
+    """
+    if a.size == 0:
+        return json.dumps(a.tolist())
+    low = int(a.min())
+    digits = map(str, range(low, int(a.max()) + 1))
+    table = np.array([[d + ", ", d + "], ["] for d in digits], dtype="S")
+    ends = 0 if a.ndim == 1 else (np.arange(a.shape[1]) == a.shape[1] - 1).astype(np.intp)
+    pieces = table[a - low, ends].view(np.uint8)
+    text = pieces[pieces != 0].tobytes().decode("ascii")
+    return f"[{text[:-2]}]" if a.ndim == 1 else f"[[{text[:-4]}]]"
+
+
 class CheckpointWriter:
     """Streams checkpoint records to a JSON-lines file."""
 
@@ -103,7 +111,18 @@ class CheckpointWriter:
         self.count = 0
 
     def write(self, record: CheckpointRecord) -> None:
-        self._fh.write(json.dumps(record_to_jsonable(record)) + "\n")
+        """One record line: keys in the order read_checkpoints expects, each
+        value in the bytes json.dumps gives it."""
+        write = self._fh.write
+        write(f'{{"iteration": {json.dumps(record.iteration)}, "params": ')
+        write(json.dumps(params_to_jsonable(record.params)))
+        write(f', "hh_class": {_int_array_json(record.hh_class)}')
+        write(f', "mem_class": {_int_array_json(record.mem_class)}')
+        if record.feasible is not None:
+            write(f', "feasible": {{"hh_codes": {_int_array_json(record.feasible.hh_codes)}')
+            write(f', "mem_codes": {_int_array_json(record.feasible.mem_codes)}')
+            write(f', "sizes": {_int_array_json(record.feasible.sizes)}}}')
+        write("}\n")
         self.count += 1
 
     def close(self) -> None:

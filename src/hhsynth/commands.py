@@ -136,7 +136,7 @@ _EVALUATE = {
     "max_order": ("max_order", partial(_at_least, 1)),
     "min_expected": ("min_expected", _number),
     "confidence": ("gamma", _open_unit),
-    "household_queries": ("household_queries", list),
+    "household_queries": ("household_queries", _list_of(lambda spec: spec)),
 }
 _RISK = {
     "kind": ("kind", str),
@@ -177,7 +177,7 @@ class RunConfig:
     replicates: int = 5
     gamma: float = 0.95  # evaluate.confidence
     cells: dict = field(default_factory=dict)  # cell_report keywords
-    household_queries: list = field(default_factory=list)
+    household_queries: tuple = ()
     draws: int = 25
 
 
@@ -244,14 +244,20 @@ def load_config(path: Path, seed_override: int | None) -> RunConfig:
         raise UsageError("config: a 'seed' is required (or pass --seed)")
     seed = _value("seed", partial(_at_least, 0), seed)
 
-    schema_rel = _require(doc, "schema", "the top level")
+    schema_rel = _value("schema", _text, _require(doc, "schema", "the top level"))
     schema_path = (config_dir / schema_rel).resolve()
     if not schema_path.is_file():
         raise UsageError(f"schema file not found: {schema_path}")
 
+    # the optional paths; null leaves one unset
+    paths = {
+        key: _value(key, _text, doc[key])
+        for key in ("rules", "data", "population")
+        if doc.get(key) is not None
+    }
     rules_path = None
-    if doc.get("rules"):
-        rules_path = (config_dir / doc["rules"]).resolve()
+    if paths.get("rules"):
+        rules_path = (config_dir / paths["rules"]).resolve()
         if not rules_path.is_file():
             raise UsageError(f"rules file not found: {rules_path}")
 
@@ -263,9 +269,9 @@ def load_config(path: Path, seed_override: int | None) -> RunConfig:
         schema_path=schema_path,
         config_dir=config_dir,
         risk=_build("risk", RiskConfig, {"kind": "individual", **sections.get("risk", {})}),
-        data_path=doc.get("data"),
+        data_path=paths.get("data"),
         rules_path=rules_path,
-        population_path=doc.get("population"),
+        population_path=paths.get("population"),
         toy=None if toy is None else _build("simulate", ToyConfig, toy),
         model=sections.get("model"),
         chain=None if chain is None else _build("chain", ChainConfig, {**chain, "seed": seed}),
@@ -277,7 +283,7 @@ def load_config(path: Path, seed_override: int | None) -> RunConfig:
 def _resolve(cfg: RunConfig, raw: str | None, out_dir: Path, what: str) -> Path:
     if raw is None:
         raise UsageError(f"config: a {what!r} path is required for this command")
-    text = str(raw).replace("{out}", str(out_dir))
+    text = raw.replace("{out}", str(out_dir))
     p = Path(text)
     if not p.is_absolute():
         p = cfg.config_dir / p

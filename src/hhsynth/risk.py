@@ -9,11 +9,17 @@ swapped for each candidate, and each synthetic replicate's likelihood is
 averaged under those weights.  For a truncated fit the replicate likelihood
 is the truncated one: each size-h household's term is over 1 - pi0_h, the
 feasible share of size h under the draw.
+
+Targets are scored in runs of consecutive targets that hold at most RUN_CELLS
+cells of working arrays, so the memory a sweep needs does not grow with the
+number of targets.  A target's floats do not depend on the other targets of
+its run, so every row is the one it would be if scored alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -31,6 +37,14 @@ from .model import (
     member_logliks,
 )
 
+# A run's budget of cells.  A target of C candidates of h members holds
+# C * max(F * h, R * L) of them: its class pass is (F, C * h) for F household
+# classes, and its posterior block (R, L, C) for R draws and L replicates.
+# Each run also scores its distinct member rows once per draw, so a smaller
+# budget costs time where the runs share many rows: with 1,296 possible member
+# rows and F = 20, 2**17 cells made a sweep 1.7 times as slow as one run.
+RUN_CELLS = 2**18
+
 
 @dataclass
 class TargetSupport:
@@ -46,6 +60,11 @@ class TargetSupport:
     hh_values: np.ndarray
     mem_values: np.ndarray
     truth_index: int = 0
+
+    @property
+    def size(self) -> int:
+        """Members of each candidate household."""
+        return 1 if self.kind == "individual" else self.mem_values.shape[1]
 
 
 @dataclass
@@ -176,7 +195,7 @@ def candidate_logliks(supports: list[TargetSupport], params_draws: list[Params])
     if not supports:
         return []
     counts = [s.hh_values.shape[0] for s in supports]
-    sizes = [1 if s.kind == "individual" else s.mem_values.shape[1] for s in supports]
+    sizes = [s.size for s in supports]
     view = DatasetView.from_arrays(
         np.concatenate([s.hh_values for s in supports]),
         np.concatenate([s.mem_values.reshape(-1, s.mem_values.shape[-1]) for s in supports]),
@@ -322,7 +341,31 @@ def risk_sweep(
             for i, support in zip(group, built):
                 supports[i] = support
 
-    # targets with equal candidate counts are scored as one (T, R, C) block
+    rows = []
+    for run in _runs(supports, params_draws[0].n_hh_classes, log_p.size):
+        rows += _score(supports[run], ids[run], params_draws, log_p)
+    return RiskSummary(rows=rows)
+
+
+def _runs(supports: list[TargetSupport], F: int, draw_replicates: int) -> Iterator[slice]:
+    """Consecutive runs of the targets, each holding at most RUN_CELLS cells;
+    a target over the budget forms a run of its own."""
+    start, held = 0, 0
+    for t, support in enumerate(supports):
+        cells = support.hh_values.shape[0] * max(F * support.size, draw_replicates)
+        if held + cells > RUN_CELLS and t > start:
+            yield slice(start, t)
+            start, held = t, 0
+        held += cells
+    if supports:
+        yield slice(start, len(supports))
+
+
+def _score(
+    supports: list[TargetSupport], ids: list[str], params_draws: list[Params], log_p: np.ndarray
+) -> list[RiskRow]:
+    """The rows of one run of targets; targets with equal candidate counts are
+    scored as one (T, R, C) block."""
     blocks = candidate_logliks(supports, params_draws)
     counts = np.array([cand.shape[1] for cand in blocks])
     rho_truth, rho_max, ranks = (np.empty(len(blocks)) for _ in range(3))
@@ -335,8 +378,7 @@ def risk_sweep(
         rho_truth[group], rho_max[group], ranks[group] = rho[:, 0], rho.max(axis=1), rank
     if dead:
         raise _underflow(int(min(dead)[1]))
-    rows = [
+    return [
         RiskRow(target_id, int(C), int(rank), float(truth), float(top))
         for target_id, C, rank, truth, top in zip(ids, counts, ranks, rho_truth, rho_max)
     ]
-    return RiskSummary(rows=rows)

@@ -13,6 +13,8 @@ simulation, the class logits and candidate likelihoods each caller once built fo
 the draws of households and parameters made one variable or one kernel per
 random call.  build_support_household is the one-household form of the
 library's batched support builder, which the risk tests call.
+record_to_jsonable is a checkpoint record as nested lists: json.dumps of it
+is the line the checkpoint writer writes.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hhsynth.checkpoints import select_records
+from hhsynth.checkpoints import params_to_jsonable, select_records
 from hhsynth.constraints import (
     ExactlyOneOfRole,
     MinValueForRole,
@@ -487,6 +489,23 @@ def generate_augmented(params, schema, rules, histogram, rng, cap):
         n_candidates=n_candidates,
         n_infeasible=n_candidates - np.array([histogram[h] for h in sorted(histogram)]),
     )
+
+
+def record_to_jsonable(record) -> dict:
+    """A CheckpointRecord as the dict of lists whose json.dumps is its line."""
+    doc = {
+        "iteration": record.iteration,
+        "params": params_to_jsonable(record.params),
+        "hh_class": record.hh_class.tolist(),
+        "mem_class": record.mem_class.tolist(),
+    }
+    if record.feasible is not None:
+        doc["feasible"] = {
+            "hh_codes": record.feasible.hh_codes.tolist(),
+            "mem_codes": record.feasible.mem_codes.tolist(),
+            "sizes": record.feasible.sizes.tolist(),
+        }
+    return doc
 
 
 def synthesize_untruncated(dataset, records, n_replicates, seed):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from hhsynth.checkpoints import (
     params_to_jsonable,
     read_checkpoints,
     record_from_jsonable,
-    record_to_jsonable,
     select_records,
 )
+from hhsynth.constraints import compile_rules
 from hhsynth.data import DatasetView
 from hhsynth.gibbs import ChainConfig, run_chain
 from hhsynth.model import Hyperparams, prior_draw
 from hhsynth.rng import substream
+from oracles import record_to_jsonable
 
 
 def assert_params_equal(a, b):
@@ -111,6 +113,50 @@ def test_writer_reader_stream(tmp_path, toy_schema):
     assert [r.iteration for r in records] == [10, 20, 30]
     want = prior_draw(hyper, substream(52, 1))
     assert_params_equal(records[1].params, want)
+
+
+@pytest.mark.filterwarnings("ignore:.*truncation level.*")
+def test_writer_lines_are_the_bytes_of_json_dumps(tmp_path, toy_schema, toy_dataset):
+    # records of real chains in both modes, then hand-made ones at the edges
+    hyper = Hyperparams.uniform(toy_schema, 3, 2)
+    rules = compile_rules("exactly_one role = 1", toy_schema)
+    records = [
+        record
+        for chain_rules in (None, rules)
+        for record in run_chain(
+            toy_dataset, hyper, ChainConfig(8, 2, seed=3), rules=chain_rules
+        ).checkpoints
+    ]
+    assert records[0].feasible is None and records[-1].feasible is not None
+    params = prior_draw(hyper, substream(56, "bytes"))
+    one_class = prior_draw(Hyperparams.uniform(toy_schema, 1, 1), substream(56, "F=S=1"))
+    view, ints = DatasetView.from_arrays, partial(np.array, dtype=np.int64)
+    records += [
+        # F = S = 1: every class id is 0
+        CheckpointRecord(0, one_class, ints([0, 0, 0]), ints([0] * 5)),
+        CheckpointRecord(1, one_class, ints([0]), ints([0]), view([[0, 1]], [[1, 0]], [1])),
+        # an empty feasible part, then empty class arrays beside feasible households
+        CheckpointRecord(2, params, ints([2, 0]), ints([1, 1, 0]),
+                         view(np.zeros((0, 2)), np.zeros((0, 2)), [])),
+        CheckpointRecord(3, params, ints([]), ints([]),
+                         view([[1, 0], [0, 2]], [[1, 3], [0, 0], [1, 1]], [2, 1])),
+        # ids and codes of one, two and three digits, past CPython's small ints
+        CheckpointRecord(
+            1_000, params, ints([0, 9, 10, 99, 100, 256, 257, 300, 12]), np.arange(0, 999, 37),
+            view([[0, 12], [257, 3], [999, 10]], np.arange(54).reshape(27, 2) * 37 % 1_001,
+                 [12, 10, 5]),
+        ),
+        # one member variable: each member row holds one code
+        CheckpointRecord(4, params, ints([5]), ints([7, 8]), view([[3]], [[0], [11]], [2])),
+    ]
+    path = tmp_path / "chain.jsonl"
+    with CheckpointWriter(path, {"mode": "mixed"}) as writer:
+        for record in records:
+            writer.write(record)
+    lines = path.read_bytes().splitlines(keepends=True)[1:]
+    assert len(lines) == len(records)
+    for line, record in zip(lines, records):
+        assert line == (json.dumps(record_to_jsonable(record)) + "\n").encode("utf8")
 
 
 def test_reader_rejects_foreign_files(tmp_path):

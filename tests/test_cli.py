@@ -264,7 +264,7 @@ def test_sections_left_out_take_the_defaults(tmp_path):
     assert (cfg.toy, cfg.model, cfg.chain) == (None, None, None)
     assert cfg.risk == RiskConfig("individual")
     assert (cfg.replicates, cfg.gamma, cfg.draws, cfg.cells) == (5, 0.95, 25, {})
-    assert cfg.household_queries == []
+    assert cfg.household_queries == ()
 
 
 @pytest.mark.parametrize(
@@ -277,9 +277,36 @@ def test_bundled_configs_load(path):
     assert cfg.toy is not None and cfg.model is not None and cfg.chain is not None
 
 
+# the evaluate section's household queries, as CONFIG_YAML gives them
+QUERIES_YAML = CONFIG_YAML[CONFIG_YAML.index("  household_queries:"):CONFIG_YAML.index("risk:")]
+
+
 # (command, text in CONFIG_YAML, its replacement, the key stderr must name); a row
 # that edits several places gives tuples of texts and replacements
 BAD_CONFIGS = [
+    # paths are YAML strings
+    ("fit", "schema: schema.yaml", "schema: 7", "config: schema: must be a string, not 7"),
+    ("fit", "rules: rules.txt", "rules: 5", "config: rules: must be a string, not 5"),
+    ("fit", 'data: "{out}/sample.csv"', "data: 5", "config: data: must be a string, not 5"),
+    (
+        "evaluate",
+        'population: "{out}/population.csv"',
+        "population: [a]",
+        "config: population: must be a string, not ['a']",
+    ),
+    # household queries are a YAML list, not a string's letters or a mapping's keys
+    (
+        "evaluate",
+        QUERIES_YAML,
+        '  household_queries: "ab"\n',
+        "config: evaluate.household_queries: must be a list, not 'ab'",
+    ),
+    (
+        "evaluate",
+        QUERIES_YAML,
+        "  household_queries: {kind: exists, name: q}\n",
+        "config: evaluate.household_queries: must be a list, not {'kind': 'exists', 'name': 'q'}",
+    ),
     ("fit", "seed: 4242", "seed: -1", "seed: must be >= 0"),
     ("fit", "seed: 4242", "seed: 1.7", "seed: must be an integer, not 1.7"),
     ("fit", "iterations: 60", "iterations: 60.5", "chain.iterations: must be an integer, not 60.5"),

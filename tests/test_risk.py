@@ -6,6 +6,8 @@ Support sizes are checked against hand counts of single-variable alternatives
 self-normalized ratio construction and are asserted at float precision.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,96 @@ def test_risk_sweep_matches_one_target_posterior_oracle(wide_schema, kind, with_
             support.hh_values.shape[0], *want
         )
         assert repr(row.rho_truth) == repr(want[1]) and repr(row.rho_max) == repr(want[2])
+
+
+def _budget_case(schema, kind, with_rules, n=12):
+    """Draws, data, replicates and config for the run-budget tests."""
+    draws, data = _prior_draws_and_data(schema, 3, 9, n)
+    replicates = [data, _prior_draws_and_data(schema, 3, 9, 10)[1]]
+    rules = compile_rules("exactly_one role = 1", schema) if with_rules else None
+    return draws, data, replicates, RiskConfig(kind, rules=rules)
+
+
+def _cells(supports, draws, replicates) -> int:
+    """The cells the targets hold: C * max(F * h, R * L) each."""
+    F, RL = draws[0].n_hh_classes, len(draws) * len(replicates)
+    return sum(s.hh_values.shape[0] * max(F * s.size, RL) for s in supports)
+
+
+BUDGET_KINDS = [("individual", False), ("individual", True), ("household", False),
+                ("household", True)]
+
+
+@pytest.mark.parametrize("kind, with_rules", BUDGET_KINDS)
+def test_risk_sweep_rows_do_not_depend_on_the_run_budget(
+    monkeypatch, wide_schema, kind, with_rules
+):
+    draws, data, replicates, config = _budget_case(wide_schema, kind, with_rules)
+    calls = []
+
+    def spy(targets, params_draws):
+        calls.append(len(targets))
+        return candidate_logliks(targets, params_draws)
+
+    monkeypatch.setattr(risk, "candidate_logliks", spy)
+    rows = {}
+    for budget in (1, 3_000, risk.RUN_CELLS, 2**62):
+        monkeypatch.setattr(risk, "RUN_CELLS", budget)
+        calls.clear()
+        rows[budget] = repr(risk_sweep(data, replicates, draws, config).rows)
+        if budget == 1:  # one target per run
+            assert set(calls) == {1} and len(calls) > 1
+        elif budget == 3_000:  # runs of several targets, and more than one run
+            assert len(calls) > 1 and max(calls) > 1
+        else:
+            assert len(calls) == 1
+    assert len(set(rows.values())) == 1
+
+
+@pytest.mark.parametrize("budget", [1, 500, 3_000, 20_000])
+@pytest.mark.parametrize("kind, with_rules", BUDGET_KINDS)
+def test_no_run_holds_more_cells_than_the_budget(
+    monkeypatch, wide_schema, kind, with_rules, budget
+):
+    draws, data, replicates, config = _budget_case(wide_schema, kind, with_rules, n=30)
+    runs = []
+
+    def spy(targets, params_draws):
+        runs.append(list(targets))
+        return candidate_logliks(targets, params_draws)
+
+    monkeypatch.setattr(risk, "candidate_logliks", spy)
+    monkeypatch.setattr(risk, "RUN_CELLS", budget)
+    rows = risk_sweep(data, replicates, draws, config).rows
+    assert sum(map(len, runs)) == len(rows)
+    for run in runs:
+        assert len(run) == 1 or _cells(run, draws, replicates) <= budget
+    # a run ends only where its next target would not fit
+    for run, after in zip(runs, runs[1:]):
+        assert _cells(run + after[:1], draws, replicates) > budget
+
+
+def test_risk_sweep_memory_does_not_grow_with_the_targets(wide_schema):
+    # quadrupling the household targets less than doubles the traced peak
+    hyper = Hyperparams.uniform(wide_schema, 20, 9)
+    draws = [prior_draw(hyper, substream(85, r)) for r in range(6)]
+    rng = substream(85, "data")
+    hh, mem, sizes, _ = draw_households(draws[0], wide_schema, rng.integers(20, size=480), rng)
+    data = Dataset(wide_schema, view=DatasetView.from_arrays(hh, mem, sizes))
+    config = RiskConfig("household")
+    peaks = []
+    for n in (120, 480):
+        subset = Dataset(wide_schema, view=DatasetView.from_arrays(
+            hh[:n], mem[:sizes[:n].sum()], sizes[:n]
+        ))
+        tracemalloc.start()
+        try:
+            rows = risk_sweep(subset, [data] * 3, draws, config).rows
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(rows) > 0.9 * n  # nearly every household is its own target
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_risk_summary_csv(tmp_path, toy_schema, toy_dataset, fitted_draws):
