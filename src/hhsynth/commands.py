@@ -318,6 +318,24 @@ def _check_sizes(where: str, sizes, dataset: Dataset, data_path: Path) -> None:
             raise UsageError(f"config: {where}: no household of size {h} in {data_path}")
 
 
+def _check_rules(rules: RuleSet, dataset: Dataset, data_path: Path) -> None:
+    """A usage error if a household of the data breaks the rules, which give it
+    zero probability under a truncated fit; one size's households at a time."""
+    from .constraints import check_batch
+
+    bad = []
+    # not np.unique, which imports numpy.ma and so moves fit's heap and its peak
+    for h in np.flatnonzero(np.bincount(dataset.sizes)):
+        rows = np.flatnonzero(dataset.sizes == h)
+        members = dataset.mem_codes[dataset.hh_start[rows, None] + np.arange(h)]
+        bad += rows[~check_batch(rules, dataset.hh_codes[rows], members)][:1].tolist()
+    if bad:
+        raise UsageError(
+            f"{data_path}: household {dataset.ids[min(bad)]!r} breaks the rules, "
+            "so a truncated fit cannot hold it"
+        )
+
+
 def _output_of(stage: str, what: str, path: Path) -> Path:
     """path, which an earlier stage writes; a usage error if that stage has not run."""
     if not path.is_file():
@@ -368,6 +386,8 @@ def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     dataset = load_dataset(data_path, schema)
     rules = _load_rules(cfg, schema)
+    if rules:
+        _check_rules(rules, dataset, data_path)
     hyper = _hyperparams(cfg, schema, dataset)
     log.info(
         "fit: %d households, %d individuals, mode=%s",

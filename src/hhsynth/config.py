@@ -62,7 +62,8 @@ class ToyConfig:
         if not 0.0 <= self.copy_prob <= 1.0:
             raise ValueError("copy_prob must lie in [0, 1]")
         probs = list(self.size_probs.values())
-        if not probs or any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        # NaN fails p >= 0
+        if not probs or not all(p >= 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError("size_probs must be nonnegative and sum to 1")
 
 

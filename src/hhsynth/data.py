@@ -41,6 +41,8 @@ class VariableSpec:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if self.name in (_ID_COLUMN, _PERSON_COLUMN):
+            raise SchemaError(f"variable {self.name!r}: the data CSV has a column of that name")
         if self.cardinality < 2:
             raise SchemaError(f"variable {self.name!r}: cardinality must be >= 2")
         if self.level not in (HOUSEHOLD, INDIVIDUAL):
@@ -52,6 +54,8 @@ class VariableSpec:
                 f"variable {self.name!r}: {len(self.labels)} labels for "
                 f"{self.cardinality} categories"
             )
+        if self.labels is not None and len(set(self.labels)) != len(self.labels):
+            raise SchemaError(f"variable {self.name!r}: labels must be distinct")
 
     def code_of(self, token: str) -> int:
         """Resolve a 1-based code or category label to a 0-based code."""
@@ -147,13 +151,20 @@ def parse_schema(text: str) -> Schema:
             extra = set(entry) - {"name", "cardinality", "size", "labels"}
             if extra:
                 raise SchemaError(f"variable {entry.get('name')!r}: unknown keys {sorted(extra)}")
-            labels = entry.get("labels")
+            name, labels = str(entry["name"]), entry.get("labels")
+            cardinality, is_size = entry["cardinality"], entry.get("size", False)
+            if isinstance(cardinality, bool) or not isinstance(cardinality, int):
+                raise SchemaError(
+                    f"variable {name!r}: cardinality must be an integer, not {cardinality!r}"
+                )
+            if not isinstance(is_size, bool):
+                raise SchemaError(f"variable {name!r}: size must be true or false, not {is_size!r}")
             specs.append(
                 VariableSpec(
-                    name=str(entry["name"]),
-                    cardinality=int(entry["cardinality"]),
+                    name=name,
+                    cardinality=cardinality,
                     level=level,
-                    is_size=bool(entry.get("size", False)),
+                    is_size=is_size,
                     labels=tuple(str(x) for x in labels) if labels is not None else None,
                 )
             )

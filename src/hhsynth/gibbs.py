@@ -80,12 +80,12 @@ class Diagnostics:
             "hh_concentration",
             "mem_concentration",
         ] + [f"pi_{g + 1}" for g in range(F)]
+        # rows are streamed: a list of every sweep's row can set a fit's peak memory
         sweeps = zip(self.occupied_hh, self.occupied_mem, self.hh_conc, self.mem_conc)
-        rows = [[i, *sweep, *w] for i, (sweep, w) in enumerate(zip(sweeps, self.hh_weights), 1)]
+        rows = ([i, *sweep, *w] for i, (sweep, w) in enumerate(zip(sweeps, self.hh_weights), 1))
         if self.strata is not None:
             header += [f"n_infeasible_size{h}" for h in self.strata] + ["n_infeasible_total"]
-            for row, counts in zip(rows, self.n_infeasible):
-                row += [*counts, counts.sum()]
+            rows = ([*row, *counts, counts.sum()] for row, counts in zip(rows, self.n_infeasible))
         write_csv(path, header, rows)
 
 

@@ -1,8 +1,9 @@
 """Importance-sampling disclosure-risk assessment.
 
-For each target (an individual's full attribute combination, or a whole
-household), a candidate support is built around the truth by single-variable
-perturbations.  Candidate posteriors are estimated from fitted parameter
+Every target is a household: a whole household, or an individual's full
+attribute combination as a one-member household.  Its candidate support is the
+truth, always first, plus its single-variable perturbations, built for every
+kind by one builder.  Candidate posteriors are estimated from fitted parameter
 draws: self-normalized importance weights move the draws from the posterior
 given the released data to the posterior given the data with the target
 swapped for each candidate, and each synthetic replicate's likelihood is
@@ -48,23 +49,19 @@ RUN_CELLS = 2**18
 
 @dataclass
 class TargetSupport:
-    """Candidate guesses for one target; the truth sits at truth_index.
-
-    Individual targets: mem_values is (C, p) and each candidate pairs one
-    member's values with guessed household values (hh_values, (C, q)).
-    Household targets: mem_values is (C, h, p).  The prior over the
-    candidates is uniform.
+    """Candidate households for one target: household values hh_values (C, q)
+    and members mem_values (C, h, p), with h = 1 for an individual target.
+    The truth is candidate 0, and the prior over the candidates is uniform.
     """
 
-    kind: str
     hh_values: np.ndarray
     mem_values: np.ndarray
-    truth_index: int = 0
+    truth_index = 0  # not a field: every support puts the truth first
 
     @property
     def size(self) -> int:
         """Members of each candidate household."""
-        return 1 if self.kind == "individual" else self.mem_values.shape[1]
+        return self.mem_values.shape[1]
 
 
 @dataclass
@@ -111,39 +108,22 @@ def _changes(values: np.ndarray, variables, fixed) -> np.ndarray:
     return np.concatenate(out, axis=1)
 
 
-def _individual_supports(
-    schema: Schema, hh_values: np.ndarray, mem_values: np.ndarray, held_fixed
-) -> list[TargetSupport]:
-    """build_support_individual for each row of hh_values (T, q) and mem_values (T, p)."""
-    hh_alt = _changes(hh_values, schema.household_vars, held_fixed)
-    mem_alt = _changes(mem_values, schema.individual_vars, held_fixed)
-    hh = np.concatenate(
-        [hh_values[:, None], hh_alt, np.repeat(hh_values[:, None], mem_alt.shape[1], axis=1)],
-        axis=1,
-    )
-    mem = np.concatenate(
-        [np.repeat(mem_values[:, None], 1 + hh_alt.shape[1], axis=1), mem_alt], axis=1
-    )
-    return [TargetSupport("individual", h, m) for h, m in zip(hh, mem)]
-
-
-def _household_supports(
-    schema: Schema, hh_values: np.ndarray, members: np.ndarray, held_fixed, rules
+def _supports(
+    schema: Schema, hh_values: np.ndarray, members: np.ndarray, fixed, rules=None
 ) -> list[TargetSupport]:
     """Truth plus single-variable alternatives of each household in hh_values
-    (T, q) and members (T, h, p).
+    (T, q) and members (T, h, p); variables named in fixed are not perturbed.
 
-    Household variables are perturbed once, individual variables per member,
-    and the size variable never (it fixes the member count).  Rule-infeasible
-    candidates are dropped; the observed truth is always kept.  Candidate
-    order: truth, household variables, then each member's in turn,
-    alternative codes ascending.
+    Household variables are perturbed once and individual variables per
+    member.  Rule-infeasible candidates are dropped; the observed truth is
+    always kept.  Candidate order: truth, household variables, then each
+    member's in turn, alternative codes ascending.
     """
     T, h, p = members.shape
-    hh_alt = _changes(hh_values, schema.household_vars, (*held_fixed, schema.size_var.name))
+    hh_alt = _changes(hh_values, schema.household_vars, fixed)
     mem = [np.repeat(members[:, None], 1 + hh_alt.shape[1], axis=1)]
     for j in range(h):
-        rows = _changes(members[:, j], schema.individual_vars, held_fixed)
+        rows = _changes(members[:, j], schema.individual_vars, fixed)
         mem.append(np.repeat(members[:, None], rows.shape[1], axis=1))
         mem[-1][:, :, j] = rows
     mem = np.concatenate(mem, axis=1)
@@ -152,14 +132,13 @@ def _household_supports(
     hh = np.concatenate(
         [hh_values[:, None], hh_alt, np.repeat(hh_values[:, None], n_same, axis=1)], axis=1
     )
-    if not rules:
-        return [TargetSupport("household", a, b) for a, b in zip(hh, mem)]
-    keep = check_batch(rules, hh.reshape(T * C, -1), mem.reshape(T * C, h, p)).reshape(T, C)
-    keep[:, 0] = True  # observed truth stays regardless
-    bounds = np.cumsum(keep.sum(axis=1))[:-1]
-    hh = np.split(hh[keep], bounds)
-    mem = np.split(mem[keep], bounds)
-    return [TargetSupport("household", a, b) for a, b in zip(hh, mem)]
+    if rules:
+        keep = check_batch(rules, hh.reshape(T * C, -1), mem.reshape(T * C, h, p)).reshape(T, C)
+        keep[:, 0] = True  # observed truth stays regardless
+        bounds = np.cumsum(keep.sum(axis=1))[:-1]
+        hh = np.split(hh[keep], bounds)
+        mem = np.split(mem[keep], bounds)
+    return [TargetSupport(a, b) for a, b in zip(hh, mem)]
 
 
 def build_support_individual(
@@ -168,7 +147,8 @@ def build_support_individual(
     mem_values: np.ndarray,
     held_fixed: tuple[str, ...] = (),
 ) -> TargetSupport:
-    """Truth plus every single-variable alternative of one person's combination.
+    """Truth plus every single-variable alternative of one person's combination,
+    as a one-member household.
 
     The guessed combination spans the household-level values too (size
     included: the size code is an attribute of the guess and changing it does
@@ -177,13 +157,20 @@ def build_support_individual(
     individual variables, alternative codes ascending.
     """
     hh_values = np.asarray(hh_values, dtype=np.int64)[None]
-    mem_values = np.asarray(mem_values, dtype=np.int64)[None]
-    return _individual_supports(schema, hh_values, mem_values, held_fixed)[0]
+    mem_values = np.asarray(mem_values, dtype=np.int64)[None, None]
+    return _supports(schema, hh_values, mem_values, held_fixed)[0]
 
 
 def replicate_likelihood(params: Params, replicate: DatasetView) -> float:
     """log P(replicate | params), classes marginalized out."""
     return dataset_loglik(params, replicate)
+
+
+def _replicate_logliks(replicates: list[DatasetView], params_draws: list[Params]) -> np.ndarray:
+    """log P(replicate l | draw r), (R, L)."""
+    return np.array(
+        [[replicate_likelihood(params, z) for z in replicates] for params in params_draws]
+    )
 
 
 def candidate_logliks(supports: list[TargetSupport], params_draws: list[Params]) -> list:
@@ -208,10 +195,10 @@ def candidate_logliks(supports: list[TargetSupport], params_draws: list[Params])
     return np.split(cand, np.cumsum(counts)[:-1], axis=1)
 
 
-def _self_normalize(cand: np.ndarray, truth_index: int) -> tuple[np.ndarray, np.ndarray]:
+def _self_normalize(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights (..., R, C) from candidate log-likelihoods (..., R, C), and the
     mask (..., C) of candidates whose ratios all underflowed to zero."""
-    log_ratio = cand - cand[..., [truth_index]]
+    log_ratio = cand - cand[..., [0]]
     peak = np.maximum(log_ratio.max(axis=-2, keepdims=True), 0.0)
     ratios = np.exp(log_ratio - peak)
     totals = ratios.sum(axis=-2, keepdims=True)
@@ -232,9 +219,7 @@ def importance_weights(support: TargetSupport, params_draws: list[Params]) -> np
     exponentiating; a candidate whose ratios all underflow to zero is
     structurally impossible under every draw and raises.
     """
-    weights, dead = _self_normalize(
-        candidate_logliks([support], params_draws)[0], support.truth_index
-    )
+    weights, dead = _self_normalize(candidate_logliks([support], params_draws)[0])
     if dead.any():
         raise _underflow(int(np.flatnonzero(dead)[0]))
     return weights
@@ -252,22 +237,18 @@ def importance_posterior(
     they do not depend on the target.  Rank ties go to the earlier candidate.
     """
     if log_p is None:
-        log_p = np.array(
-            [[replicate_likelihood(params, z) for z in replicates] for params in params_draws]
-        )
+        log_p = _replicate_logliks(replicates, params_draws)
     weights = importance_weights(support, params_draws)[None]
-    rho, rank = _posteriors(weights, log_p, support.truth_index)
+    rho, rank = _posteriors(weights, log_p)
     return RiskResult(
         posterior=rho[0],
         rank_of_truth=int(rank[0]),
         top_probability=float(rho[0].max()),
-        truth_probability=float(rho[0, support.truth_index]),
+        truth_probability=float(rho[0, 0]),
     )
 
 
-def _posteriors(
-    weights: np.ndarray, log_p: np.ndarray, truth_index: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _posteriors(weights: np.ndarray, log_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posteriors (T, C) and ranks of the truth (T,) of T targets of C candidates each.
 
     weights is (T, R, C).  Every reduction runs along the axis the one-target
@@ -283,7 +264,7 @@ def _posteriors(
     rho = np.exp(scores - logsumexp(scores, axis=1)[:, None])
     rho = rho / rho.sum(axis=1, keepdims=True)
     order = np.argsort(-rho, axis=1, kind="stable")
-    return rho, np.argmax(order == truth_index, axis=1) + 1
+    return rho, np.argmax(order == 0, axis=1) + 1
 
 
 def _target_id(variables, codes) -> str:
@@ -298,9 +279,7 @@ def risk_sweep(
 ) -> RiskSummary:
     """Assess every distinct target in the data; duplicates share one result."""
     schema = original.schema
-    log_p = np.array(
-        [[replicate_likelihood(params, z) for z in replicates] for params in params_draws]
-    )
+    log_p = _replicate_logliks(replicates, params_draws)
     if config.rules and replicates:
         # a truncated fit's likelihood of a size-h household is over 1 - pi0_h
         counts = np.array([np.bincount(z.sizes, minlength=schema.max_size + 1) for z in replicates])
@@ -311,12 +290,15 @@ def risk_sweep(
         ])
         log_p -= np.log1p(-pi0) @ counts[:, sizes].T
 
+    # (target indices, household values (T, q), members (T, h, p)) of each
+    # group whose supports are built as one array
     if config.kind == "individual":
         q = original.hh_codes.shape[1]
         combined = np.concatenate([original.hh_codes[original.mem_hh], original.mem_codes], axis=1)
         targets = np.unique(combined, axis=0)
         ids = [_target_id(schema.household_vars + schema.individual_vars, row) for row in targets]
-        supports = _individual_supports(schema, targets[:, :q], targets[:, q:], config.held_fixed)
+        groups = [(np.arange(len(targets)), targets[:, :q], targets[:, None, q:])]
+        fixed, rules = config.held_fixed, None  # individual candidates meet no rules
     else:
         # distinct (household values, sorted member rows), in order of first appearance
         members_of = np.split(original.mem_codes, original.hh_start[1:])
@@ -330,16 +312,18 @@ def risk_sweep(
             + "".join(f"[{_target_id(schema.individual_vars, m)}]" for m in members)
             for hh_values, members in keys
         ]
-        # the supports of each household size are built as one array
-        supports = [None] * len(keys)
         sizes = np.array([len(members) for _, members in keys])
+        groups = []
         for h in np.unique(sizes):
             group = np.flatnonzero(sizes == h)
-            hh = np.array([keys[i][0] for i in group], dtype=np.int64)
-            members = np.array([keys[i][1] for i in group], dtype=np.int64)
-            built = _household_supports(schema, hh, members, config.held_fixed, config.rules)
-            for i, support in zip(group, built):
-                supports[i] = support
+            hh, members = zip(*(keys[i] for i in group))
+            groups.append((group, np.array(hh, dtype=np.int64), np.array(members, dtype=np.int64)))
+        # the size variable fixes the member count, so it is never perturbed
+        fixed, rules = (*config.held_fixed, schema.size_var.name), config.rules
+    supports = [None] * len(ids)
+    for group, hh, members in groups:
+        for i, support in zip(group, _supports(schema, hh, members, fixed, rules)):
+            supports[i] = support
 
     rows = []
     for run in _runs(supports, params_draws[0].n_hh_classes, log_p.size):
@@ -372,9 +356,9 @@ def _score(
     dead = []  # (target, candidate) pairs whose weights underflowed
     for C in np.unique(counts):
         group = np.flatnonzero(counts == C)
-        weights, gone = _self_normalize(np.stack([blocks[t] for t in group]), 0)
+        weights, gone = _self_normalize(np.stack([blocks[t] for t in group]))
         dead += [(group[t], c) for t, c in np.argwhere(gone)]
-        rho, rank = _posteriors(weights, log_p, 0)
+        rho, rank = _posteriors(weights, log_p)
         rho_truth[group], rho_max[group], ranks[group] = rho[:, 0], rho.max(axis=1), rank
     if dead:
         raise _underflow(int(min(dead)[1]))

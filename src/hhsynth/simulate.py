@@ -22,8 +22,12 @@ def marginal(config: ToyConfig, schema: Schema, name: str) -> np.ndarray:
     if probs is None:
         return np.full(var.cardinality, 1.0 / var.cardinality)
     probs = np.asarray(probs, dtype=float)
-    if probs.shape != (var.cardinality,) or np.any(probs < 0):
-        raise SchemaError(f"marginal for {name!r} must be {var.cardinality} nonnegative weights")
+    if probs.shape != (var.cardinality,) or not np.all(np.isfinite(probs) & (probs >= 0)):
+        raise SchemaError(
+            f"marginal for {name!r} must be {var.cardinality} finite nonnegative weights"
+        )
+    if not probs.any():
+        raise SchemaError(f"marginal for {name!r} has no positive weight")
     return probs / probs.sum()
 
 

@@ -43,7 +43,7 @@ from hhsynth.model import (
     size_class_probs,
     stick_break,
 )
-from hhsynth.risk import _household_supports
+from hhsynth.risk import _supports
 from hhsynth.tquantile import t_quantile
 from hhsynth.truncated import AugmentedBatch, CapExceededError
 
@@ -348,14 +348,9 @@ def sample_member_classes(params, view, hh_class, rng):
 
 def candidate_logliks(support, params):
     """log likelihood of every candidate under one draw, one view per call: (C,)."""
-    C = support.hh_values.shape[0]
-    if support.kind == "individual":
-        sizes = np.ones(C, dtype=np.int64)
-        mem = support.mem_values
-    else:
-        h = support.mem_values.shape[1]
-        sizes = np.full(C, h, dtype=np.int64)
-        mem = support.mem_values.reshape(C * h, -1)
+    C, h, _ = support.mem_values.shape
+    sizes = np.full(C, h, dtype=np.int64)
+    mem = support.mem_values.reshape(C * h, -1)
     view = DatasetView.from_arrays(support.hh_values, mem, sizes)
     return logsumexp(household_class_logits(params, view), axis=0)
 
@@ -373,7 +368,8 @@ def build_support_household(schema, hh_values, members, held_fixed=(), rules=Non
     """One household's candidate support, from the library's batched builder."""
     hh_values = np.asarray(hh_values, dtype=np.int64)[None]
     members = np.asarray(members, dtype=np.int64)[None]
-    return _household_supports(schema, hh_values, members, held_fixed, rules)[0]
+    fixed = (*held_fixed, schema.size_var.name)
+    return _supports(schema, hh_values, members, fixed, rules)[0]
 
 
 def posterior(support, weights, log_p):

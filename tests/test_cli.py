@@ -437,6 +437,25 @@ BAD_CONFIGS = [
         'min_expected: 0\n  confidence: "0.9"\n',
         "evaluate.confidence: must be a number, not '0.9'",
     ),
+    # simulate's weights are finite, and a marginal has a positive one
+    (
+        "simulate",
+        "{1: 0.3, 2: 0.5, 3: 0.2}",
+        "{1: .nan, 2: 1.0}",
+        "config: simulate: size_probs must be nonnegative and sum to 1 (set by size_distribution)",
+    ),
+    (
+        "simulate",
+        "color: [0.4, 0.3, 0.2, 0.1]",
+        "color: [0, 0, 0, 0]",
+        "config: simulate.marginals.color: marginal for 'color' has no positive weight",
+    ),
+    (
+        "simulate",
+        "color: [0.4, 0.3, 0.2, 0.1]",
+        "color: [.nan, 1, 1, 1]",
+        "config: simulate.marginals.color: marginal for 'color' must be 4 finite nonnegative",
+    ),
     # the Gamma prior's shapes and rates are positive and finite
     (
         "fit",
@@ -565,6 +584,24 @@ def test_risk_on_checkpoints_without_draws_exits_1(pipeline, tmp_path, capsys, r
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert run("risk", config, out) == 1
     assert capsys.readouterr().err == f"usage error: {ckpt} holds no draws; run fit again\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_fit_on_data_that_break_the_rules_exits_1(tmp_path, capsys):
+    # the simulated members are one head (role 1) and others (role 2), so a
+    # rule of exactly one role-2 member fails every household but those of size 2
+    config = write_workspace(tmp_path)
+    out = tmp_path / "out"
+    assert run("simulate", config, out) == 0
+    (tmp_path / "rules.txt").write_text("exactly_one role = 2\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run("fit", config, out) == 1
+    rows = list(csv.DictReader((out / "sample.csv").open(newline="")))
+    first = next(row["household_id"] for row in rows if row["hh_size"] != "2")
+    assert capsys.readouterr().err == (
+        f"usage error: {out / 'sample.csv'}: household {first!r} breaks the rules, "
+        "so a truncated fit cannot hold it\n"
+    )
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -916,6 +953,36 @@ def test_untruncated_pipeline_output_digests(tmp_path):
     for command in ("simulate", "fit", "synthesize", "evaluate", "risk"):
         assert run(command, config, out) == 0, command
     assert output_digests(out) == UNTRUNCATED_DIGESTS
+
+
+# sha256 of the household-kind risk outputs of both pipelines' fits
+HOUSEHOLD_RISK_DIGESTS = {
+    "truncated": {
+        "rank_histogram.csv": "617c953c157f9fb5265b71ffb72bd2e8cf7b0d854db3fe885120f77891030b5f",
+        "risk_summary.csv": "8c42801595a9381d6b6de2f04350554b98efbe6062ff866f38097a20de2f5e3a",
+    },
+    "untruncated": {
+        "rank_histogram.csv": "5d017cf2b713a7104c38fce1db846d0c42fce8f82017469409f420620483be3e",
+        "risk_summary.csv": "3d2008907bce34f562bbb4e4fd8bcc57b328297c0d7e98a3e16752d198ff0c97",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["truncated", "untruncated"])
+def test_household_risk_output_digests(pipeline, tmp_path, mode):
+    out = tmp_path / "out"
+    if mode == "truncated":
+        text = CONFIG_YAML
+        shutil.copytree(pipeline[1], out)
+    else:
+        text = CONFIG_YAML.replace("rules: rules.txt\n", "")
+        config = write_workspace(tmp_path, text)
+        for command in ("simulate", "fit", "synthesize"):
+            assert run(command, config, out) == 0, command
+    config = write_workspace(tmp_path, text.replace("kind: individual", "kind: household"))
+    assert run("risk", config, out) == 0
+    names = ("rank_histogram.csv", "risk_summary.csv")
+    assert {name: output_digests(out)[name] for name in names} == HOUSEHOLD_RISK_DIGESTS[mode]
 
 
 def test_pipeline_seed_changes_outputs(pipeline, tmp_path):

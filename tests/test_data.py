@@ -98,6 +98,23 @@ def test_minimal_schema_is_legal():
         "individual:\n  - {name: x, cardinality: 2}\n",
         # no individual variables
         "household:\n  - {name: a, cardinality: 2, size: true}\nindividual: []\n",
+        # a cardinality that is not a YAML integer
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: x, cardinality: 2.7}\n",
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: x, cardinality: '3'}\n",
+        # a size flag that is not a YAML bool (the string 'false' is truthy)
+        "household:\n  - {name: a, cardinality: 2, size: 'false'}\n"
+        "individual:\n  - {name: x, cardinality: 2}\n",
+        # labels that repeat
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: x, cardinality: 3, labels: [x, x, y]}\n",
+        # names of the data CSV's own columns
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: person_index, cardinality: 2}\n",
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "  - {name: household_id, cardinality: 2}\n"
+        "individual:\n  - {name: x, cardinality: 2}\n",
     ],
 )
 def test_parse_schema_rejects(text):

@@ -76,7 +76,7 @@ def test_individual_support_size_census_like():
     )
     # household alternatives 1+1+4+8, individual 2+1+5+1+1+1+4+2+3+5
     assert support.hh_values.shape[0] == 1 + 14 + 25
-    assert support.kind == "individual"
+    assert support.mem_values.shape == (1 + 14 + 25, 1, 10)  # one-member households
     assert support.truth_index == 0
 
 
@@ -101,7 +101,7 @@ def test_individual_support_with_held_fixed():
     )
     # own 1 + size 2 + gender 1 + race 8 + hispanic 4 + age 8, relationship pinned
     assert support.hh_values.shape[0] == 1 + 24
-    assert (support.mem_values[:, 4] == 5).all()
+    assert (support.mem_values[:, 0, 4] == 5).all()
 
 
 def test_individual_support_order_and_contents(minimal_schema):
@@ -109,7 +109,7 @@ def test_individual_support_order_and_contents(minimal_schema):
         minimal_schema, np.array([0]), np.array([1])
     )
     np.testing.assert_array_equal(support.hh_values, [[0], [1], [0]])
-    np.testing.assert_array_equal(support.mem_values, [[1], [1], [0]])
+    np.testing.assert_array_equal(support.mem_values, [[[1]], [[1]], [[0]]])
 
 
 def test_household_support_excludes_size_variable(toy_schema):
@@ -211,9 +211,8 @@ def test_weights_underflow_raises(toy_schema):
     params.hh_kernels[0][:, 1] = 0.0
     params.mem_kernels[1][..., 3] = 0.0
     support = TargetSupport(
-        kind="individual",
         hh_values=np.array([[0, 0], [1, 0]]),
-        mem_values=np.array([[0, 0], [0, 3]]),
+        mem_values=np.array([[[0, 0]], [[0, 3]]]),
     )
     with pytest.raises(ValueError, match="candidate 1"):
         importance_weights(support, [params, params])
