@@ -11,6 +11,7 @@ A Dataset is a DatasetView plus its schema and household ids.
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -151,7 +152,9 @@ def parse_schema(text: str) -> Schema:
             extra = set(entry) - {"name", "cardinality", "size", "labels"}
             if extra:
                 raise SchemaError(f"variable {entry.get('name')!r}: unknown keys {sorted(extra)}")
-            name, labels = str(entry["name"]), entry.get("labels")
+            name, labels = entry["name"], entry.get("labels")
+            if not isinstance(name, str):
+                raise SchemaError(f"{level} variable {name!r}: name must be a string")
             cardinality, is_size = entry["cardinality"], entry.get("size", False)
             if isinstance(cardinality, bool) or not isinstance(cardinality, int):
                 raise SchemaError(
@@ -345,11 +348,78 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
     Codes are 1-based integers; any missing or malformed cell is an error.
     Households keep their order of first appearance; members are ordered by
     person_index, which must run 1..n within each household.
+
+    A plain file, such as every file write_dataset writes, is parsed in bulk;
+    any other file is read by the csv module, which returns the same Dataset
+    or raises the error (see _read_plain).
     """
     path = Path(path)
-    hh_names = [v.name for v in schema.household_vars]
-    ind_names = [v.name for v in schema.individual_vars]
-    expected = [_ID_COLUMN, _PERSON_COLUMN] + hh_names + ind_names
+    dataset = _read_plain(path, schema)
+    return dataset if dataset is not None else _read_csv(path, schema)
+
+
+def _columns(schema: Schema) -> list[str]:
+    """The data CSV's columns in the order write_dataset writes them."""
+    return [_ID_COLUMN, _PERSON_COLUMN] + [
+        v.name for v in schema.household_vars + schema.individual_vars
+    ]
+
+
+# ASCII bytes at which the csv module and the bulk parse may read a file
+# differently: the quote; NUL, which some csv versions refuse; vertical tab and
+# form feed, where str.splitlines ends a line; and \x1c-\x1f, which np.loadtxt
+# reads as spaces where int() refuses them.  loadtxt also reads some non-ASCII
+# letters as digits, so a plain file is ASCII as well.
+_NOT_PLAIN = b'"\x00\x0b\x0c\x1c\x1d\x1e\x1f'
+
+
+def _read_plain(path: Path, schema: Schema) -> Dataset | None:
+    """The file's Dataset from one np.loadtxt call over its lines, or None where
+    the csv reader must decide: a byte that is not ASCII or is in _NOT_PLAIN, a
+    header that does not match, a blank, short or long row, an empty id, a cell
+    loadtxt refuses, or a failed check."""
+    raw = path.read_bytes()
+    if not raw.isascii() or any(byte in raw for byte in _NOT_PLAIN):
+        return None
+    lines = raw.decode("ascii").splitlines()  # \r\n, \r or \n, as csv splits them
+    if len(lines) < 2:
+        return None
+    expected, header, body = _columns(schema), lines[0].split(","), lines[1:]
+    if sorted(header) != sorted(expected):
+        return None
+    if any(line.count(",") != len(header) - 1 for line in body):
+        return None
+    k = header.index(_ID_COLUMN)
+    row_ids = [line.split(",", k + 1)[k] for line in body]
+    if not all(map(str.strip, row_ids)):
+        return None
+    try:
+        table = np.loadtxt(
+            body,
+            delimiter=",",
+            usecols=[header.index(name) for name in expected[1:]],  # all but the id
+            dtype=np.int64,
+            comments=None,
+            ndmin=2,
+        )
+    except (ValueError, OverflowError):  # a cell it cannot read; the csv reader reports it
+        return None
+    del body  # the lines are not needed past the parse
+    codes = table[:, 1:] - 1
+    cardinality = [v.cardinality for v in schema.household_vars + schema.individual_vars]
+    if ((codes < 0) | (codes >= cardinality)).any():
+        return None
+    q = len(schema.household_vars)
+    try:
+        return _households(path, schema, row_ids, table[:, 0], codes[:, :q], codes[:, q:])
+    except SchemaError:
+        return None
+
+
+def _read_csv(path: Path, schema: Schema) -> Dataset:
+    """The file's Dataset, read cell by cell with the csv module; raises
+    SchemaError naming the first fault."""
+    expected = _columns(schema)
     with path.open(newline="", encoding="utf8") as fh:
         reader = csv.reader(fh)
         try:
@@ -396,12 +466,26 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
     person = integers(_PERSON_COLUMN, "person_index must be an integer")
     hh_rows = np.column_stack([codes(v) for v in schema.household_vars])
     mem_rows = np.column_stack([codes(v) for v in schema.individual_vars])
+    # an index outside 1..len(rows), which may not fit int64, is clamped to
+    # 0 or len(rows) + 1: it fails the same check there
+    person = np.array([min(max(x, 0), len(rows) + 1) for x in person], dtype=np.int64)
+    row_ids = [row[col[_ID_COLUMN]] for row in rows]
+    return _households(path, schema, row_ids, person, hh_rows, mem_rows)
 
+
+def _households(
+    path: Path,
+    schema: Schema,
+    row_ids: list[str],
+    person: np.ndarray,
+    hh_rows: np.ndarray,
+    mem_rows: np.ndarray,
+) -> Dataset:
+    """The Dataset of the file's rows, given each row's id, person_index and
+    0-based codes; raises SchemaError naming the line or household at fault."""
     # households in order of first appearance
     index: dict[str, int] = {}
-    hh_of_row = np.array(
-        [index.setdefault(row[col[_ID_COLUMN]], len(index)) for row in rows], dtype=np.int64
-    )
+    hh_of_row = np.array([index.setdefault(hid, len(index)) for hid in row_ids], dtype=np.int64)
     ids = list(index)
     first_row = np.unique(hh_of_row, return_index=True)[1]
     i = _first((hh_rows != hh_rows[first_row][hh_of_row]).any(axis=1))
@@ -409,10 +493,10 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
         raise SchemaError(
             f"{path}:{i + 2}: household {ids[hh_of_row[i]]!r} has inconsistent household codes"
         )
-    i = next((i for i, x in enumerate(person) if not 1 <= x <= len(rows)), None)
-    if i is not None:  # no household of len(rows) members or fewer can hold this index
+    n_rows = len(row_ids)
+    i = _first((person < 1) | (person > n_rows))
+    if i is not None:  # no household of n_rows members or fewer can hold this index
         raise SchemaError(f"{path}: household {ids[hh_of_row[i]]!r}: person_index must run 1..n")
-    person = np.array(person, dtype=np.int64)
     # members grouped by household, each household's in person_index order
     order = np.lexsort((person, hh_of_row))
     hh_sorted, person_sorted = hh_of_row[order], person[order]
@@ -423,7 +507,7 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
             f"{path}:{i + 2}: duplicate person_index {person[i]} in {ids[hh_of_row[i]]!r}"
         )
     sizes = np.bincount(hh_of_row, minlength=len(ids))
-    i = _first(person_sorted != np.arange(len(rows)) - (np.cumsum(sizes) - sizes)[hh_sorted] + 1)
+    i = _first(person_sorted != np.arange(n_rows) - (np.cumsum(sizes) - sizes)[hh_sorted] + 1)
     if i is not None:
         raise SchemaError(
             f"{path}: household {ids[hh_sorted[i]]!r}: person_index must run 1..n"
@@ -435,22 +519,31 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write the person-level CSV form (1-based codes, one row per member)."""
-    path = Path(path)
-    hh_names = [v.name for v in dataset.schema.household_vars]
-    ind_names = [v.name for v in dataset.schema.individual_vars]
+    """Write the person-level CSV form (1-based codes, one row per member).
+
+    The bytes are csv.writer's. Each household's id and code row and each
+    distinct member row are formatted once, and each member's line joins them.
+    """
+    # csv.writer never quotes a cell of ASCII letters and digits
+    id_cells = [hid if hid.isascii() and hid.isalnum() else _csv_cell(hid) for hid in dataset.ids]
+    hh_cells = [",".join(map(str, row)) for row in (dataset.hh_codes + 1).tolist()]
+    pattern_cells = [",".join(map(str, row)) for row in (dataset.patterns + 1).tolist()]
     person = np.arange(dataset.n_individuals) - dataset.hh_start[dataset.mem_hh] + 1
-    hh_part = (dataset.hh_codes + 1).tolist()
-    ids = dataset.ids
-    with path.open("w", newline="", encoding="utf8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([_ID_COLUMN, _PERSON_COLUMN] + hh_names + ind_names)
-        writer.writerows(
-            [ids[i], j] + hh_part[i] + member
-            for i, j, member in zip(
-                dataset.mem_hh.tolist(), person.tolist(), (dataset.mem_codes + 1).tolist()
+    with Path(path).open("w", newline="", encoding="utf8") as fh:
+        csv.writer(fh).writerow(_columns(dataset.schema))
+        fh.writelines(
+            f"{id_cells[i]},{j},{hh_cells[i]},{pattern_cells[k]}\r\n"
+            for i, j, k in zip(
+                dataset.mem_hh.tolist(), person.tolist(), dataset.mem_pattern.tolist()
             )
         )
+
+
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it as one cell of a longer row."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue().removesuffix(",\r\n")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:

@@ -63,8 +63,9 @@ class Diagnostics:
     saturated_mem: bool = False
 
     def record(self, state: ChainState) -> None:
-        self.occupied_hh.append(int(np.unique(state.hh_class).size))
-        self.occupied_mem.append(int(np.unique(state.mem_class).size))
+        # not np.unique, which imports numpy.ma and so adds to fit's peak
+        self.occupied_hh.append(int(np.count_nonzero(np.bincount(state.hh_class))))
+        self.occupied_mem.append(int(np.count_nonzero(np.bincount(state.mem_class))))
         self.hh_conc.append(float(state.params.hh_conc))
         self.mem_conc.append(float(state.params.mem_conc))
         self.hh_weights.append(state.params.hh_weights.copy())

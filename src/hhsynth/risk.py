@@ -295,7 +295,12 @@ def risk_sweep(
     if config.kind == "individual":
         q = original.hh_codes.shape[1]
         combined = np.concatenate([original.hh_codes[original.mem_hh], original.mem_codes], axis=1)
-        targets = np.unique(combined, axis=0)
+        # the distinct rows in ascending order; np.unique(combined, axis=0)
+        # would import numpy.ma
+        combined = combined[np.lexsort(combined.T[::-1])]
+        first = np.ones(len(combined), dtype=bool)
+        first[1:] = (combined[1:] != combined[:-1]).any(axis=1)
+        targets = combined[first]
         ids = [_target_id(schema.household_vars + schema.individual_vars, row) for row in targets]
         groups = [(np.arange(len(targets)), targets[:, :q], targets[:, None, q:])]
         fixed, rules = config.held_fixed, None  # individual candidates meet no rules
@@ -312,9 +317,9 @@ def risk_sweep(
             + "".join(f"[{_target_id(schema.individual_vars, m)}]" for m in members)
             for hh_values, members in keys
         ]
-        sizes = np.array([len(members) for _, members in keys])
+        sizes = np.array([len(members) for _, members in keys], dtype=np.int64)
         groups = []
-        for h in np.unique(sizes):
+        for h in np.flatnonzero(np.bincount(sizes)):
             group = np.flatnonzero(sizes == h)
             hh, members = zip(*(keys[i] for i in group))
             groups.append((group, np.array(hh, dtype=np.int64), np.array(members, dtype=np.int64)))
@@ -354,7 +359,7 @@ def _score(
     counts = np.array([cand.shape[1] for cand in blocks])
     rho_truth, rho_max, ranks = (np.empty(len(blocks)) for _ in range(3))
     dead = []  # (target, candidate) pairs whose weights underflowed
-    for C in np.unique(counts):
+    for C in np.flatnonzero(np.bincount(counts)):
         group = np.flatnonzero(counts == C)
         weights, gone = _self_normalize(np.stack([blocks[t] for t in group]))
         dead += [(group[t], c) for t, c in np.argwhere(gone)]

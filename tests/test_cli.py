@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import hhsynth
+from hhsynth import data
 from hhsynth.cli import main
 from hhsynth.commands import UsageError, _build_query, _hyperparams, load_config
 from hhsynth.data import load_schema
@@ -657,6 +658,19 @@ def test_pipeline_artifacts(pipeline):
         assert (out / name).is_file(), name
 
 
+def test_the_programs_data_files_are_read_in_bulk(pipeline, monkeypatch):
+    """load_dataset never falls back to the csv reader for a file the program wrote."""
+    config, out = pipeline
+    schema = load_schema(config.parent / "schema.yaml")
+
+    def refuse(path, schema):
+        raise AssertionError(f"{path} went to the csv reader")
+
+    monkeypatch.setattr(data, "_read_csv", refuse)
+    for name in ("sample.csv", "population.csv", "synthetic_1.csv"):
+        assert data.load_dataset(out / name, schema).n_households > 0
+
+
 def test_pipeline_synthetic_loadable(pipeline):
     config, out = pipeline
     schema = load_schema(config.parent / "schema.yaml")
@@ -826,6 +840,8 @@ def test_command_loads_only_its_modules(pipeline, tmp_path, command):
     library = {m.split(".", 1)[1] for m in imported if m.startswith("hhsynth.")}
     assert library == {"commands", "config", *COMMAND_MODULES[command]}, stderr[-2000:]
     assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    # numpy.ma, which np.unique imports on its first plain call, adds about 1 MB
+    assert "numpy.ma" not in imported
     if command == "simulate":
         assert not library & {"gibbs", "model", "truncated"}
 

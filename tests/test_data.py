@@ -1,11 +1,14 @@
 """Schema parsing, dataset validation, file round-trips, size histogram."""
 
 import csv
+import io
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from hhsynth import data
 from hhsynth.data import (
     Dataset,
     DatasetView,
@@ -115,6 +118,15 @@ def test_minimal_schema_is_legal():
         "household:\n  - {name: a, cardinality: 2, size: true}\n"
         "  - {name: household_id, cardinality: 2}\n"
         "individual:\n  - {name: x, cardinality: 2}\n",
+        # names that are not YAML strings
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: true, cardinality: 2}\n",
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: 5, cardinality: 2}\n",
+        "household:\n  - {name: [a, b], cardinality: 2, size: true}\n"
+        "individual:\n  - {name: x, cardinality: 2}\n",
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: null, cardinality: 2}\n",
     ],
 )
 def test_parse_schema_rejects(text):
@@ -367,3 +379,97 @@ def test_empty_dataset(tmp_path, toy_schema):
         # writing one is fine, but no command can use a data file without households
         with pytest.raises(SchemaError, match="no households"):
             load_dataset(path, toy_schema)
+
+
+def dataset_fields(dataset):
+    """Everything a Dataset holds: its ids and each array's dtype, shape and values."""
+    arrays = (getattr(dataset, f.name) for f in fields(DatasetView))
+    return dataset.ids, [(a.dtype.str, a.shape, a.tolist()) for a in arrays]
+
+
+def outcome(read, path, schema):
+    """The Dataset's fields, or the type and text of what the read raised."""
+    try:
+        return dataset_fields(read(path, schema))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+HEADER = b"household_id,person_index,own,hh_size,role,color"
+
+
+# (file bytes or None for a file write_dataset writes, whether the bulk parse takes it)
+READ_CASES = {
+    "any column order": (
+        b"color,household_id,role,person_index,hh_size,own\n2,a,1,1,2,1\n4,a,2,2,2,1\n", True
+    ),
+    "scattered rows": (
+        HEADER + b"\nb,2,2,2,2,4\na,1,1,1,1,2\nc,3,1,3,2,1\nb,1,2,2,1,3\nc,1,1,3,1,1"
+        b"\nc,2,1,3,2,2\n",
+        True,
+    ),
+    "written by write_dataset": (None, True),
+    "bare CR endings": (HEADER + b"\ra,1,1,1,1,2\rb,1,2,1,2,3\r", True),
+    "no final line end": (HEADER + b"\na,1,1,1,1,2", True),
+    "spaces around a code": (HEADER + b"\na,1,1, 1 ,1,2\n", True),
+    "a tab before a code": (HEADER + b"\na,1,1,1,1,\t2\n", True),
+    "a plus sign": (HEADER + b"\na,1,1,1,1,+3\n", True),
+    "spaces in an id": (HEADER + b"\n a b ,1,1,1,1,2\n", True),
+    "a quoted id": (HEADER + b'\r\n"a,b",1,1,1,1,2\r\n"say ""hi""",1,2,1,2,4\r\n', False),
+    "a quoted code": (HEADER + b'\na,1,1,1,1,"2"\n', False),
+    "a non-ASCII digit": (HEADER + "\na,1,1,1,1,٣\n".encode(), False),
+    "a form feed after a code": (HEADER + b"\na,1,1,1,1,2\x0c\n", False),
+    "a NUL in an id": (HEADER + b"\na\x00b,1,1,1,1,2\n", False),
+    "a minus sign": (HEADER + b"\na,1,1,1,1,-1\n", False),
+    "an underscore": (HEADER + b"\na,1,1,1,1,1_0\n", False),
+    "a float": (HEADER + b"\na,1,1,1,1,2.0\n", False),
+    "an empty cell": (HEADER + b"\na,1,1,,1,2\n", False),
+    "a blank id": (HEADER + b"\n ,1,1,1,1,2\n", False),
+    "a letter loadtxt reads as a digit": (HEADER + "\na,1,1,1,1,Ǿ\n".encode(), False),
+    "a separator control after a code": (HEADER + b"\na,1,1,1,1,2\x1c\n", False),
+    "a person_index past int64": (HEADER + b"\na,99999999999999999999,1,1,1,2\n", False),
+    "a blank line": (HEADER + b"\na,1,1,1,1,2\n\nb,1,1,1,1,2\n", False),
+    "a blank last line": (HEADER + b"\na,1,1,1,1,2\n\n", False),
+    "a short row": (HEADER + b"\na,1,1,1,1\n", False),
+    "a long row": (HEADER + b"\na,1,1,1,1,2,3\n", False),
+    "a byte order mark": (b"\xef\xbb\xbf" + HEADER + b"\na,1,1,1,1,2\n", False),
+    "header only": (HEADER + b"\n", False),
+    "an empty file": (b"", False),
+    "inconsistent household codes": (HEADER + b"\na,1,1,2,1,2\na,2,2,2,2,2\n", False),
+    "a size that does not match": (HEADER + b"\na,1,1,2,1,2\n", False),
+    "a duplicate person_index": (HEADER + b"\na,1,1,2,1,2\na,1,1,2,2,2\n", False),
+}
+
+
+@pytest.mark.parametrize("body,plain", READ_CASES.values(), ids=READ_CASES)
+def test_bulk_read_agrees_with_the_csv_reader(tmp_path, toy_schema, toy_dataset, body, plain):
+    path = tmp_path / "data.csv"
+    if body is None:
+        write_dataset(toy_dataset, path)
+    else:
+        path.write_bytes(body)
+    expected = outcome(data._read_csv, path, toy_schema)
+    assert outcome(load_dataset, path, toy_schema) == expected
+    bulk = data._read_plain(path, toy_schema)
+    assert (bulk is not None) == plain
+    if bulk is not None:
+        assert dataset_fields(bulk) == expected
+
+
+@pytest.mark.parametrize(
+    "hid", ["a,b", 'say "hi"', "two\nlines", "a\rb", "  padded  ", "naïve 東京"]
+)
+def test_written_ids_keep_the_csv_bytes_and_read_back(tmp_path, toy_schema, toy_dataset, hid):
+    dataset = Dataset(toy_schema, view=toy_dataset, ids=(hid, *toy_dataset.ids[1:]))
+    path = tmp_path / "data.csv"
+    write_dataset(dataset, path)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(data._columns(toy_schema))
+    writer.writerows(
+        [record.household_id, j, *(c + 1 for c in record.hh_values), *(c + 1 for c in member)]
+        for record in records_of(dataset)
+        for j, member in enumerate(record.members, start=1)
+    )
+    assert path.read_bytes() == text.getvalue().encode("utf8")
+    assert dataset_fields(load_dataset(path, toy_schema)) == dataset_fields(dataset)
