@@ -529,9 +529,8 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     rows = report_rows(cells + household_report(original, reps, queries, population), cfg.gamma)
     write_report_csv(rows[:len(cells)], out_dir / "cells.csv")
     log.info("evaluate: %d cells reported", len(cells))
-    if queries:
-        write_report_csv(rows[len(cells):], out_dir / "household_queries.csv")
-        log.info("evaluate: %d household queries reported", len(queries))
+    write_report_csv(rows[len(cells):], out_dir / "household_queries.csv")
+    log.info("evaluate: %d household queries reported", len(queries))
 
 
 def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:

@@ -11,16 +11,17 @@ averaged under those weights.  For a truncated fit the replicate likelihood
 is the truncated one: each size-h household's term is over 1 - pi0_h, the
 feasible share of size h under the draw.
 
-Targets are scored in runs of consecutive targets that hold at most RUN_CELLS
-cells of working arrays, so the memory a sweep needs does not grow with the
-number of targets.  A target's floats do not depend on the other targets of
-its run, so every row is the one it would be if scored alone.
+Targets are scored one household size at a time, in runs of consecutive
+targets of that size that hold at most RUN_CELLS cells of working arrays,
+counted before the rules drop any candidate.  A run's candidates are built and
+rule-checked only when it is scored, so the working arrays a sweep holds do not
+grow with the number of targets.  A target's floats do not depend on the other
+targets of its run, so every row is the one it would be if scored alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -38,9 +39,10 @@ from .model import (
     member_logliks,
 )
 
-# A run's budget of cells.  A target of C candidates of h members holds
-# C * max(F * h, R * L) of them: its class pass is (F, C * h) for F household
-# classes, and its posterior block (R, L, C) for R draws and L replicates.
+# A run's budget of cells.  A target of C candidates of h members, counted
+# before the rules drop any, holds at most C * max(F * h, R * L) of them: its
+# class pass is (F, C * h) for F household classes, and its posterior block
+# (R, L, C) for R draws and L replicates.
 # Each run also scores its distinct member rows once per draw, so a smaller
 # budget costs time where the runs share many rows: with 1,296 possible member
 # rows and F = 20, 2**17 cells made a sweep 1.7 times as slow as one run.
@@ -291,7 +293,7 @@ def risk_sweep(
         log_p -= np.log1p(-pi0) @ counts[:, sizes].T
 
     # (target indices, household values (T, q), members (T, h, p)) of each
-    # group whose supports are built as one array
+    # household size's targets
     if config.kind == "individual":
         q = original.hh_codes.shape[1]
         combined = np.concatenate([original.hh_codes[original.mem_hh], original.mem_codes], axis=1)
@@ -325,29 +327,19 @@ def risk_sweep(
             groups.append((group, np.array(hh, dtype=np.int64), np.array(members, dtype=np.int64)))
         # the size variable fixes the member count, so it is never perturbed
         fixed, rules = (*config.held_fixed, schema.size_var.name), config.rules
-    supports = [None] * len(ids)
+    F, draw_replicates = params_draws[0].n_hh_classes, log_p.size
+    rows = [None] * len(ids)
     for group, hh, members in groups:
-        for i, support in zip(group, _supports(schema, hh, members, fixed, rules)):
-            supports[i] = support
-
-    rows = []
-    for run in _runs(supports, params_draws[0].n_hh_classes, log_p.size):
-        rows += _score(supports[run], ids[run], params_draws, log_p)
+        # every target of a group has the same candidate count before the rules
+        C = _supports(schema, hh[:1], members[:1], fixed)[0].hh_values.shape[0]
+        per_run = max(1, RUN_CELLS // (C * max(F * members.shape[1], draw_replicates)))
+        for start in range(0, len(group), per_run):
+            run = slice(start, start + per_run)
+            supports = _supports(schema, hh[run], members[run], fixed, rules)
+            run_rows = _score(supports, [ids[i] for i in group[run]], params_draws, log_p)
+            for i, row in zip(group[run], run_rows):
+                rows[i] = row
     return RiskSummary(rows=rows)
-
-
-def _runs(supports: list[TargetSupport], F: int, draw_replicates: int) -> Iterator[slice]:
-    """Consecutive runs of the targets, each holding at most RUN_CELLS cells;
-    a target over the budget forms a run of its own."""
-    start, held = 0, 0
-    for t, support in enumerate(supports):
-        cells = support.hh_values.shape[0] * max(F * support.size, draw_replicates)
-        if held + cells > RUN_CELLS and t > start:
-            yield slice(start, t)
-            start, held = t, 0
-        held += cells
-    if supports:
-        yield slice(start, len(supports))
 
 
 def _score(

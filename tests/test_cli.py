@@ -729,6 +729,19 @@ def test_pipeline_household_queries(pipeline):
     ]
 
 
+def test_evaluate_without_queries_writes_a_header_only_query_file(pipeline, tmp_path):
+    # a rerun with no queries must not leave the previous run's rows in place
+    _, out = pipeline
+    config = write_workspace(tmp_path, CONFIG_YAML.replace(QUERIES_YAML, "  household_queries: []\n"))
+    work = tmp_path / "out"
+    shutil.copytree(out, work)
+    assert len((work / "household_queries.csv").read_text().splitlines()) == 1 + 4
+    assert run("evaluate", config, work) == 0
+    header = (out / "household_queries.csv").read_text().splitlines(keepends=True)[0]
+    assert (work / "household_queries.csv").read_text() == header
+    assert (work / "cells.csv").read_bytes() == (out / "cells.csv").read_bytes()
+
+
 def test_pipeline_risk_outputs(pipeline):
     _, out = pipeline
     lines = (out / "risk_summary.csv").read_text().splitlines()

@@ -6,6 +6,8 @@ Support sizes are checked against hand counts of single-variable alternatives
 self-normalized ratio construction and are asserted at float precision.
 """
 
+import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -354,25 +356,28 @@ def test_risk_sweep_matches_per_target_oracle(
         views = [_prior_draws_and_data(schema, 3, S, 10)[1].to_view()]
     replicates = [Dataset(schema, view=v) for v in views]
     rules = compile_rules("exactly_one role = 1", schema) if with_rules else None
-    supports = []
+    scored = []  # (target id, support) in scoring order
+    score = risk._score
 
-    def spy(targets, params_draws):
-        supports.extend(targets)
-        return candidate_logliks(targets, params_draws)
+    def spy(targets, ids, params_draws, log_p):
+        scored.extend(zip(ids, targets))
+        return score(targets, ids, params_draws, log_p)
 
-    monkeypatch.setattr(risk, "candidate_logliks", spy)
+    monkeypatch.setattr(risk, "_score", spy)
     rows = risk_sweep(data, replicates, draws, RiskConfig(kind, rules=rules)).rows
     monkeypatch.setattr(risk, "importance_weights", oracles.importance_weights)
-    assert len(rows) == len(supports) > 1
+    supports = dict(scored)
+    assert len(rows) == len(scored) == len(supports) > 1
     if with_rules:  # the rules drop some target's candidates
         assert any(
             oracles.build_support_household(schema, s.hh_values[0], s.mem_values[0])
             .hh_values.shape[0]
             > s.hh_values.shape[0]
-            for s in supports
+            for s in supports.values()
         )
     log_p = _replicate_log_p(schema, rules, draws, views)
-    for row, support in zip(rows, supports):
+    for row in rows:
+        support = supports[row.target_id]
         result = importance_posterior(support, views, draws, log_p)
         want = RiskRow(row.target_id, support.hh_values.shape[0], result.rank_of_truth,
                        result.truth_probability, result.top_probability)
@@ -428,10 +433,10 @@ def _budget_case(schema, kind, with_rules, n=12):
     return draws, data, replicates, RiskConfig(kind, rules=rules)
 
 
-def _cells(supports, draws, replicates) -> int:
-    """The cells the targets hold: C * max(F * h, R * L) each."""
+def _cells(supports, draws, replicates, count=lambda s: s.hh_values.shape[0]) -> int:
+    """The cells the targets hold: C * max(F * h, R * L) each, for C = count(support)."""
     F, RL = draws[0].n_hh_classes, len(draws) * len(replicates)
-    return sum(s.hh_values.shape[0] * max(F * s.size, RL) for s in supports)
+    return sum(count(s) * max(F * s.size, RL) for s in supports)
 
 
 BUDGET_KINDS = [("individual", False), ("individual", True), ("household", False),
@@ -450,6 +455,8 @@ def test_risk_sweep_rows_do_not_depend_on_the_run_budget(
         return candidate_logliks(targets, params_draws)
 
     monkeypatch.setattr(risk, "candidate_logliks", spy)
+    n_sizes = 1 if kind == "individual" else np.count_nonzero(np.bincount(data.sizes))
+    assert kind == "individual" or n_sizes > 1
     rows = {}
     for budget in (1, 3_000, risk.RUN_CELLS, 2**62):
         monkeypatch.setattr(risk, "RUN_CELLS", budget)
@@ -459,8 +466,8 @@ def test_risk_sweep_rows_do_not_depend_on_the_run_budget(
             assert set(calls) == {1} and len(calls) > 1
         elif budget == 3_000:  # runs of several targets, and more than one run
             assert len(calls) > 1 and max(calls) > 1
-        else:
-            assert len(calls) == 1
+        else:  # one run per target size
+            assert len(calls) == n_sizes
     assert len(set(rows.values())) == 1
 
 
@@ -482,32 +489,66 @@ def test_no_run_holds_more_cells_than_the_budget(
     assert sum(map(len, runs)) == len(rows)
     for run in runs:
         assert len(run) == 1 or _cells(run, draws, replicates) <= budget
-    # a run ends only where its next target would not fit
+        assert len({s.size for s in run}) == 1  # no run mixes household sizes
+    # each size's runs are consecutive
+    sizes = [run[0].size for run in runs]
+    assert len(set(sizes)) == len([h for h, _ in itertools.groupby(sizes)])
+
+    def before_rules(support):  # the candidate count before the rules drop any
+        if kind == "individual":  # individual candidates meet no rules
+            return support.hh_values.shape[0]
+        return oracles.build_support_household(
+            wide_schema, support.hh_values[0], support.mem_values[0]
+        ).hh_values.shape[0]
+
+    # a run ends where its size group ends, or where the next target of its
+    # group would not fit, counted before the rules
     for run, after in zip(runs, runs[1:]):
-        assert _cells(run + after[:1], draws, replicates) > budget
+        assert (after[0].size != run[0].size
+                or _cells(run + after[:1], draws, replicates, before_rules) > budget)
 
 
-def test_risk_sweep_memory_does_not_grow_with_the_targets(wide_schema):
+def test_risk_sweep_memory_does_not_grow_with_the_targets(monkeypatch, wide_schema):
     # quadrupling the household targets less than doubles the traced peak
     hyper = Hyperparams.uniform(wide_schema, 20, 9)
     draws = [prior_draw(hyper, substream(85, r)) for r in range(6)]
-    rng = substream(85, "data")
-    hh, mem, sizes, _ = draw_households(draws[0], wide_schema, rng.integers(20, size=480), rng)
-    data = Dataset(wide_schema, view=DatasetView.from_arrays(hh, mem, sizes))
-    config = RiskConfig("household")
-    peaks = []
-    for n in (120, 480):
-        subset = Dataset(wide_schema, view=DatasetView.from_arrays(
-            hh[:n], mem[:sizes[:n].sum()], sizes[:n]
-        ))
-        tracemalloc.start()
-        try:
-            rows = risk_sweep(subset, [data] * 3, draws, config).rows
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert len(rows) > 0.9 * n  # nearly every household is its own target
-    assert peaks[1] < 2 * peaks[0], peaks
+
+    def households(n, *stream):
+        rng = substream(85, *stream)
+        hh, mem, sizes, _ = draw_households(draws[0], wide_schema, rng.integers(20, size=n), rng)
+        return hh, mem, sizes
+
+    def peaks(households, ns, replicates, config):
+        hh, mem, sizes = households
+        out = []
+        for n in ns:
+            subset = Dataset(wide_schema, view=DatasetView.from_arrays(
+                hh[:n], mem[:sizes[:n].sum()], sizes[:n]
+            ))
+            gc.collect()  # empties the free lists, which earlier tests fill to any level
+            tracemalloc.start()
+            try:
+                rows = risk_sweep(subset, replicates, draws, config).rows
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(rows) > 0.9 * n  # nearly every household is its own target
+        return out
+
+    data = households(480, "data")
+    replicates = [Dataset(wide_schema, view=DatasetView.from_arrays(*data))] * 3
+    small, large = peaks(data, (120, 480), replicates, RiskConfig("household"))
+    assert large < 2 * small, (small, large)
+    # a small budget: the runs, not every target's candidates, set the peak
+    monkeypatch.setattr(risk, "RUN_CELLS", 2**12)
+    data = households(600, "targets")
+    replicates = [
+        Dataset(wide_schema, view=DatasetView.from_arrays(*households(50, "replicate", i)))
+        for i in range(3)
+    ]
+    for rules in (None, compile_rules("exactly_one role = 1", wide_schema)):
+        small, large = peaks(data, (150, 600), replicates, RiskConfig("household", rules=rules))
+        assert large < 2 * small, (rules, small, large)
 
 
 def test_risk_summary_csv(tmp_path, toy_schema, toy_dataset, fitted_draws):
