@@ -343,6 +343,18 @@ def _output_of(stage: str, what: str, path: Path) -> Path:
     return path
 
 
+def _replicates(out_dir: Path, schema: Schema) -> list[Dataset]:
+    """The replicates synthesize wrote; a usage error if it has not run or a
+    file its manifest lists is missing."""
+    from .synthesis import read_replicates
+
+    _output_of("synthesize", "replicates", out_dir / "manifest.json")
+    try:
+        return read_replicates(out_dir, schema)
+    except FileNotFoundError as exc:
+        raise UsageError(f"no replicate at {exc.filename}; run synthesize again") from exc
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.toy is None:
         raise UsageError("config: a 'simulate' section is required")
@@ -508,23 +520,23 @@ def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     from .data import load_dataset, load_schema
     from .inference import cell_report, household_report, report_rows, write_report_csv
-    from .synthesis import read_replicates
 
     schema = load_schema(cfg.schema_path)
     build = partial(_build_query, schema)
     queries = [_value("evaluate.household_queries", build, spec) for spec in cfg.household_queries]
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     original = load_dataset(data_path, schema)
-    for query in queries:
-        if query.size is not None:
-            _check_sizes(f"query {query.name!r}", (query.size,), original, data_path)
-    _output_of("synthesize", "replicates", out_dir / "manifest.json")
-    reps = read_replicates(out_dir, schema)
+    inputs = [(original, data_path)]
     population = None
     if cfg.population_path:
-        population = load_dataset(
-            _resolve(cfg, cfg.population_path, out_dir, "population"), schema
-        )
+        population_path = _resolve(cfg, cfg.population_path, out_dir, "population")
+        population = load_dataset(population_path, schema)
+        inputs.append((population, population_path))
+    for query in queries:
+        if query.size is not None:
+            for dataset, path in inputs:
+                _check_sizes(f"query {query.name!r}", (query.size,), dataset, path)
+    reps = _replicates(out_dir, schema)
     cells = cell_report(original, reps, population=population, **cfg.cells)
     rows = report_rows(cells + household_report(original, reps, queries, population), cfg.gamma)
     write_report_csv(rows[:len(cells)], out_dir / "cells.csv")
@@ -537,7 +549,6 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
     from .checkpoints import read_checkpoints
     from .data import load_dataset, load_schema
     from .risk import risk_sweep
-    from .synthesis import read_replicates
 
     schema = load_schema(cfg.schema_path)
     for name in cfg.risk.held_fixed:
@@ -545,8 +556,7 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
     data_path = _resolve(cfg, cfg.data_path, out_dir, "data")
     original = load_dataset(data_path, schema)
     _check_sizes("risk.sizes", cfg.risk.sizes or (), original, data_path)
-    _output_of("synthesize", "replicates", out_dir / "manifest.json")
-    reps = read_replicates(out_dir, schema)
+    reps = _replicates(out_dir, schema)
     ckpt_path = _output_of("fit", "checkpoints", out_dir / "checkpoints.jsonl")
     meta, draws = read_checkpoints(ckpt_path, cfg.draws, params_only=True)
     if not draws:  # a fit that failed on its first sweep leaves the meta line only

@@ -14,7 +14,8 @@ feasible share of size h under the draw.
 Targets are scored one household size at a time, in runs of consecutive
 targets of that size that hold at most RUN_CELLS cells of working arrays,
 counted before the rules drop any candidate.  A run's candidates are built and
-rule-checked only when it is scored, so the working arrays a sweep holds do not
+rule-checked only when it is scored, and go to the scores as one block of
+households plus each target's count, so the working arrays a sweep holds do not
 grow with the number of targets.  A target's floats do not depend on the other
 targets of its run, so every row is the one it would be if scored alone.
 """
@@ -53,17 +54,11 @@ RUN_CELLS = 2**18
 class TargetSupport:
     """Candidate households for one target: household values hh_values (C, q)
     and members mem_values (C, h, p), with h = 1 for an individual target.
-    The truth is candidate 0, and the prior over the candidates is uniform.
-    """
+    The truth is candidate 0, and the prior over the candidates is uniform."""
 
     hh_values: np.ndarray
     mem_values: np.ndarray
     truth_index = 0  # not a field: every support puts the truth first
-
-    @property
-    def size(self) -> int:
-        """Members of each candidate household."""
-        return self.mem_values.shape[1]
 
 
 @dataclass
@@ -112,11 +107,13 @@ def _changes(values: np.ndarray, variables, fixed) -> np.ndarray:
 
 def _supports(
     schema: Schema, hh_values: np.ndarray, members: np.ndarray, fixed, rules=None
-) -> list[TargetSupport]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truth plus single-variable alternatives of each household in hh_values
     (T, q) and members (T, h, p); variables named in fixed are not perturbed.
 
-    Household variables are perturbed once and individual variables per
+    Returns the kept candidates of all T targets, target after target: their
+    household values (M, q), their members (M, h, p), and each target's count
+    (T,).  Household variables are perturbed once and individual variables per
     member.  Rule-infeasible candidates are dropped; the observed truth is
     always kept.  Candidate order: truth, household variables, then each
     member's in turn, alternative codes ascending.
@@ -134,20 +131,16 @@ def _supports(
     hh = np.concatenate(
         [hh_values[:, None], hh_alt, np.repeat(hh_values[:, None], n_same, axis=1)], axis=1
     )
-    if rules:
-        keep = check_batch(rules, hh.reshape(T * C, -1), mem.reshape(T * C, h, p)).reshape(T, C)
-        keep[:, 0] = True  # observed truth stays regardless
-        bounds = np.cumsum(keep.sum(axis=1))[:-1]
-        hh = np.split(hh[keep], bounds)
-        mem = np.split(mem[keep], bounds)
-    return [TargetSupport(a, b) for a, b in zip(hh, mem)]
+    hh, mem = hh.reshape(T * C, -1), mem.reshape(T * C, h, p)
+    if not rules:
+        return hh, mem, np.full(T, C)
+    keep = check_batch(rules, hh, mem)
+    keep[::C] = True  # observed truth stays regardless
+    return hh[keep], mem[keep], keep.reshape(T, C).sum(axis=1)
 
 
 def build_support_individual(
-    schema: Schema,
-    hh_values: np.ndarray,
-    mem_values: np.ndarray,
-    held_fixed: tuple[str, ...] = (),
+    schema: Schema, hh_values: np.ndarray, mem_values: np.ndarray, held_fixed: tuple[str, ...] = ()
 ) -> TargetSupport:
     """Truth plus every single-variable alternative of one person's combination,
     as a one-member household.
@@ -160,7 +153,7 @@ def build_support_individual(
     """
     hh_values = np.asarray(hh_values, dtype=np.int64)[None]
     mem_values = np.asarray(mem_values, dtype=np.int64)[None, None]
-    return _supports(schema, hh_values, mem_values, held_fixed)[0]
+    return TargetSupport(*_supports(schema, hh_values, mem_values, held_fixed)[:2])
 
 
 def replicate_likelihood(params: Params, replicate: DatasetView) -> float:
@@ -175,26 +168,19 @@ def _replicate_logliks(replicates: list[DatasetView], params_draws: list[Params]
     )
 
 
-def candidate_logliks(supports: list[TargetSupport], params_draws: list[Params]) -> list:
-    """log p(candidate | draw r) of every target's candidates, one (R, C_t) array each.
-
-    The candidates of all targets, of any sizes, form one view; each draw
-    scores them with one member table and one class log-weight pass.
-    """
-    if not supports:
-        return []
-    counts = [s.hh_values.shape[0] for s in supports]
-    sizes = [s.size for s in supports]
-    view = DatasetView.from_arrays(
-        np.concatenate([s.hh_values for s in supports]),
-        np.concatenate([s.mem_values.reshape(-1, s.mem_values.shape[-1]) for s in supports]),
-        np.repeat(sizes, counts),
-    )
-    cand = np.empty((len(params_draws), sum(counts)))
+def candidate_logliks(
+    hh_values: np.ndarray, mem_values: np.ndarray, params_draws: list[Params]
+) -> np.ndarray:
+    """log p(candidate | draw r), (R, M), of M households of one size: hh_values
+    (M, q), mem_values (M, h, p).  They form one view, which each draw scores
+    with one member table and one class log-weight pass."""
+    M, h, p = mem_values.shape
+    view = DatasetView.from_arrays(hh_values, mem_values.reshape(M * h, p), np.full(M, h))
+    cand = np.empty((len(params_draws), M))
     for r, params in enumerate(params_draws):
         table = member_logliks(params, view.patterns)
         cand[r] = logsumexp(class_posterior_logweights(params, view, table), axis=0)
-    return np.split(cand, np.cumsum(counts)[:-1], axis=1)
+    return cand
 
 
 def _self_normalize(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +207,8 @@ def importance_weights(support: TargetSupport, params_draws: list[Params]) -> np
     exponentiating; a candidate whose ratios all underflow to zero is
     structurally impossible under every draw and raises.
     """
-    weights, dead = _self_normalize(candidate_logliks([support], params_draws)[0])
+    cand = candidate_logliks(support.hh_values, support.mem_values, params_draws)
+    weights, dead = _self_normalize(cand)
     if dead.any():
         raise _underflow(int(np.flatnonzero(dead)[0]))
     return weights
@@ -274,10 +261,7 @@ def _target_id(variables, codes) -> str:
 
 
 def risk_sweep(
-    original: Dataset,
-    replicates: list[Dataset],
-    params_draws: list[Params],
-    config: RiskConfig,
+    original: Dataset, replicates: list[Dataset], params_draws: list[Params], config: RiskConfig
 ) -> RiskSummary:
     """Assess every distinct target in the data; duplicates share one result."""
     schema = original.schema
@@ -295,14 +279,11 @@ def risk_sweep(
     # (target indices, household values (T, q), members (T, h, p)) of each
     # household size's targets
     if config.kind == "individual":
-        q = original.hh_codes.shape[1]
-        combined = np.concatenate([original.hh_codes[original.mem_hh], original.mem_codes], axis=1)
-        # the distinct rows in ascending order; np.unique(combined, axis=0)
-        # would import numpy.ma
-        combined = combined[np.lexsort(combined.T[::-1])]
-        first = np.ones(len(combined), dtype=bool)
-        first[1:] = (combined[1:] != combined[:-1]).any(axis=1)
-        targets = combined[first]
+        # each person's (household, member) row as a one-member household; the
+        # targets are the distinct such rows, in ascending order
+        hh, q = original.hh_codes[original.mem_hh], original.hh_codes.shape[1]
+        combined = np.concatenate([hh, original.mem_codes], axis=1)
+        targets = DatasetView.from_arrays(hh, combined, np.ones(len(hh))).patterns
         ids = [_target_id(schema.household_vars + schema.individual_vars, row) for row in targets]
         groups = [(np.arange(len(targets)), targets[:, :q], targets[:, None, q:])]
         fixed, rules = config.held_fixed, None  # individual candidates meet no rules
@@ -331,29 +312,32 @@ def risk_sweep(
     rows = [None] * len(ids)
     for group, hh, members in groups:
         # every target of a group has the same candidate count before the rules
-        C = _supports(schema, hh[:1], members[:1], fixed)[0].hh_values.shape[0]
+        C = _supports(schema, hh[:1], members[:1], fixed)[2][0]
         per_run = max(1, RUN_CELLS // (C * max(F * members.shape[1], draw_replicates)))
         for start in range(0, len(group), per_run):
             run = slice(start, start + per_run)
-            supports = _supports(schema, hh[run], members[run], fixed, rules)
-            run_rows = _score(supports, [ids[i] for i in group[run]], params_draws, log_p)
+            candidates = _supports(schema, hh[run], members[run], fixed, rules)
+            run_rows = _score(*candidates, [ids[i] for i in group[run]], params_draws, log_p)
             for i, row in zip(group[run], run_rows):
                 rows[i] = row
     return RiskSummary(rows=rows)
 
 
 def _score(
-    supports: list[TargetSupport], ids: list[str], params_draws: list[Params], log_p: np.ndarray
+    hh_values: np.ndarray, mem_values: np.ndarray, counts: np.ndarray, ids: list[str],
+    params_draws: list[Params], log_p: np.ndarray,
 ) -> list[RiskRow]:
-    """The rows of one run of targets; targets with equal candidate counts are
-    scored as one (T, R, C) block."""
-    blocks = candidate_logliks(supports, params_draws)
-    counts = np.array([cand.shape[1] for cand in blocks])
-    rho_truth, rho_max, ranks = (np.empty(len(blocks)) for _ in range(3))
+    """The rows of one run of targets from _supports' arrays.  Targets with
+    equal candidate counts are scored as one C-contiguous (T, R, C) block of the
+    run's (R, M) candidate log-likelihoods, so each sums its draws as alone."""
+    cand = candidate_logliks(hh_values, mem_values, params_draws)
+    starts = np.cumsum(counts) - counts
+    rho_truth, rho_max, ranks = (np.empty(len(counts)) for _ in range(3))
     dead = []  # (target, candidate) pairs whose weights underflowed
     for C in np.flatnonzero(np.bincount(counts)):
         group = np.flatnonzero(counts == C)
-        weights, gone = _self_normalize(np.stack([blocks[t] for t in group]))
+        block = cand[:, starts[group, None] + np.arange(C)].transpose(1, 0, 2).copy()
+        weights, gone = _self_normalize(block)
         dead += [(group[t], c) for t, c in np.argwhere(gone)]
         rho, rank = _posteriors(weights, log_p)
         rho_truth[group], rho_max[group], ranks[group] = rho[:, 0], rho.max(axis=1), rank

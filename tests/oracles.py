@@ -12,7 +12,9 @@ infeasible mass of a household size over the whole composition space and by
 simulation, the class logits and candidate likelihoods each caller once built for itself, and
 the draws of households and parameters made one variable or one kernel per
 random call.  build_support_household is the one-household form of the
-library's batched support builder, which the risk tests call.
+library's batched support builder, which the risk tests call: its candidate
+arrays as a TargetSupport, which the library builds for one-person targets
+only.
 record_to_jsonable is a checkpoint record as nested lists: json.dumps of it
 is the line the checkpoint writer writes.
 """
@@ -43,7 +45,7 @@ from hhsynth.model import (
     size_class_probs,
     stick_break,
 )
-from hhsynth.risk import _supports
+from hhsynth.risk import TargetSupport, _supports
 from hhsynth.tquantile import t_quantile
 from hhsynth.truncated import AugmentedBatch, CapExceededError
 
@@ -369,7 +371,7 @@ def build_support_household(schema, hh_values, members, held_fixed=(), rules=Non
     hh_values = np.asarray(hh_values, dtype=np.int64)[None]
     members = np.asarray(members, dtype=np.int64)[None]
     fixed = (*held_fixed, schema.size_var.name)
-    return _supports(schema, hh_values, members, fixed, rules)[0]
+    return TargetSupport(*_supports(schema, hh_values, members, fixed, rules)[:2])
 
 
 def posterior(support, weights, log_p):

@@ -537,6 +537,39 @@ def test_report_without_replicates_exits_1(tmp_path, capsys, command):
     assert "manifest.json; run synthesize first" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "risk"])
+def test_report_with_a_missing_replicate_file_exits_1(pipeline, tmp_path, capsys, command):
+    config = write_workspace(tmp_path)
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[1], out)
+    (out / "synthetic_2.csv").unlink()  # the manifest still lists it
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run(command, config, out) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: no replicate at {out / 'synthetic_2.csv'}; run synthesize again\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_sized_query_the_population_lacks_exits_1(pipeline, tmp_path, capsys):
+    # the data keep their size-2 households; the population loses all of them
+    config = write_workspace(tmp_path)
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[1], out)
+    with (out / "population.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    size = rows[0].index("hh_size")
+    with (out / "population.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(row for row in rows if row[size] != "2")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run("evaluate", config, out) == 1
+    assert capsys.readouterr().err == (
+        "usage error: config: query 'pair_same_color': no household of size 2 in "
+        f"{out / 'population.csv'}\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_more_replicates_than_checkpoints_exits_1(pipeline, tmp_path, capsys):
     # iterations 60, burn_in 30 and thin 3 keep 10 checkpoints
     config = write_workspace(tmp_path, CONFIG_YAML.replace("replicates: 3", "replicates: 50"))

@@ -7,7 +7,9 @@ library holds no function that only its unit tests call.  The modules'
 relative imports, at any depth of a file, form no cycle.  Only data.py uses
 the csv module, so one function decides how every CSV cell is written, and
 no module imports scipy.  A Dataset is its own DatasetView, so the library
-calls .to_view() once, where the benchmark's tracer times it.
+calls .to_view() once, where the benchmark's tracer times it.  Only data.py
+calls np.unique or np.lexsort: DatasetView is the one distinct-row finder, and
+the plain form of np.unique imports numpy.ma, which no stage may load.
 """
 
 import ast
@@ -97,6 +99,25 @@ def module_uses(src: Path, module: str) -> list[str]:
     return uses
 
 
+def numpy_uses(src: Path, names) -> list[str]:
+    """file:line of each np.<name> or numpy.<name> reference, and of each
+    import of one from numpy, for the names given."""
+    uses = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in names
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+                or isinstance(node, ast.ImportFrom)
+                and node.module == "numpy"
+                and any(alias.name in names for alias in node.names)
+            ):
+                uses.append(f"{path.name}:{node.lineno}")
+    return uses
+
+
 def to_view_calls(src: Path) -> list[str]:
     """module:line of each call of a method named to_view."""
     return [
@@ -178,6 +199,24 @@ def test_the_scipy_scan_sees_every_import(tmp_path):
         '"""Once used scipy.special."""\n\nfrom .scipy import x\n\nscipy_free = True\n'
     )
     assert module_uses(tmp_path, "scipy") == ["a.py:2", "a.py:4", "b.py:1", "c.py:1"]
+
+
+def test_only_data_finds_distinct_rows():
+    uses = numpy_uses(ROOT / "src" / "hhsynth", ("unique", "lexsort"))
+    assert uses and all(use.startswith("data.py:") for use in uses)
+
+
+def test_the_distinct_row_scan_sees_every_use(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n\n\ndef f(x):\n    return np.unique(x, axis=0)\n"
+    )
+    (tmp_path / "b.py").write_text("import numpy\n\norder = numpy.lexsort(keys)\n")
+    (tmp_path / "c.py").write_text("from numpy import lexsort, unique\n")
+    # a docstring, a comment, a method and another module's unique are not uses
+    (tmp_path / "d.py").write_text(
+        '"""Once np.unique."""\n\nx = pd.unique(y)  # np.lexsort\nz = y.unique()\n'
+    )
+    assert numpy_uses(tmp_path, ("unique", "lexsort")) == ["a.py:5", "b.py:3", "c.py:1"]
 
 
 def test_the_library_calls_to_view_once():

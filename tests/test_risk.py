@@ -24,7 +24,6 @@ from hhsynth.risk import (
     RiskRow,
     TargetSupport,
     build_support_individual,
-    candidate_logliks,
     importance_posterior,
     importance_weights,
     replicate_likelihood,
@@ -359,9 +358,9 @@ def test_risk_sweep_matches_per_target_oracle(
     scored = []  # (target id, support) in scoring order
     score = risk._score
 
-    def spy(targets, ids, params_draws, log_p):
-        scored.extend(zip(ids, targets))
-        return score(targets, ids, params_draws, log_p)
+    def spy(hh_values, mem_values, counts, ids, params_draws, log_p):
+        scored.extend(zip(ids, _split(hh_values, mem_values, counts)))
+        return score(hh_values, mem_values, counts, ids, params_draws, log_p)
 
     monkeypatch.setattr(risk, "_score", spy)
     rows = risk_sweep(data, replicates, draws, RiskConfig(kind, rules=rules)).rows
@@ -433,10 +432,24 @@ def _budget_case(schema, kind, with_rules, n=12):
     return draws, data, replicates, RiskConfig(kind, rules=rules)
 
 
+def _split(hh_values, mem_values, counts) -> list[TargetSupport]:
+    """The supports of one run's targets, from the candidate arrays _score takes."""
+    bounds = np.cumsum(counts)[:-1]
+    return [
+        TargetSupport(hh, mem)
+        for hh, mem in zip(np.split(hh_values, bounds), np.split(mem_values, bounds))
+    ]
+
+
+def _size(support) -> int:
+    """Members of each candidate household."""
+    return support.mem_values.shape[1]
+
+
 def _cells(supports, draws, replicates, count=lambda s: s.hh_values.shape[0]) -> int:
     """The cells the targets hold: C * max(F * h, R * L) each, for C = count(support)."""
     F, RL = draws[0].n_hh_classes, len(draws) * len(replicates)
-    return sum(count(s) * max(F * s.size, RL) for s in supports)
+    return sum(count(s) * max(F * _size(s), RL) for s in supports)
 
 
 BUDGET_KINDS = [("individual", False), ("individual", True), ("household", False),
@@ -449,12 +462,13 @@ def test_risk_sweep_rows_do_not_depend_on_the_run_budget(
 ):
     draws, data, replicates, config = _budget_case(wide_schema, kind, with_rules)
     calls = []
+    score = risk._score
 
-    def spy(targets, params_draws):
-        calls.append(len(targets))
-        return candidate_logliks(targets, params_draws)
+    def spy(hh_values, mem_values, counts, *args):
+        calls.append(len(counts))
+        return score(hh_values, mem_values, counts, *args)
 
-    monkeypatch.setattr(risk, "candidate_logliks", spy)
+    monkeypatch.setattr(risk, "_score", spy)
     n_sizes = 1 if kind == "individual" else np.count_nonzero(np.bincount(data.sizes))
     assert kind == "individual" or n_sizes > 1
     rows = {}
@@ -478,20 +492,21 @@ def test_no_run_holds_more_cells_than_the_budget(
 ):
     draws, data, replicates, config = _budget_case(wide_schema, kind, with_rules, n=30)
     runs = []
+    score = risk._score
 
-    def spy(targets, params_draws):
-        runs.append(list(targets))
-        return candidate_logliks(targets, params_draws)
+    def spy(hh_values, mem_values, counts, *args):
+        runs.append(_split(hh_values, mem_values, counts))
+        return score(hh_values, mem_values, counts, *args)
 
-    monkeypatch.setattr(risk, "candidate_logliks", spy)
+    monkeypatch.setattr(risk, "_score", spy)
     monkeypatch.setattr(risk, "RUN_CELLS", budget)
     rows = risk_sweep(data, replicates, draws, config).rows
     assert sum(map(len, runs)) == len(rows)
     for run in runs:
         assert len(run) == 1 or _cells(run, draws, replicates) <= budget
-        assert len({s.size for s in run}) == 1  # no run mixes household sizes
+        assert len({_size(s) for s in run}) == 1  # no run mixes household sizes
     # each size's runs are consecutive
-    sizes = [run[0].size for run in runs]
+    sizes = [_size(run[0]) for run in runs]
     assert len(set(sizes)) == len([h for h, _ in itertools.groupby(sizes)])
 
     def before_rules(support):  # the candidate count before the rules drop any
@@ -504,7 +519,7 @@ def test_no_run_holds_more_cells_than_the_budget(
     # a run ends where its size group ends, or where the next target of its
     # group would not fit, counted before the rules
     for run, after in zip(runs, runs[1:]):
-        assert (after[0].size != run[0].size
+        assert (_size(after[0]) != _size(run[0])
                 or _cells(run + after[:1], draws, replicates, before_rules) > budget)
 
 
