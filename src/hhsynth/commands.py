@@ -493,6 +493,8 @@ def _build_query(schema: Schema, spec: dict, top: bool = True) -> HouseholdQuery
         pred = all_members_equal(schema, _require(spec, "variable", where))
     elif kind == "exists":
         literals = _require(spec, "literals", where)
+        if not isinstance(literals, dict):
+            raise TypeError(f"{where}: literals must be a mapping, not {literals!r}")
         pred = exists_member(schema, **{k: code(k, v) for k, v in literals.items()})
     elif kind == "count":
         variable = _require(spec, "variable", where)
@@ -577,3 +579,7 @@ def cmd_risk(cfg: RunConfig, out_dir: Path) -> None:
         correct,
         100.0 * correct / max(len(summary.rows), 1),
     )
+    ess = summary.replicate_ess
+    log.info("risk: effective draws per replicate, of %d: %s", len(draws), ess.round(2).tolist())
+    if (ess < 2).any():
+        log.warning("risk: %d replicates have fewer than 2 effective draws", (ess < 2).sum())

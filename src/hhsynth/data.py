@@ -162,13 +162,19 @@ def parse_schema(text: str) -> Schema:
                 )
             if not isinstance(is_size, bool):
                 raise SchemaError(f"variable {name!r}: size must be true or false, not {is_size!r}")
+            if labels is not None and not (
+                isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+            ):
+                raise SchemaError(
+                    f"variable {name!r}: labels must be a list of strings, not {labels!r}"
+                )
             specs.append(
                 VariableSpec(
                     name=name,
                     cardinality=cardinality,
                     level=level,
                     is_size=is_size,
-                    labels=tuple(str(x) for x in labels) if labels is not None else None,
+                    labels=tuple(labels) if labels is not None else None,
                 )
             )
         return tuple(specs)

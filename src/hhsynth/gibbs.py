@@ -70,7 +70,8 @@ class Diagnostics:
         self.mem_conc.append(float(state.params.mem_conc))
         self.hh_weights.append(state.params.hh_weights.copy())
         if self.strata is not None:  # run_chain draws a batch before each truncated sweep
-            self.n_infeasible.append(state.augmented.n_infeasible)
+            counts = np.bincount(state.augmented.infeasible.sizes, minlength=self.strata[-1] + 1)
+            self.n_infeasible.append(counts[self.strata])
 
     def to_csv(self, path: str | Path) -> None:
         F = self.hh_weights[0].shape[0] if self.hh_weights else 0

@@ -12,12 +12,12 @@ is the truncated one: each size-h household's term is over 1 - pi0_h, the
 feasible share of size h under the draw.
 
 Targets are scored one household size at a time, in runs of consecutive
-targets of that size that hold at most RUN_CELLS cells of working arrays,
-counted before the rules drop any candidate.  A run's candidates are built and
-rule-checked only when it is scored, and go to the scores as one block of
-households plus each target's count, so the working arrays a sweep holds do not
-grow with the number of targets.  A target's floats do not depend on the other
-targets of its run, so every row is the one it would be if scored alone.
+targets of that size within a budget of RUN_CELLS cells, counted before the
+rules drop any (a run's member table is not counted).  A run's candidates are
+built and rule-checked only when it is scored, and go to the scores as one
+block of households plus each target's count, so the working arrays a sweep
+holds do not grow with the number of targets.  A target's floats do not depend
+on its run's other targets, so every row is the one it would be if scored alone.
 """
 
 from __future__ import annotations
@@ -41,9 +41,12 @@ from .model import (
 )
 
 # A run's budget of cells.  A target of C candidates of h members, counted
-# before the rules drop any, holds at most C * max(F * h, R * L) of them: its
-# class pass is (F, C * h) for F household classes, and its posterior block
-# (R, L, C) for R draws and L replicates.
+# before the rules drop any, counts C * max(F * h, R * L): its class pass
+# (F, C * h) for F household classes, or its posterior block (R, L, C) for R
+# draws and L replicates.  Not counted: the run's (F, S, P) member table, for
+# S member classes and P <= C * h distinct rows a target, nor the temporaries
+# that build it.  On the tests' wide_schema (F = 20, S = 9) at 2**12 cells
+# (32 KB), tables reached 255 KB (8x) and a run's traced peak 983 KB (30x).
 # Each run also scores its distinct member rows once per draw, so a smaller
 # budget costs time where the runs share many rows: with 1,296 possible member
 # rows and F = 20, 2**17 cells made a sweep 1.7 times as slow as one run.
@@ -81,6 +84,7 @@ class RiskRow:
 @dataclass
 class RiskSummary:
     rows: list[RiskRow]
+    replicate_ess: np.ndarray  # (L,) each replicate's effective number of draws
 
     @property
     def rank_histogram(self) -> dict[int, int]:
@@ -256,6 +260,12 @@ def _posteriors(weights: np.ndarray, log_p: np.ndarray) -> tuple[np.ndarray, np.
     return rho, np.argmax(order == 0, axis=1) + 1
 
 
+def effective_draws(log_p: np.ndarray) -> np.ndarray:
+    """Effective draws per replicate (L,), (sum_r w)^2 / sum_r w^2 for w = exp(log_p - max_r)."""
+    w = np.exp(log_p - log_p.max(axis=0))
+    return w.sum(axis=0) ** 2 / (w * w).sum(axis=0)
+
+
 def _target_id(variables, codes) -> str:
     return ";".join(f"{v.name}={code + 1}" for v, code in zip(variables, codes))
 
@@ -320,7 +330,7 @@ def risk_sweep(
             run_rows = _score(*candidates, [ids[i] for i in group[run]], params_draws, log_p)
             for i, row in zip(group[run], run_rows):
                 rows[i] = row
-    return RiskSummary(rows=rows)
+    return RiskSummary(rows=rows, replicate_ess=effective_draws(log_p))
 
 
 def _score(

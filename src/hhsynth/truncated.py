@@ -3,10 +3,10 @@
 Per observed household size h, candidate households are drawn from the
 current parameters conditioned on size h, keeping exactly n_h feasible draws
 (the synthesis by-product) and every infeasible draw made before the n_h-th
-feasible one (the augmented records).  Both sets come back as DatasetViews
-over all sizes in ascending order.  run_chain draws one batch before each
-truncated-mode sweep, and the sweep counts the augmented records with the
-observed households.
+feasible one (the augmented records).  A batch is those two DatasetViews,
+sizes ascending, and per-size counts are read from their sizes.  run_chain
+draws one batch before each truncated-mode sweep, and the sweep counts the
+augmented records with the observed households.
 """
 
 from __future__ import annotations
@@ -30,24 +30,22 @@ class AugmentedBatch:
 
     feasible holds each size's n_h feasible draws, the synthesis by-product;
     infeasible holds the augmented records, with the household and member
-    classes they were generated with.  n_candidates and n_infeasible count
-    each size's kept draws, so n_candidates = n_h + n_infeasible.
+    classes they were generated with.  Per-size counts are read from the
+    views' sizes.
     """
 
     feasible: DatasetView
     infeasible: DatasetView
     infeasible_hh_class: np.ndarray  # (n0,)
     infeasible_mem_class: np.ndarray  # (N0,)
-    n_candidates: np.ndarray  # (number of sizes,)
-    n_infeasible: np.ndarray  # (number of sizes,)
 
     @property
     def total_infeasible(self) -> int:
-        return int(self.n_infeasible.sum())
+        return self.infeasible.n_households
 
     @property
     def total_candidates(self) -> int:
-        return int(self.n_candidates.sum())
+        return self.feasible.n_households + self.infeasible.n_households
 
 
 def generate_augmented(
@@ -61,26 +59,20 @@ def generate_augmented(
     """Rejection-generate candidates per stratum until n_h feasible each.
 
     Candidates are drawn in deterministic batches and truncated at the n_h-th
-    feasible draw in stream order, so infeasible draws after that point are
-    discarded.  Each stratum's kept draws are selected by index and joined
-    once, over all strata, into one AugmentedBatch.  Raises CapExceededError
-    once the total candidate count over all strata passes cap.
+    feasible draw in stream order; later infeasible draws are discarded.  Each
+    batch's kept draws are slices of it, joined once over all strata and split
+    by index on the feasibility mask into the two views.  Raises
+    CapExceededError once the total candidate count over all strata passes cap.
     """
-    p = len(schema.individual_vars)
     tables = DrawTables(params, schema)
-    sizes, targets = np.array(sorted(histogram.items()), dtype=np.int64).T
-    kept = []  # per size: feasible and infeasible hh and member codes, infeasible classes
-    n_candidates = []
+    kept = []  # per batch: its draws up to its size's n_h-th feasible one, and their sizes
     drawn_total = 0
-    for h, target in zip(sizes.tolist(), targets.tolist()):
+    for h, target in sorted(histogram.items()):
         try:
-            class_probs = size_class_probs(params, schema, h)
+            cdf = np.cumsum(size_class_probs(params, schema, h))
         except ValueError as exc:
             raise CapExceededError(f"{exc}; candidate generation cannot terminate") from None
-        cdf = np.cumsum(class_probs)
-        batches = []  # (classes, hh codes, member codes, member classes, feasible) per batch
-        n_feasible = 0
-        n_drawn_h = 0
+        n_feasible = n_drawn_h = 0
         while n_feasible < target:
             # deterministic schedule: scale the guess by the acceptance so far
             accept = (n_feasible + 1.0) / (n_drawn_h + 2.0)
@@ -90,42 +82,26 @@ def generate_augmented(
                 raise CapExceededError(
                     f"generated more than {cap} candidate households in one sweep"
                 )
-            classes = np.searchsorted(cdf, rng.random(batch) * cdf[-1]).astype(np.int64)
-            classes = np.minimum(classes, len(cdf) - 1)
+            classes = np.minimum(np.searchsorted(cdf, rng.random(batch) * cdf[-1]), len(cdf) - 1)
             hh, mem, _, mem_class = draw_households(
                 params, schema, classes, rng, sizes=np.full(batch, h), tables=tables
             )
-            mask = check_batch(rules, hh, mem.reshape(batch, h, p))
-            batches.append((classes, hh, mem, mem_class, mask))
+            mask = check_batch(rules, hh, mem.reshape(batch, h, -1))
+            # slices up to and including the target-th feasible draw; all of an earlier batch
+            n = min(int(np.searchsorted(np.cumsum(mask), target - n_feasible)) + 1, batch)
+            m = n * h
+            kept.append((classes[:n], hh[:n], mem[:m], mem_class[:m], mask[:n], np.full(n, h)))
             n_feasible += int(mask.sum())
             n_drawn_h += batch
-        if len(batches) == 1:
-            classes, hh, mem, mem_class, mask = batches[0]
-        else:
-            classes, hh, mem, mem_class, mask = (np.concatenate(a) for a in zip(*batches))
-        # keep everything up to and including the target-th feasible candidate
-        cut = int(np.searchsorted(np.cumsum(mask), target))
-        feasible = np.flatnonzero(mask[: cut + 1])
-        infeasible = np.flatnonzero(~mask[: cut + 1])
-        mem = mem.reshape(-1, h, p)
-        kept.append((
-            hh[feasible],
-            mem[feasible].reshape(-1, p),
-            hh[infeasible],
-            mem[infeasible].reshape(-1, p),
-            classes[infeasible],
-            mem_class.reshape(-1, h)[infeasible].reshape(-1),
-        ))
-        n_candidates.append(cut + 1)
-    f_hh, f_mem, i_hh, i_mem, i_class, i_mem_class = (np.concatenate(a) for a in zip(*kept))
-    n_candidates = np.array(n_candidates, dtype=np.int64)
-    n_infeasible = n_candidates - targets
+    classes, hh, mem, mem_class, mask, sizes = (np.concatenate(a) for a in zip(*kept))
+    del kept  # frees the batches the slices keep alive before the split copies them
+    mem_mask = mask.repeat(sizes)
+    f, mem_f = np.flatnonzero(mask), np.flatnonzero(mem_mask)
+    # inverted in place: new masks of a new length each call would pile up in numpy's cache
+    i, mem_i = (np.flatnonzero(np.invert(a, out=a)) for a in (mask, mem_mask))
     return AugmentedBatch(
-        feasible=DatasetView.from_arrays(f_hh, f_mem, sizes.repeat(targets)),
-        infeasible=DatasetView.from_arrays(i_hh, i_mem, sizes.repeat(n_infeasible)),
-        infeasible_hh_class=i_class,
-        infeasible_mem_class=i_mem_class,
-        n_candidates=n_candidates,
-        n_infeasible=n_infeasible,
+        feasible=DatasetView.from_arrays(hh[f], mem[mem_f], sizes[f]),
+        infeasible=DatasetView.from_arrays(hh[i], mem[mem_i], sizes[i]),
+        infeasible_hh_class=classes[i],
+        infeasible_mem_class=mem_class[mem_i],
     )
-

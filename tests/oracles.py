@@ -14,7 +14,8 @@ the draws of households and parameters made one variable or one kernel per
 random call.  build_support_household is the one-household form of the
 library's batched support builder, which the risk tests call: its candidate
 arrays as a TargetSupport, which the library builds for one-person targets
-only.
+only.  one_variable_posterior is the exact candidate posterior of one person
+in a one-class, one-variable model, a product of Dirichlet-multinomials.
 record_to_jsonable is a checkpoint record as nested lists: json.dumps of it
 is the line the checkpoint writer writes.
 """
@@ -387,6 +388,32 @@ def posterior(support, weights, log_p):
     rank = int(np.flatnonzero(order == support.truth_index)[0]) + 1
     return rank, float(rho[support.truth_index]), float(rho[order[0]])
 
+
+def one_variable_posterior(others, candidates, replicates, K):
+    """The exact candidate posterior of one person's value when every household
+    has one member, each level one class, and the one individual variable of K
+    categories a uniform prior, with the size held fixed.
+
+    others holds the other persons' codes, candidates the codes the target may
+    take and replicates each replicate's codes.  The persons' codes are then
+    draws from one Dirichlet-distributed categorical, and each replicate comes
+    from its own posterior draw, so rho(y) is proportional to the product over
+    replicates of DirMult(z_l | 1 + counts(others) + e_y).
+    """
+    prior = 1.0 + np.bincount(others, minlength=K)
+    logs = []
+    for y in candidates:
+        alpha = prior.copy()
+        alpha[y] += 1.0
+        log_rho = 0.0
+        for z in replicates:
+            counts = np.bincount(z, minlength=K)
+            log_rho += math.lgamma(alpha.sum()) - math.lgamma(alpha.sum() + counts.sum())
+            log_rho += sum(math.lgamma(a + c) - math.lgamma(a) for a, c in zip(alpha, counts))
+        logs.append(log_rho)
+    rho = np.exp(np.array(logs) - max(logs))
+    return rho / rho.sum()
+
 # ---------------------------------------------------------------------------
 # one random call per variable, kernel or stick set
 
@@ -424,7 +451,7 @@ def generate_augmented(params, schema, rules, histogram, rng, cap):
     """Rejection generation keeping every batch and selecting with masks."""
     p = len(schema.individual_vars)
     feasible, infeasible = [], []  # per size: (hh codes, member codes, sizes)
-    hh_class, mem_class, n_candidates = [], [], []
+    hh_class, mem_class = [], []
     drawn_total = 0
     for h in sorted(histogram):
         target = histogram[h]
@@ -473,19 +500,15 @@ def generate_augmented(params, schema, rules, histogram, rng, cap):
             ))
         hh_class.append(class_all[keep][~mask_kept])
         mem_class.append(mem_class_all[keep][~mask_kept].reshape(-1))
-        n_candidates.append(cut + 1)
 
     def view(parts):
         return DatasetView.from_arrays(*(np.concatenate(a) for a in zip(*parts)))
 
-    n_candidates = np.array(n_candidates, dtype=np.int64)
     return AugmentedBatch(
         feasible=view(feasible),
         infeasible=view(infeasible),
         infeasible_hh_class=np.concatenate(hh_class),
         infeasible_mem_class=np.concatenate(mem_class),
-        n_candidates=n_candidates,
-        n_infeasible=n_candidates - np.array([histogram[h] for h in sorted(histogram)]),
     )
 
 

@@ -9,6 +9,7 @@ import csv
 import gc
 import hashlib
 import json
+import logging
 import math
 import os
 import shutil
@@ -457,6 +458,14 @@ BAD_CONFIGS = [
         "color: [.nan, 1, 1, 1]",
         "config: simulate.marginals.color: marginal for 'color' must be 4 finite nonnegative",
     ),
+    # an exists query's literals are a mapping
+    (
+        "evaluate",
+        "{kind: exists, literals: {color: 1}, name: has_color_1}",
+        "{kind: exists, literals: [color, 1], name: has_color_1}",
+        "config: evaluate.household_queries: query 'has_color_1': literals must be a mapping, "
+        "not ['color', 1]",
+    ),
     # the Gamma prior's shapes and rates are positive and finite
     (
         "fit",
@@ -602,6 +611,22 @@ def test_synthesize_from_a_fit_on_other_data_exits_1(tmp_path, capsys):
     assert f"but {out / 'sample.csv'} has 100 households" in err
     assert err.endswith("; run fit again\n")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_risk_logs_each_replicates_effective_draws(pipeline, tmp_path, caplog):
+    config, _ = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[1], out)
+    caplog.set_level(logging.INFO, logger="hhsynth")
+    assert run("risk", config, out) == 0
+    prefix = "risk: effective draws per replicate, of 4: "
+    lines = [r for r in caplog.records if r.getMessage().startswith(prefix)]
+    assert [r.levelname for r in lines] == ["INFO"]
+    ess = json.loads(lines[0].getMessage()[len(prefix):])
+    assert len(ess) == 3 and all(1.0 <= x <= 4.0 for x in ess)
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    low = sum(x < 2 for x in ess)
+    assert warned == ([f"risk: {low} replicates have fewer than 2 effective draws"] if low else [])
 
 
 @pytest.mark.parametrize("rules", ["rules: rules.txt\n", ""], ids=["truncated", "untruncated"])

@@ -127,10 +127,31 @@ def test_minimal_schema_is_legal():
         "individual:\n  - {name: x, cardinality: 2}\n",
         "household:\n  - {name: a, cardinality: 2, size: true}\n"
         "individual:\n  - {name: null, cardinality: 2}\n",
+        # labels that are not a YAML list of strings ([yes, no] reads as booleans)
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: x, cardinality: 2, labels: 5}\n",
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: x, cardinality: 2, labels: {a: 1, b: 2}}\n",
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: x, cardinality: 2, labels: [a, [b]]}\n",
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        "individual:\n  - {name: x, cardinality: 2, labels: [yes, no]}\n",
+        "household:\n  - {name: a, cardinality: 2, size: true, labels: [1, 2]}\n"
+        "individual:\n  - {name: x, cardinality: 2}\n",
     ],
 )
 def test_parse_schema_rejects(text):
     with pytest.raises(SchemaError):
+        parse_schema(text)
+
+
+@pytest.mark.parametrize("labels", ["5", "{a: 1, b: 2}", "[a, [b]]", "[yes, no]"])
+def test_malformed_labels_name_their_variable(labels):
+    text = (
+        "household:\n  - {name: a, cardinality: 2, size: true}\n"
+        f"individual:\n  - {{name: x, cardinality: 2, labels: {labels}}}\n"
+    )
+    with pytest.raises(SchemaError, match="variable 'x': labels must be a list of strings"):
         parse_schema(text)
 
 

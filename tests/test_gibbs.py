@@ -432,6 +432,28 @@ def test_run_chain_truncated_mode(toy_schema, toy_dataset):
         np.testing.assert_array_equal(got, [2, 2, 1])
 
 
+def test_diagnostics_count_each_sweeps_infeasible_records_by_size(
+    monkeypatch, toy_schema, toy_dataset
+):
+    from hhsynth import truncated
+
+    batches = []
+    generate = truncated.generate_augmented
+
+    def spy(*args):
+        batches.append(generate(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(truncated, "generate_augmented", spy)
+    hyper = Hyperparams.uniform(toy_schema, 3, 2)
+    rules = compile_rules("exactly_one role = 1", toy_schema)
+    result = run_chain(toy_dataset, hyper, ChainConfig(6, 3, seed=7), rules=rules)
+    assert len(batches) == len(result.diagnostics.n_infeasible) == 6
+    assert sum(batch.total_infeasible for batch in batches) > 0
+    for batch, counts in zip(batches, result.diagnostics.n_infeasible):
+        np.testing.assert_array_equal(counts, np.bincount(batch.infeasible.sizes, minlength=4)[1:])
+
+
 def test_run_chain_empty_rules_take_untruncated_path(toy_schema, toy_dataset):
     from hhsynth.constraints import RuleSet
 

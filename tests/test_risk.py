@@ -24,6 +24,7 @@ from hhsynth.risk import (
     RiskRow,
     TargetSupport,
     build_support_individual,
+    effective_draws,
     importance_posterior,
     importance_weights,
     replicate_likelihood,
@@ -622,3 +623,49 @@ def test_truncated_candidate_posterior_matches_grid_integration():
         scores = np.prod([(dens * truncated(k)).sum(axis=1) for k in rep_K], axis=0)
         rho_grid = scores / scores.sum()
         assert abs(row.rho_truth - rho_grid[0]) <= 0.03, (row, rho_grid)
+
+
+def _one_variable_error(K, seed, n=3000):
+    """max |rho - exact| / max exact rho for person 0 of n one-member households
+    with one individual variable of K categories, drawn from a Dirichlet(2)
+    draw, fitted with one class per level and a uniform prior: 25 draws (burn-in
+    50, thin 4), 3 replicates, the size held fixed."""
+    schema = build_schema(household=[("hh_size*", 2)], individual=[("x", K)])
+    rng = substream(98, "one variable", K, seed)
+    x = rng.choice(K, size=n, p=rng.dirichlet(np.full(K, 2.0)))
+    view = DatasetView.from_arrays(np.zeros((n, 1), dtype=np.int64), x[:, None], np.ones(n))
+    data = Dataset(schema, view=view)
+    hyper = Hyperparams.uniform(schema, 1, 1)
+    result = run_chain(data, hyper, ChainConfig(150, 50, thin=4, seed=seed))
+    draws = [record.params for record in result.checkpoints]
+    assert len(draws) == 25
+    reps = synthesize_untruncated(data, result.checkpoints, 3, seed=seed).replicates
+    support = build_support_individual(schema, [0], x[:1], held_fixed=("hh_size",))
+    got = importance_posterior(support, reps, draws).posterior
+    want = oracles.one_variable_posterior(
+        x[1:], support.mem_values[:, 0, 0], [z.mem_codes[:, 0] for z in reps], K
+    )
+    return float(np.abs(got - want).max() / want.max())
+
+
+@pytest.mark.filterwarnings("ignore:.*truncation level.*")
+def test_candidate_posterior_matches_the_exact_one_variable_oracle():
+    errors = [_one_variable_error(4, seed) for seed in range(7)]
+    assert max(errors) <= 0.10, errors
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="with 64 categories every replicate's draw weights have an effective sample "
+    "size of 1.0: one draw carries each replicate's likelihood average",
+)
+@pytest.mark.filterwarnings("ignore:.*truncation level.*")
+def test_candidate_posterior_matches_the_exact_oracle_at_64_categories():
+    errors = [_one_variable_error(64, seed) for seed in range(7)]
+    assert max(errors) <= 0.10, errors
+
+
+def test_effective_draws_of_hand_weights():
+    np.testing.assert_allclose(effective_draws(np.full((5, 2), -3.0)), [5.0, 5.0])
+    log_p = np.array([[0.0, -1.0], [-800.0, -900.0], [-900.0, -1000.0]])
+    np.testing.assert_array_equal(effective_draws(log_p), [1.0, 1.0])

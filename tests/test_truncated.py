@@ -31,10 +31,6 @@ def test_generate_augmented_counts_and_validity(toy_schema, toy_params, head_rul
     )
     feasible, infeasible = batch.feasible, batch.infeasible
     np.testing.assert_array_equal(np.bincount(feasible.sizes, minlength=4)[1:], [3, 4, 2])
-    np.testing.assert_array_equal(
-        np.bincount(infeasible.sizes, minlength=4)[1:], batch.n_infeasible
-    )
-    np.testing.assert_array_equal(batch.n_candidates, [3, 4, 2] + batch.n_infeasible)
     assert batch.total_candidates == 9 + batch.total_infeasible
     assert feasible.mem_codes.shape == (3 * 1 + 4 * 2 + 2 * 3, 2)
     for view, ok in ((feasible, True), (infeasible, False)):
@@ -72,10 +68,11 @@ def test_infeasible_view_shapes(toy_schema, toy_params, head_rules):
     n0 = batch.total_infeasible
     assert view.n_households == batch.infeasible_hh_class.shape[0] == n0
     assert (np.diff(view.sizes) >= 0).all()
-    want_members = int((batch.n_infeasible * np.array([2, 3])).sum())
+    n_infeasible = np.bincount(view.sizes, minlength=4)[[2, 3]]
+    want_members = int((n_infeasible * np.array([2, 3])).sum())
     assert view.n_individuals == batch.infeasible_mem_class.shape[0] == want_members
     # per-member class labels repeat the household's label size-h times
-    per_size = np.split(batch.infeasible_hh_class, np.cumsum(batch.n_infeasible)[:-1])
+    per_size = np.split(batch.infeasible_hh_class, np.cumsum(n_infeasible)[:-1])
     np.testing.assert_array_equal(
         batch.infeasible_hh_class[view.mem_hh],
         np.concatenate([np.repeat(c, h) for c, h in zip(per_size, [2, 3])]),
@@ -107,7 +104,7 @@ def test_all_feasible_when_rules_never_fire(toy_schema, toy_params):
         toy_params, toy_schema, rules, {1: 10}, substream(72, "none"), cap=10**6
     )
     assert batch.total_infeasible == 0
-    np.testing.assert_array_equal(batch.n_candidates, [10])
+    assert batch.total_candidates == 10
     assert batch.infeasible.n_households == 0
 
 
@@ -137,7 +134,7 @@ def test_generate_augmented_is_deterministic(toy_schema, toy_params, head_rules)
     )
     np.testing.assert_array_equal(a.feasible.hh_codes, b.feasible.hh_codes)
     np.testing.assert_array_equal(a.infeasible.mem_codes, b.infeasible.mem_codes)
-    np.testing.assert_array_equal(a.n_candidates, b.n_candidates)
+    np.testing.assert_array_equal(a.infeasible.sizes, b.infeasible.sizes)
 
 
 def test_sweep_updates_state(toy_schema, toy_dataset, head_rules):
