@@ -5,16 +5,17 @@ by run_chain from the current parameters, see truncated.py), then household
 classes, member classes, household sticks, member sticks, household kernels,
 member kernels, and the two concentration parameters.  The class draws are
 collapsed over member classes (households first, member classes refreshed
-given the household class), which is an exact blocked update.  Augmented
-records keep the classes they were generated with, and the parameter draws
-count them with the observed households.
+given the household class), which is an exact blocked update; each class is
+drawn by inverse CDF from one uniform.  Augmented records keep the classes
+they were generated with, and the parameter draws count them with the
+observed households.
 """
 
 from __future__ import annotations
 
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -47,41 +48,42 @@ class ChainState:
     augmented: "AugmentedBatch | None" = None
 
 
-@dataclass
 class Diagnostics:
-    """Per-iteration chain summaries plus saturation flags."""
+    """Per-sweep chain summaries, one row per sweep in arrays sized once for
+    the chain's n_iterations sweeps, plus saturation flags."""
 
-    strata: list[int] | None = None  # household sizes, truncated mode
-    occupied_hh: list[int] = field(default_factory=list)
-    occupied_mem: list[int] = field(default_factory=list)
-    hh_conc: list[float] = field(default_factory=list)
-    mem_conc: list[float] = field(default_factory=list)
-    hh_weights: list[np.ndarray] = field(default_factory=list)
-    n_infeasible: list[np.ndarray] = field(default_factory=list)
-    cap_exceeded: int = 0
-    saturated_hh: bool = False
-    saturated_mem: bool = False
+    def __init__(self, n_iterations: int, n_hh_classes: int, strata: list[int] | None = None):
+        self.strata = strata  # household sizes, truncated mode
+        self.occupied_hh = np.zeros(n_iterations, dtype=np.int64)
+        self.occupied_mem = np.zeros(n_iterations, dtype=np.int64)
+        self.hh_conc = np.zeros(n_iterations)
+        self.mem_conc = np.zeros(n_iterations)
+        self.hh_weights = np.zeros((n_iterations, n_hh_classes))
+        # infeasible records per size stratum, truncated mode
+        self.n_infeasible = None if strata is None else np.zeros((n_iterations, len(strata)), np.int64)
+        self.cap_exceeded = 0
+        self.saturated_hh = self.saturated_mem = False
 
     def record(self, state: ChainState) -> None:
+        """Fill the row of the sweep that state.iteration counts."""
+        i = state.iteration - 1
         # not np.unique, which imports numpy.ma and so adds to fit's peak
-        self.occupied_hh.append(int(np.count_nonzero(np.bincount(state.hh_class))))
-        self.occupied_mem.append(int(np.count_nonzero(np.bincount(state.mem_class))))
-        self.hh_conc.append(float(state.params.hh_conc))
-        self.mem_conc.append(float(state.params.mem_conc))
-        self.hh_weights.append(state.params.hh_weights.copy())
+        self.occupied_hh[i] = np.count_nonzero(np.bincount(state.hh_class))
+        self.occupied_mem[i] = np.count_nonzero(np.bincount(state.mem_class))
+        self.hh_conc[i], self.mem_conc[i] = state.params.hh_conc, state.params.mem_conc
+        self.hh_weights[i] = state.params.hh_weights
         if self.strata is not None:  # run_chain draws a batch before each truncated sweep
             counts = np.bincount(state.augmented.infeasible.sizes, minlength=self.strata[-1] + 1)
-            self.n_infeasible.append(counts[self.strata])
+            self.n_infeasible[i] = counts[self.strata]
 
     def to_csv(self, path: str | Path) -> None:
-        F = self.hh_weights[0].shape[0] if self.hh_weights else 0
         header = [
             "iteration",
             "occupied_household_classes",
             "occupied_individual_classes",
             "hh_concentration",
             "mem_concentration",
-        ] + [f"pi_{g + 1}" for g in range(F)]
+        ] + [f"pi_{g + 1}" for g in range(self.hh_weights.shape[1])]
         # rows are streamed: a list of every sweep's row can set a fit's peak memory
         sweeps = zip(self.occupied_hh, self.occupied_mem, self.hh_conc, self.mem_conc)
         rows = ([i, *sweep, *w] for i, (sweep, w) in enumerate(zip(sweeps, self.hh_weights), 1))
@@ -99,16 +101,26 @@ class ChainResult:
     n_checkpoints: int
 
 
-def _gumbel_argmax(logits: np.ndarray, rng: np.random.Generator, axis: int) -> np.ndarray:
-    """Exact categorical sampling from unnormalized log weights."""
-    return np.argmax(logits + rng.gumbel(size=logits.shape), axis=axis).astype(np.int64)
+def _count_below(sums, x: np.ndarray) -> np.ndarray:
+    """Codes by inverse CDF: per draw, the count of its cumulative class
+    weights below x, (1 - u) times their total.  sums yields the n draws' sums
+    of each class but the last.  x lies in (0, total], so a class of zero
+    weight, whose sum equals the one before it, is never drawn."""
+    count = np.zeros(len(x), dtype=np.int64)
+    for cum in sums:
+        count += cum < x
+    return count
 
 
 def sample_household_classes(
     params: Params, view: DatasetView, table: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw each household's class with member classes summed out of table."""
-    return _gumbel_argmax(class_posterior_logweights(params, view, table), rng, axis=0)
+    """Draw each household's class with member classes summed out of table,
+    from one uniform per household."""
+    cum = class_posterior_logweights(params, view, table)  # (F, n)
+    cum -= cum.max(axis=0)
+    np.cumsum(np.exp(cum, out=cum), axis=0, out=cum)
+    return _count_below(cum[:-1], (1.0 - rng.random(view.n_households)) * cum[-1])
 
 
 def sample_member_classes(
@@ -118,9 +130,14 @@ def sample_member_classes(
     hh_class: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw each member's class given its household's class."""
-    logits = table[hh_class[view.mem_hh], :, view.mem_pattern]
-    return _gumbel_argmax(logits, rng, axis=1)
+    """Draw each member's class given its household's class, from one uniform
+    per member.  The table's weights are cumulated over member classes once."""
+    _, S, P = table.shape
+    cum = table - table.max(axis=1, keepdims=True)
+    flat = np.cumsum(np.exp(cum, out=cum), axis=1, out=cum).ravel()
+    first = hh_class[view.mem_hh] * (S * P) + view.mem_pattern  # each member's (g, 0, pattern)
+    x = (1.0 - rng.random(view.n_individuals)) * flat.take(first + (S - 1) * P)
+    return _count_below((flat.take(first + m * P) for m in range(S - 1)), x)
 
 
 def sample_classes(state: ChainState, view: DatasetView, rng: np.random.Generator) -> None:
@@ -297,10 +314,12 @@ def run_chain(
     """Run the sampler, recording diagnostics and post-burn-in checkpoints.
 
     With a non-empty rule set each sweep first draws a fresh augmented batch
-    from the current parameters, and each checkpoint carries the batch's
-    feasible by-product households.  When generation passes the candidate
-    cap, the previous batch is reused and diagnostics.cap_exceeded counts the
-    event; without a previous batch the error propagates.  Checkpoints stream
+    from the current parameters; on checkpointed sweeps the batch also draws
+    its feasible by-product households, which the checkpoint carries.  When
+    generation passes the candidate cap, the previous batch is reused,
+    diagnostics.cap_exceeded counts the event, and a checkpoint carries the
+    most recent by-product; without a previous batch, or on a checkpointed
+    sweep before any by-product, the error propagates.  Checkpoints stream
     to checkpoint_path when given, otherwise they are kept in memory.
     """
     schema = dataset.schema
@@ -310,7 +329,9 @@ def run_chain(
     cap = config.candidate_cap if config.candidate_cap else 1000 * max(dataset.n_households, 1)
 
     state = init_state(dataset, hyper, rng)
-    diag = Diagnostics(strata=sorted(histogram) if truncated else None)
+    diag = Diagnostics(
+        config.n_iterations, hyper.n_hh_classes, sorted(histogram) if truncated else None
+    )
     writer = None
     kept: list[CheckpointRecord] | None = None
     if checkpoint_path is not None:
@@ -328,26 +349,30 @@ def run_chain(
 
     if truncated:
         from .truncated import CapExceededError, generate_augmented
+    byproduct = None  # the most recent feasible by-product, truncated mode
     with writer or nullcontext():  # closed, and so flushed, when the chain raises too
         for it in range(1, config.n_iterations + 1):
+            checkpointed = it > config.burn_in and (it - config.burn_in - 1) % config.thin == 0
             if truncated:
                 try:
                     state.augmented = generate_augmented(
-                        state.params, schema, rules, histogram, rng, cap
+                        state.params, schema, rules, histogram, rng, cap, byproduct=checkpointed
                     )
                 except CapExceededError:
-                    if state.augmented is None:
+                    if state.augmented is None or (checkpointed and byproduct is None):
                         raise
                     diag.cap_exceeded += 1
+                if state.augmented.feasible is not None:
+                    byproduct = state.augmented.feasible
             gibbs_sweep(state, dataset, hyper, rng)
             diag.record(state)
-            if it > config.burn_in and (it - config.burn_in - 1) % config.thin == 0:
+            if checkpointed:
                 record = CheckpointRecord(
                     iteration=it,
                     params=state.params.copy(),
                     hh_class=state.hh_class.copy(),
                     mem_class=state.mem_class.copy(),
-                    feasible=state.augmented.feasible if truncated else None,
+                    feasible=byproduct,
                 )
                 if writer is not None:
                     writer.write(record)
@@ -355,9 +380,11 @@ def run_chain(
                     kept.append(record)
 
     # the balanced random start occupies every class by construction, so only
-    # post-burn-in occupancy says anything about the truncation binding
-    diag.saturated_hh = any(c >= hyper.n_hh_classes for c in diag.occupied_hh[config.burn_in:])
-    diag.saturated_mem = any(c >= hyper.n_mem_classes for c in diag.occupied_mem[config.burn_in:])
+    # post-burn-in occupancy says anything about the truncation binding; one
+    # class is always occupied, so a level of 1 never binds
+    F, S = hyper.n_hh_classes, hyper.n_mem_classes
+    diag.saturated_hh = F > 1 and bool((diag.occupied_hh[config.burn_in :] >= F).any())
+    diag.saturated_mem = S > 1 and bool((diag.occupied_mem[config.burn_in :] >= S).any())
     if diag.saturated_hh:
         warnings.warn(
             "household classes reached the truncation level; consider raising it",

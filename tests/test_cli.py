@@ -996,32 +996,32 @@ def test_pipeline_repeat_is_bitwise_identical(pipeline, tmp_path):
 # Python 3.11.7; a change that alters output bits on purpose updates these and
 # names the files it changed
 TRUNCATED_DIGESTS = {
-    "cells.csv": "3309556ec9ec1d862e1252167121122962a13ec08abbbe8b093714559bf2c8f5",
-    "checkpoints.jsonl": "a7871e248f694f6ae11a1474aa13f4b601a4d2241394d4941022f6564d56d11b",
-    "diagnostics.csv": "6d27cf243552fb1318044e0fded17076a5a0eee305d4127888859d97682f4272",
-    "household_queries.csv": "5bd820f09ccd856c0d0f4b65de9b9d1cc2171837fd677128a354597e34ee0ce9",
+    "cells.csv": "f1e9b7dae789eb3bc88682429d462f50ed6a4c5955ad4d749db1ddb1ff175c46",
+    "checkpoints.jsonl": "682bfdb6e38c23c00645f9b5d7eeeb7b02706cbd0ceef0436124ee8ccd6d1de9",
+    "diagnostics.csv": "ac48c12b4c8626f661a0ebc5ba369766f28a850b0828392fbb69d5706518416a",
+    "household_queries.csv": "3693f168a6bde1f33f2864cf2419a36d9f997e4bd7dde06139b828632720084d",
     "manifest.json": "3426c50d9ba61f280cca48eac9ca693f57a92b21cdac7004721551097f454ad6",
     "population.csv": "26a7f5c77bc81c2590b3b42fa9430c5938adc0b83a1b6ca0d3f5059706294898",
-    "rank_histogram.csv": "a11616942628d14c91d6f13719e2b6ef2c7f6b4a7d62437f41228333c11fd639",
-    "risk_summary.csv": "02c49009675c024d2c6a1ec075aad6c109307dd74a1509aa098239be81d62073",
+    "rank_histogram.csv": "48167fed478a26f798231381814e261d598a09f6508d2134d28ae53c4e4e77a1",
+    "risk_summary.csv": "e50533a7ba0234e55c7533ec4ec2844d3fb716950382d73304c5527bbdc80de7",
     "sample.csv": "c6daf4a552a5cf86ab4853004d28df71eddd624f6ba95c9d9b94fbf43048d478",
-    "synthetic_1.csv": "7176c105a991ae53007abf30ee8275e2c81fb60327a1c021305130b8c1e0a13a",
-    "synthetic_2.csv": "5959238821eb6bf788a324fddb3397ec4aff63483c89796dbbda619934bffdf9",
-    "synthetic_3.csv": "e19734d55e1ad252fd58566d5aa0d63af8889ee84bdad609972b9cb246c398df",
+    "synthetic_1.csv": "044b6e30def33ae299a341977f7aa3468ee650f8ef78d00a7443aa611e203d9b",
+    "synthetic_2.csv": "ac42af4ef28c5dbce8cd515df12236a832cb6521ae6fa5f99236f692872844e5",
+    "synthetic_3.csv": "4ef83b3c8d601346be3c9bbd6f9fc65125c5a0b71de9223a01af54e76cdb387d",
 }
 UNTRUNCATED_DIGESTS = {
-    "cells.csv": "fde5312691d1cf73f7791633b72e26359326c7968484cb615398e633eaf6d03d",
-    "checkpoints.jsonl": "d857498ede3b121406c9d6c6d8c311df5c04931a1725741a9e8c0d12490c4ce9",
-    "diagnostics.csv": "edba56b8f792a8f921e456bfcc2009d0b0f00c07c01511f2e30a91541b3fbb21",
-    "household_queries.csv": "eb5dcd939f94fc50f8f521f3428b10ee2d20257601fc8f80214e79013917acc6",
+    "cells.csv": "7c3e9449c536550bc0677ef5cdbd93fd5911bb1a2dbecb0a2c65e3256de8dd46",
+    "checkpoints.jsonl": "83bc4323e6d9d60d06aae1130e4275695d8ba6333c9053e72f0bac0cf9cdff5b",
+    "diagnostics.csv": "f01c8aec0b37f67509c7d8577121c62e19e1a7072cc1d7ee53aecb3efaafd343",
+    "household_queries.csv": "6cd143f6d70a4f96e27145f8b4e36a993828a4fdf443eec1b171c60e5947aa6a",
     "manifest.json": "5e6292f0702d3892790f9252647e71675f9bf5f5672d94cb9db7a0152fca1a9b",
     "population.csv": "26a7f5c77bc81c2590b3b42fa9430c5938adc0b83a1b6ca0d3f5059706294898",
-    "rank_histogram.csv": "ff78ca1a9aeea22f0458ec3d21621f3cd0d94fc8801a5e509a29b2d5bd5e7f33",
-    "risk_summary.csv": "2c42011ede6a3100a123b6b3e466497c52187d730d973fb448ca9b00c2759f89",
+    "rank_histogram.csv": "c31a5e364f3616486fb4053dc02ed6d2023caf75aed489be93c360021d71a618",
+    "risk_summary.csv": "d64300dccb7b976c590f55b0a8f513ab50836a1f104e00b86647e0132cc51c24",
     "sample.csv": "c6daf4a552a5cf86ab4853004d28df71eddd624f6ba95c9d9b94fbf43048d478",
-    "synthetic_1.csv": "83955b4e7ddb883c0859a8bc4696e597b2d2e13eca4f40352400c1a5b9bf0507",
-    "synthetic_2.csv": "87e9c252e927c0607312298969587208db272812853f403211f29408fb2aa447",
-    "synthetic_3.csv": "8d153615524c03f6a4eb5f9eb04d12c7ee1478441635a6a3d3b657d222758d05",
+    "synthetic_1.csv": "19d156072862b133a9278070b2bf3c0531d50d730cceb3ba499aa5046dafb69e",
+    "synthetic_2.csv": "f9f4eb41bc541e1535148e95e1ca5f50cf0c95054846de0323f7c3549f7f7ead",
+    "synthetic_3.csv": "6a7e7a5ab74586c395336940a92aa52e5a78cc9b090d958f8eacdb81f9c8fce1",
 }
 
 
@@ -1045,12 +1045,12 @@ def test_untruncated_pipeline_output_digests(tmp_path):
 # sha256 of the household-kind risk outputs of both pipelines' fits
 HOUSEHOLD_RISK_DIGESTS = {
     "truncated": {
-        "rank_histogram.csv": "617c953c157f9fb5265b71ffb72bd2e8cf7b0d854db3fe885120f77891030b5f",
-        "risk_summary.csv": "8c42801595a9381d6b6de2f04350554b98efbe6062ff866f38097a20de2f5e3a",
+        "rank_histogram.csv": "fc5daf692cc089d0510390ecf3694a9e855f9f946df4a2d15962bb1357152dbb",
+        "risk_summary.csv": "b1d8185d967c85c167739a5c64771d3ddf939f8937277224fe9b0ae4c57d5d53",
     },
     "untruncated": {
-        "rank_histogram.csv": "5d017cf2b713a7104c38fce1db846d0c42fce8f82017469409f420620483be3e",
-        "risk_summary.csv": "3d2008907bce34f562bbb4e4fd8bcc57b328297c0d7e98a3e16752d198ff0c97",
+        "rank_histogram.csv": "20569ee08f238b693562aad5cd4acceab93cdaa34864d088e696108de02219b9",
+        "risk_summary.csv": "bb687375f0face32845691b9b254f6bf59d378b0abd7bd86a2221f1878807b21",
     },
 }
 

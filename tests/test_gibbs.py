@@ -7,6 +7,7 @@ replicating one record many times within a single call.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,63 @@ def test_member_class_draw_matches_exact_posterior(toy_params):
     np.testing.assert_array_less(np.abs(freq - post), 4 * np.maximum(se, 1e-4))
 
 
+# log weights hundreds of nats apart; the -2000 classes have weight exactly
+# 0.0 once shifted, in the middle and at the end of the class axis
+FAR_APART = np.array([-400.0, -2000.0, -400.0 + np.log(3.0), -401.0, -2000.0])
+
+
+def far_apart_posterior():
+    w = np.exp(FAR_APART - FAR_APART.max())
+    return w / w.sum()
+
+
+def test_household_class_draw_over_far_apart_log_weights(monkeypatch, toy_params):
+    B = 200_000
+    view = replicated_view((0, 0), [(0, 0)], B)
+    logits = np.repeat(FAR_APART[:, None], B, axis=1)
+    monkeypatch.setattr(gibbs, "class_posterior_logweights", lambda *args: logits.copy())
+    draws = sample_household_classes(toy_params, view, None, substream(66, "far"))
+    post = far_apart_posterior()
+    freq = np.bincount(draws, minlength=5) / B
+    assert freq[1] == freq[4] == 0.0
+    se = np.sqrt(post * (1 - post) / B)
+    np.testing.assert_array_less(np.abs(freq - post), 4 * se + 1e-12)
+
+
+def test_member_class_draw_over_far_apart_log_weights(toy_params):
+    # one household class, one member row; the table's member-class axis is S = 5
+    B = 200_000
+    view = replicated_view((0, 0), [(0, 0)], B)
+    table = FAR_APART.reshape(1, 5, 1)
+    hh_class = np.zeros(B, dtype=int)
+    draws = sample_member_classes(toy_params, view, table, hh_class, substream(66, "mfar"))
+    post = far_apart_posterior()
+    freq = np.bincount(draws, minlength=5) / B
+    assert freq[1] == freq[4] == 0.0
+    se = np.sqrt(post * (1 - post) / B)
+    np.testing.assert_array_less(np.abs(freq - post), 4 * se + 1e-12)
+
+
+class FixedUniforms:
+    """A stand-in generator whose uniforms are the ends of [0, 1) and its middle."""
+
+    def random(self, n):
+        return np.resize([0.0, 0.5, np.nextafter(1.0, 0.0)], n)
+
+
+def test_class_draws_at_the_ends_of_the_uniforms(monkeypatch, toy_params):
+    # u = 0 takes (1 - u) * total = total: the last class of positive weight,
+    # never a zero-weight class after it; u just below 1 takes the first
+    view = replicated_view((0, 0), [(0, 0)], 3)
+    logits = np.repeat(FAR_APART[:, None], 3, axis=1)
+    monkeypatch.setattr(gibbs, "class_posterior_logweights", lambda *args: logits.copy())
+    got = sample_household_classes(toy_params, view, None, FixedUniforms())
+    np.testing.assert_array_equal(got, [3, 2, 0])
+    table = FAR_APART.reshape(1, 5, 1)
+    got = sample_member_classes(toy_params, view, table, np.zeros(3, dtype=int), FixedUniforms())
+    np.testing.assert_array_equal(got, [3, 2, 0])
+
+
 def test_class_draw_dominance(toy_schema):
     # kernels that make class 1 impossible for the observed code
     hyper = Hyperparams.uniform(toy_schema, 2, 1)
@@ -440,8 +498,8 @@ def test_diagnostics_count_each_sweeps_infeasible_records_by_size(
     batches = []
     generate = truncated.generate_augmented
 
-    def spy(*args):
-        batches.append(generate(*args))
+    def spy(*args, **kwargs):
+        batches.append(generate(*args, **kwargs))
         return batches[-1]
 
     monkeypatch.setattr(truncated, "generate_augmented", spy)
@@ -496,8 +554,19 @@ def test_diagnostics_csv_columns(tmp_path, toy_schema, toy_dataset):
 
 
 def test_saturation_warning(toy_schema, toy_dataset):
-    # with a single class the occupancy always equals the truncation level
-    hyper = Hyperparams.uniform(toy_schema, 1, 1)
-    with pytest.warns(UserWarning, match="truncation level"):
-        result = run_chain(toy_dataset, hyper, ChainConfig(3, 1, seed=2))
+    # two classes at each level, both occupied after burn-in
+    hyper = Hyperparams.uniform(toy_schema, 2, 2)
+    with pytest.warns(UserWarning, match="household classes reached the truncation level"):
+        result = run_chain(toy_dataset, hyper, ChainConfig(20, 1, seed=2))
     assert result.diagnostics.saturated_hh
+    assert (result.diagnostics.occupied_hh[1:] == 2).any()
+
+
+def test_no_saturation_warning_at_truncation_level_one(toy_schema, toy_dataset):
+    # one class is always occupied, so a level of 1 never binds
+    hyper = Hyperparams.uniform(toy_schema, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_chain(toy_dataset, hyper, ChainConfig(3, 1, seed=2))
+    assert not result.diagnostics.saturated_hh and not result.diagnostics.saturated_mem
+    np.testing.assert_array_equal(result.diagnostics.occupied_hh, [1, 1, 1])

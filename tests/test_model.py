@@ -12,7 +12,9 @@ import pytest
 
 from hhsynth.constraints import RuleSet, compile_rules
 from hhsynth.data import DatasetView, HouseholdRecord
+from hhsynth import model
 from hhsynth.model import (
+    CDFTable,
     Hyperparams,
     Params,
     class_posterior_logweights,
@@ -306,6 +308,27 @@ def test_draw_households_respects_forced_sizes(toy_schema, toy_params):
     np.testing.assert_array_equal(hh[:, 1], sizes - 1)
     assert mem.shape == (sizes.sum(), 2)
     assert mem_class.shape == (sizes.sum(),)
+
+
+@pytest.mark.parametrize("widths", [(), (1,), (3,), (2, 5, 4)])
+@pytest.mark.parametrize("cells", [1, 7, 16, 1 << 14])
+def test_blocked_cdf_draw_matches_one_gather(monkeypatch, widths, cells):
+    # blocks of at most `cells` gathered cells end inside and at row edges,
+    # and a table of no columns draws (n, 0) codes in any block size
+    rng = substream(43, "blocks", widths)
+    probs = [rng.dirichlet(np.ones(d), size=6) for d in widths]
+    for p in probs:
+        p[::3, 0] = 0.0  # plateaus
+    table = CDFTable.of(probs, 6)
+    rows = rng.integers(6, size=101)
+    u = rng.random(101 * len(widths))
+    k, width = table.cdf.shape[1:]
+    x = u.reshape(k, 101).T * table.last[rows]
+    want = (x[..., None] <= table.cdf[rows]).argmax(axis=-1)
+    monkeypatch.setattr(model, "DRAW_CELLS", cells)
+    got = table.draw(rows, u)
+    assert got.dtype == np.int64 and got.shape == (101, len(widths))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_size_class_probs(toy_schema, toy_params):

@@ -648,7 +648,6 @@ def _one_variable_error(K, seed, n=3000):
     return float(np.abs(got - want).max() / want.max())
 
 
-@pytest.mark.filterwarnings("ignore:.*truncation level.*")
 def test_candidate_posterior_matches_the_exact_one_variable_oracle():
     errors = [_one_variable_error(4, seed) for seed in range(7)]
     assert max(errors) <= 0.10, errors
@@ -659,7 +658,6 @@ def test_candidate_posterior_matches_the_exact_one_variable_oracle():
     reason="with 64 categories every replicate's draw weights have an effective sample "
     "size of 1.0: one draw carries each replicate's likelihood average",
 )
-@pytest.mark.filterwarnings("ignore:.*truncation level.*")
 def test_candidate_posterior_matches_the_exact_oracle_at_64_categories():
     errors = [_one_variable_error(64, seed) for seed in range(7)]
     assert max(errors) <= 0.10, errors
