@@ -314,12 +314,10 @@ def run_chain(
     """Run the sampler, recording diagnostics and post-burn-in checkpoints.
 
     With a non-empty rule set each sweep first draws a fresh augmented batch
-    from the current parameters; on checkpointed sweeps the batch also draws
-    its feasible by-product households, which the checkpoint carries.  When
-    generation passes the candidate cap, the previous batch is reused,
-    diagnostics.cap_exceeded counts the event, and a checkpoint carries the
-    most recent by-product; without a previous batch, or on a checkpointed
-    sweep before any by-product, the error propagates.  Checkpoints stream
+    from the current parameters, and each checkpoint carries the batch's
+    feasible by-product households.  When generation passes the candidate
+    cap, the previous batch is reused and diagnostics.cap_exceeded counts the
+    event; without a previous batch the error propagates.  Checkpoints stream
     to checkpoint_path when given, otherwise they are kept in memory.
     """
     schema = dataset.schema
@@ -349,30 +347,26 @@ def run_chain(
 
     if truncated:
         from .truncated import CapExceededError, generate_augmented
-    byproduct = None  # the most recent feasible by-product, truncated mode
     with writer or nullcontext():  # closed, and so flushed, when the chain raises too
         for it in range(1, config.n_iterations + 1):
-            checkpointed = it > config.burn_in and (it - config.burn_in - 1) % config.thin == 0
             if truncated:
                 try:
                     state.augmented = generate_augmented(
-                        state.params, schema, rules, histogram, rng, cap, byproduct=checkpointed
+                        state.params, schema, rules, histogram, rng, cap
                     )
                 except CapExceededError:
-                    if state.augmented is None or (checkpointed and byproduct is None):
+                    if state.augmented is None:
                         raise
                     diag.cap_exceeded += 1
-                if state.augmented.feasible is not None:
-                    byproduct = state.augmented.feasible
             gibbs_sweep(state, dataset, hyper, rng)
             diag.record(state)
-            if checkpointed:
+            if it > config.burn_in and (it - config.burn_in - 1) % config.thin == 0:
                 record = CheckpointRecord(
                     iteration=it,
                     params=state.params.copy(),
                     hh_class=state.hh_class.copy(),
                     mem_class=state.mem_class.copy(),
-                    feasible=byproduct,
+                    feasible=state.augmented.feasible if truncated else None,
                 )
                 if writer is not None:
                     writer.write(record)

@@ -10,9 +10,7 @@ priors on their concentrations.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -341,31 +339,16 @@ class CDFTable(NamedTuple):
 
 
 class DrawTables:
-    """The CDF tables of one parameter draw that draw_households reads: the
-    member-class weights, and the kernels of the named household and member
-    columns, all of them by default.  hh leaves out the size, which
-    generate_augmented and synthesize_untruncated both force."""
+    """The CDF tables of one parameter draw that draw_households reads; hh
+    leaves out the size, which generate_augmented (one DrawTables per sweep)
+    and synthesize_untruncated both force."""
 
-    def __init__(
-        self,
-        params: Params,
-        schema: Schema,
-        columns: tuple[Sequence[int], Sequence[int]] | None = None,
-    ):
+    def __init__(self, params: Params, schema: Schema):
         F, self.S = params.n_hh_classes, params.n_mem_classes
-        q, p = len(params.hh_kernels), len(params.mem_kernels)
-        hh_cols, mem_cols = columns or (range(q), range(p))
-        self.hh_cols = [k for k in hh_cols if k != schema.size_index]
-        self.mem_cols = list(mem_cols)
-        self.mem_weights = params.mem_weights
-        # row g * S + m
-        self.mem = CDFTable.of([params.mem_kernels[k] for k in self.mem_cols], F * self.S)
-        self.hh = CDFTable.of([params.hh_kernels[k] for k in self.hh_cols], F)
-
-    @cached_property
-    def mem_class(self) -> CDFTable:
-        """Row g: household class g; built when member classes are drawn."""
-        return CDFTable.of([self.mem_weights], self.mem_weights.shape[0])
+        self.mem_class = CDFTable.of([params.mem_weights], F)  # row g: household class g
+        self.mem = CDFTable.of(params.mem_kernels, F * self.S)  # row g * S + m
+        free = [k for i, k in enumerate(params.hh_kernels) if i != schema.size_index]
+        self.hh = CDFTable.of(free, F)
 
 
 def draw_households(
@@ -376,46 +359,47 @@ def draw_households(
     sizes: np.ndarray | None = None,
     tables: DrawTables | None = None,
     mem_class: np.ndarray | None = None,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Generate households given their classes.
 
     Draws household variables (the size too unless sizes forces it), then
     member classes unless mem_class gives them, then member variables, each
     variable over all rows in turn, from one block of uniforms, or two when
-    the sizes are drawn.  tables, if given, are DrawTables(params, schema,
-    columns), and with sizes forced only their columns are drawn: the others
-    are zero, or keep what out = (hh_codes, mem_codes) holds, arrays that
-    are written in place.  generate_augmented draws its candidates' rule-read
-    columns, then the other columns of the records it keeps, this way, and
+    the sizes are drawn.  tables, if given, are DrawTables(params, schema).
+    generate_augmented draws candidates of one forced size with it, and
     synthesize_untruncated redraws households keeping their sizes and
     classes.  Returns (hh_codes, mem_codes, sizes, mem_class), member rows
     grouped by household in order.
     """
     tables = DrawTables(params, schema) if tables is None else tables
-    B, q, p = hh_class.shape[0], len(params.hh_kernels), len(params.mem_kernels)
+    B, p = hh_class.shape[0], len(params.mem_kernels)
     s = schema.size_index
-    per_member = len(tables.mem_cols) + (mem_class is None)  # uniforms per member row
+    per_member = p + (mem_class is None)  # uniforms per member row
     if sizes is None:
         hh_table = CDFTable.of(params.hh_kernels, params.n_hh_classes)
-        hh_codes = hh_table.draw(hh_class, rng.random(B * q))
+        hh_codes = hh_table.draw(hh_class, rng.random(B * len(params.hh_kernels)))
         sizes = hh_codes[:, s] + 1
         u = rng.random(int(sizes.sum()) * per_member)
     else:
         sizes = np.full(B, sizes, dtype=np.int64)
-        n_free = B * len(tables.hh_cols)
+        n_free = B * (len(params.hh_kernels) - 1)
         u = rng.random(n_free + int(sizes.sum()) * per_member)
-        hh_codes = np.zeros((B, q), dtype=np.int64) if out is None else out[0]
-        hh_codes[:, tables.hh_cols] = tables.hh.draw(hh_class, u[:n_free])
-        hh_codes[:, s] = sizes - 1
+        hh_codes = with_size_column(tables.hh.draw(hh_class, u[:n_free]), s, sizes - 1)
         u = u[n_free:]
     mem_g = hh_class[np.repeat(np.arange(B), sizes)]
     if mem_class is None:
         mem_class = tables.mem_class.draw(mem_g, u[: len(mem_g)])[:, 0]
         u = u[len(mem_g) :]
-    mem_codes = np.zeros((len(mem_g), p), dtype=np.int64) if out is None else out[1]
-    mem_codes[:, tables.mem_cols] = tables.mem.draw(mem_g * tables.S + mem_class, u)
-    return hh_codes, mem_codes, sizes, mem_class
+    return hh_codes, tables.mem.draw(mem_g * tables.S + mem_class, u), sizes, mem_class
+
+
+def with_size_column(free: np.ndarray, size_index: int, size_codes: np.ndarray) -> np.ndarray:
+    """Household codes (n, q) from the other variables' codes (n, q - 1) and the size codes."""
+    out = np.empty((free.shape[0], free.shape[1] + 1), dtype=np.int64)
+    out[:, :size_index] = free[:, :size_index]
+    out[:, size_index] = size_codes
+    out[:, size_index + 1 :] = free[:, size_index:]
+    return out
 
 
 def rows_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

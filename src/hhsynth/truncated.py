@@ -3,14 +3,9 @@
 Per observed household size h, candidate households are drawn from the
 current parameters conditioned on size h, keeping exactly n_h feasible draws
 (the synthesis by-product) and every infeasible draw made before the n_h-th
-feasible one (the augmented records).  A candidate is first drawn only as far
-as the rules read it: its classes, its member classes and the columns in
-RuleSet.columns.  Given its classes, its other columns are independent of its
-feasibility, so they are drawn afterwards for the kept records alone: the
-augmented records always, the by-product only when asked for.  A batch is
-those two DatasetViews, sizes ascending, and per-size counts are read from
-their sizes.  run_chain draws one batch before each truncated-mode sweep,
-with the by-product on checkpointed sweeps, and the sweep counts the
+feasible one (the augmented records).  A batch is those two DatasetViews,
+sizes ascending, and per-size counts are read from their sizes.  run_chain
+draws one batch before each truncated-mode sweep, and the sweep counts the
 augmented records with the observed households.
 """
 
@@ -33,18 +28,16 @@ class CapExceededError(RuntimeError):
 class AugmentedBatch:
     """One sweep's kept candidates, household sizes in ascending order.
 
-    feasible holds each size's n_h feasible draws, the synthesis by-product,
-    or is None when it was not drawn; n_feasible counts them either way.
+    feasible holds each size's n_h feasible draws, the synthesis by-product;
     infeasible holds the augmented records, with the household and member
     classes they were generated with.  Per-size counts are read from the
     views' sizes.
     """
 
-    feasible: DatasetView | None
+    feasible: DatasetView
     infeasible: DatasetView
     infeasible_hh_class: np.ndarray  # (n0,)
     infeasible_mem_class: np.ndarray  # (N0,)
-    n_feasible: int
 
     @property
     def total_infeasible(self) -> int:
@@ -52,7 +45,7 @@ class AugmentedBatch:
 
     @property
     def total_candidates(self) -> int:
-        return self.n_feasible + self.infeasible.n_households
+        return self.feasible.n_households + self.infeasible.n_households
 
 
 def generate_augmented(
@@ -62,21 +55,16 @@ def generate_augmented(
     histogram: dict[int, int],
     rng: np.random.Generator,
     cap: int,
-    byproduct: bool = True,
 ) -> AugmentedBatch:
     """Rejection-generate candidates per stratum until n_h feasible each.
 
-    Candidates are drawn in deterministic batches, each its classes, member
-    classes and rule-read columns (the size is forced), and truncated at the
-    n_h-th feasible draw in stream order; later draws are discarded.  Each
+    Candidates are drawn in deterministic batches and truncated at the n_h-th
+    feasible draw in stream order; later infeasible draws are discarded.  Each
     batch's kept draws are slices of it, joined once over all strata and split
-    by index on the feasibility mask.  The other columns are then drawn for
-    the infeasible records, and after them for the feasible ones when
-    byproduct is set.  Raises CapExceededError once the total candidate
-    count over all strata passes cap.
+    by index on the feasibility mask into the two views.  Raises
+    CapExceededError once the total candidate count over all strata passes cap.
     """
-    hh_read, mem_read = rules.columns
-    read = DrawTables(params, schema, (hh_read, mem_read))
+    tables = DrawTables(params, schema)
     kept = []  # per batch: its draws up to its size's n_h-th feasible one, and their sizes
     drawn_total = 0
     for h, target in sorted(histogram.items()):
@@ -96,7 +84,7 @@ def generate_augmented(
                 )
             classes = np.minimum(np.searchsorted(cdf, rng.random(batch) * cdf[-1]), len(cdf) - 1)
             hh, mem, _, mem_class = draw_households(
-                params, schema, classes, rng, sizes=h, tables=read
+                params, schema, classes, rng, sizes=np.full(batch, h), tables=tables
             )
             mask = check_batch(rules, hh, mem.reshape(batch, h, -1))
             # slices up to and including the target-th feasible draw; all of an earlier batch
@@ -111,24 +99,9 @@ def generate_augmented(
     f, mem_f = np.flatnonzero(mask), np.flatnonzero(mem_mask)
     # inverted in place: new masks of a new length each call would pile up in numpy's cache
     i, mem_i = (np.flatnonzero(np.invert(a, out=a)) for a in (mask, mem_mask))
-    rest = DrawTables(params, schema, (
-        [k for k in range(len(schema.household_vars)) if k not in hh_read],
-        [k for k in range(len(schema.individual_vars)) if k not in mem_read],
-    ))
-
-    def completed(rows: np.ndarray, mem_rows: np.ndarray) -> DatasetView:
-        """The records at rows with the columns no rule reads drawn."""
-        codes = draw_households(
-            params, schema, classes[rows], rng, sizes=sizes[rows], tables=rest,
-            mem_class=mem_class[mem_rows], out=(hh[rows], mem[mem_rows]),
-        )
-        return DatasetView.from_arrays(*codes[:3])
-
-    infeasible = completed(i, mem_i)
     return AugmentedBatch(
-        feasible=completed(f, mem_f) if byproduct else None,
-        infeasible=infeasible,
+        feasible=DatasetView.from_arrays(hh[f], mem[mem_f], sizes[f]),
+        infeasible=DatasetView.from_arrays(hh[i], mem[mem_i], sizes[i]),
         infeasible_hh_class=classes[i],
         infeasible_mem_class=mem_class[mem_i],
-        n_feasible=len(f),
     )

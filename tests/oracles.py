@@ -11,8 +11,7 @@ to members), one household's marginal likelihood, the
 infeasible mass of a household size over the whole composition space and by
 simulation, the class logits and candidate likelihoods each caller once built for itself, the
 class draws made one household or member at a time, and the draws of
-households and parameters made one variable or one kernel per random call
-(candidates: rule-read columns first, the other columns for the kept ones).  build_support_household is the one-household form of the
+households and parameters made one variable or one kernel per random call.  build_support_household is the one-household form of the
 library's batched support builder, which the risk tests call: its candidate
 arrays as a TargetSupport, which the library builds for one-person targets
 only.  one_variable_posterior is the exact candidate posterior of one person
@@ -435,43 +434,33 @@ def rows_categorical(probs, rng):
     return np.minimum((u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1).astype(np.int64)
 
 
-def draw_households(params, schema, hh_class, rng, sizes=None, columns=None, mem_class=None):
-    """Household generation with one rows_categorical call per variable.
-
-    With columns, (household, member) variable indices, only those are
-    drawn and the others are zero; with mem_class, member classes are not
-    drawn."""
+def draw_households(params, schema, hh_class, rng, sizes=None):
+    """Household generation with one rows_categorical call per variable."""
     B = hh_class.shape[0]
-    q, p = len(schema.household_vars), len(schema.individual_vars)
-    hh_cols, mem_cols = columns if columns is not None else (range(q), range(p))
+    q = len(schema.household_vars)
     hh_codes = np.zeros((B, q), dtype=np.int64)
     for k in range(q):
         if sizes is not None and k == schema.size_index:
             hh_codes[:, k] = np.asarray(sizes) - 1
-        elif k in hh_cols:
+        else:
             hh_codes[:, k] = rows_categorical(params.hh_kernels[k][hh_class], rng)
     out_sizes = hh_codes[:, schema.size_index] + 1
     mem_hh = np.repeat(np.arange(B), out_sizes)
-    if mem_class is None:
-        mem_class = rows_categorical(params.mem_weights[hh_class][mem_hh], rng)
+    mem_class = rows_categorical(params.mem_weights[hh_class][mem_hh], rng)
+    p = len(schema.individual_vars)
     mem_codes = np.zeros((mem_hh.shape[0], p), dtype=np.int64)
-    for k in mem_cols:
+    for k in range(p):
         mem_codes[:, k] = rows_categorical(
             params.mem_kernels[k][hh_class[mem_hh], mem_class], rng
         )
     return hh_codes, mem_codes, out_sizes.astype(np.int64), mem_class
 
 
-def generate_augmented(params, schema, rules, histogram, rng, cap, byproduct=True):
-    """Rejection generation keeping every batch and selecting with masks.
-
-    Each batch draws the classes, the member classes and the rule-read
-    columns; the other columns are drawn last, for the infeasible records of
-    every size and then, with byproduct, for the feasible ones."""
-    q, p = len(schema.household_vars), len(schema.individual_vars)
-    read = rules.columns
-    rest = ([k for k in range(q) if k not in read[0]], [k for k in range(p) if k not in read[1]])
-    kept = {True: [], False: []}  # feasibility: per size (hh, mem, sizes, classes, mem classes)
+def generate_augmented(params, schema, rules, histogram, rng, cap):
+    """Rejection generation keeping every batch and selecting with masks."""
+    p = len(schema.individual_vars)
+    feasible, infeasible = [], []  # per size: (hh codes, member codes, sizes)
+    hh_class, mem_class = [], []
     drawn_total = 0
     for h in sorted(histogram):
         target = histogram[h]
@@ -494,7 +483,7 @@ def generate_augmented(params, schema, rules, histogram, rng, cap, byproduct=Tru
             classes = np.searchsorted(cdf, rng.random(batch) * cdf[-1]).astype(np.int64)
             classes = np.minimum(classes, len(cdf) - 1)
             hh, mem, _, mem_class_b = draw_households(
-                params, schema, classes, rng, sizes=np.full(batch, h), columns=read
+                params, schema, classes, rng, sizes=np.full(batch, h)
             )
             mask = check_batch(rules, hh, mem.reshape(batch, h, p))
             hh_parts.append(hh)
@@ -512,31 +501,23 @@ def generate_augmented(params, schema, rules, histogram, rng, cap, byproduct=Tru
         cut = int(np.searchsorted(np.cumsum(mask_all), target))
         keep = slice(0, cut + 1)
         mask_kept = mask_all[keep]
-        for ok, rows in ((True, mask_kept), (False, ~mask_kept)):
-            kept[ok].append((
+        for out, rows in ((feasible, mask_kept), (infeasible, ~mask_kept)):
+            out.append((
                 hh_all[keep][rows],
                 mem_all[keep][rows].reshape(-1, p),
                 np.full(int(rows.sum()), h, dtype=np.int64),
-                class_all[keep][rows],
-                mem_class_all[keep][rows].reshape(-1),
             ))
+        hh_class.append(class_all[keep][~mask_kept])
+        mem_class.append(mem_class_all[keep][~mask_kept].reshape(-1))
 
-    def completed(parts):
-        hh, mem, sizes, classes, mem_class = (np.concatenate(a) for a in zip(*parts))
-        rest_hh, rest_mem, _, _ = draw_households(
-            params, schema, classes, rng, sizes=sizes, columns=rest, mem_class=mem_class
-        )
-        hh[:, rest[0]] = rest_hh[:, rest[0]]
-        mem[:, rest[1]] = rest_mem[:, rest[1]]
-        return DatasetView.from_arrays(hh, mem, sizes), classes, mem_class
+    def view(parts):
+        return DatasetView.from_arrays(*(np.concatenate(a) for a in zip(*parts)))
 
-    infeasible, hh_class, mem_class = completed(kept[False])
     return AugmentedBatch(
-        feasible=completed(kept[True])[0] if byproduct else None,
-        infeasible=infeasible,
-        infeasible_hh_class=hh_class,
-        infeasible_mem_class=mem_class,
-        n_feasible=sum(histogram.values()),
+        feasible=view(feasible),
+        infeasible=view(infeasible),
+        infeasible_hh_class=np.concatenate(hh_class),
+        infeasible_mem_class=np.concatenate(mem_class),
     )
 
 

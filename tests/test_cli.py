@@ -996,18 +996,18 @@ def test_pipeline_repeat_is_bitwise_identical(pipeline, tmp_path):
 # Python 3.11.7; a change that alters output bits on purpose updates these and
 # names the files it changed
 TRUNCATED_DIGESTS = {
-    "cells.csv": "f1e9b7dae789eb3bc88682429d462f50ed6a4c5955ad4d749db1ddb1ff175c46",
-    "checkpoints.jsonl": "682bfdb6e38c23c00645f9b5d7eeeb7b02706cbd0ceef0436124ee8ccd6d1de9",
-    "diagnostics.csv": "ac48c12b4c8626f661a0ebc5ba369766f28a850b0828392fbb69d5706518416a",
-    "household_queries.csv": "3693f168a6bde1f33f2864cf2419a36d9f997e4bd7dde06139b828632720084d",
+    "cells.csv": "afb3577cf15771466aadb63774e914a4dc2adf9375226edb55ba3358aa46b0f7",
+    "checkpoints.jsonl": "bf432b2027c5a26203afa03b0482b0d87a2803d8c4053bf08aa96ed9b31144fb",
+    "diagnostics.csv": "9714e97b5f706cb0206518eb5e0ec042e5080f18836cf671beafcbac9149ec9c",
+    "household_queries.csv": "b7964e89c973a62347d5071edddcfbe31ef267a04d6eb49bf3c53f4aff07bc19",
     "manifest.json": "3426c50d9ba61f280cca48eac9ca693f57a92b21cdac7004721551097f454ad6",
     "population.csv": "26a7f5c77bc81c2590b3b42fa9430c5938adc0b83a1b6ca0d3f5059706294898",
-    "rank_histogram.csv": "48167fed478a26f798231381814e261d598a09f6508d2134d28ae53c4e4e77a1",
-    "risk_summary.csv": "e50533a7ba0234e55c7533ec4ec2844d3fb716950382d73304c5527bbdc80de7",
+    "rank_histogram.csv": "00e2e3b0a05318ddfabf76b9f35e401cfc04567da41d3866c4dd848931314af7",
+    "risk_summary.csv": "6b2f0d88ee0dfc2622314f89da64ee20f88889881cbccefa8585e829fc851128",
     "sample.csv": "c6daf4a552a5cf86ab4853004d28df71eddd624f6ba95c9d9b94fbf43048d478",
-    "synthetic_1.csv": "044b6e30def33ae299a341977f7aa3468ee650f8ef78d00a7443aa611e203d9b",
-    "synthetic_2.csv": "ac42af4ef28c5dbce8cd515df12236a832cb6521ae6fa5f99236f692872844e5",
-    "synthetic_3.csv": "4ef83b3c8d601346be3c9bbd6f9fc65125c5a0b71de9223a01af54e76cdb387d",
+    "synthetic_1.csv": "6a80937df5f4651491a205d05e4818ace6e13c76a7cccc0435536a4889567a9d",
+    "synthetic_2.csv": "01bb7f691a573a650b17bd39d74b9912ac60c7c248aed7800fa215fd6a767656",
+    "synthetic_3.csv": "31c4bf0ae885a35d42fe37f1cfdd9bb3b407d3622db8a3cb87b71ce4b2279f24",
 }
 UNTRUNCATED_DIGESTS = {
     "cells.csv": "7c3e9449c536550bc0677ef5cdbd93fd5911bb1a2dbecb0a2c65e3256de8dd46",
@@ -1045,8 +1045,8 @@ def test_untruncated_pipeline_output_digests(tmp_path):
 # sha256 of the household-kind risk outputs of both pipelines' fits
 HOUSEHOLD_RISK_DIGESTS = {
     "truncated": {
-        "rank_histogram.csv": "fc5daf692cc089d0510390ecf3694a9e855f9f946df4a2d15962bb1357152dbb",
-        "risk_summary.csv": "b1d8185d967c85c167739a5c64771d3ddf939f8937277224fe9b0ae4c57d5d53",
+        "rank_histogram.csv": "b863b18093d2e38243d63334a1f80ac2997964eb97106c837ce63c05eea03d1c",
+        "risk_summary.csv": "b8a5d51bb25ba45023ef42cd46e29607e2642443d9e31276a40cd1e8f857fb78",
     },
     "untruncated": {
         "rank_histogram.csv": "20569ee08f238b693562aad5cd4acceab93cdaa34864d088e696108de02219b9",

@@ -498,8 +498,8 @@ def test_diagnostics_count_each_sweeps_infeasible_records_by_size(
     batches = []
     generate = truncated.generate_augmented
 
-    def spy(*args, **kwargs):
-        batches.append(generate(*args, **kwargs))
+    def spy(*args):
+        batches.append(generate(*args))
         return batches[-1]
 
     monkeypatch.setattr(truncated, "generate_augmented", spy)

@@ -89,51 +89,32 @@ def test_draw_households_matches_per_variable_oracle(request, schema_name, B, fo
         same_state(rng, ref)
 
 
-MEMBER_RULE = "exactly_one role = 1"
-# reads own, the household column before the size, and sex, a member column
-# between role and the columns no rule reads
-HOUSEHOLD_RULE = "exactly_one role = 1\nforbid own = 1 & role = 2, sex = 1"
-
-
-@pytest.mark.parametrize(
-    "schema_name, rule_text",
-    [
-        ("toy_schema", MEMBER_RULE),
-        ("wide_schema", MEMBER_RULE),
-        ("four_level_schema", MEMBER_RULE),
-        ("four_level_schema", HOUSEHOLD_RULE),
-    ],
-    ids=["toy", "wide", "four_level", "four_level-household_rule"],
-)
+@pytest.mark.parametrize("schema_name", ["toy_schema", "wide_schema", "four_level_schema"])
 @pytest.mark.parametrize("target", [1, 40, 3000])
 @pytest.mark.parametrize("zeros", [False, True])
-@pytest.mark.parametrize("byproduct", [True, False])
-def test_generate_augmented_matches_oracle(
-    request, schema_name, rule_text, target, zeros, byproduct
-):
+def test_generate_augmented_matches_oracle(request, schema_name, target, zeros):
     schema = request.getfixturevalue(schema_name)
-    rules = compile_rules(rule_text, schema)
+    rules = compile_rules("exactly_one role = 1", schema)
     histogram = {h: max(target // h, 1) for h in range(1, schema.max_size + 1)}
     several_batches = False
     for key in range(4):
         params = params_for(schema, 6, 3, ("aug", key), zeros)
         rng, ref = twin_streams("aug", schema_name, target, zeros, key)
-        got = generate_augmented(params, schema, rules, histogram, rng, 10**8, byproduct=byproduct)
-        want = oracles.generate_augmented(params, schema, rules, histogram, ref, 10**8, byproduct)
+        got = generate_augmented(params, schema, rules, histogram, rng, cap=10**8)
+        want = oracles.generate_augmented(params, schema, rules, histogram, ref, cap=10**8)
         same_state(rng, ref)
         for field in dataclasses.fields(AugmentedBatch):
             a, b = getattr(got, field.name), getattr(want, field.name)
-            if a is None:
-                assert b is None and field.name == "feasible" and not byproduct
-            elif isinstance(a, DatasetView):
+            if isinstance(a, DatasetView):
                 for array in dataclasses.fields(DatasetView):
                     same_bits(getattr(a, array.name), getattr(b, array.name))
             else:
                 same_bits(a, b)
         # the first batch is max(64, ceil(3 * n_h)) candidates
         first = [max(64, int(np.ceil(3 * histogram[h]))) for h in sorted(histogram)]
-        kept = np.bincount(got.infeasible.sizes, minlength=schema.max_size + 1)
-        kept[sorted(histogram)] += list(histogram.values())
+        kept = np.bincount(
+            np.concatenate([got.feasible.sizes, got.infeasible.sizes]), minlength=schema.max_size + 1
+        )
         several_batches |= bool((kept[sorted(histogram)] > first).any())
     if target == 3000:
         assert several_batches

@@ -173,9 +173,7 @@ def test_other_columns_follow_the_kernels_given_the_classes(toy_schema, toy_para
     rng = substream(71, "rest")
     own, color = np.zeros((3, 2)), np.zeros((3, 2, 4))
     for _ in range(300):
-        batch = generate_augmented(
-            toy_params, toy_schema, head_rules, {2: 20, 3: 10}, rng, 10**6, byproduct=False
-        )
+        batch = generate_augmented(toy_params, toy_schema, head_rules, {2: 20, 3: 10}, rng, 10**6)
         view, g = batch.infeasible, batch.infeasible_hh_class
         np.add.at(own, (g, view.hh_codes[:, 0]), 1)
         np.add.at(color, (g[view.mem_hh], batch.infeasible_mem_class, view.mem_codes[:, 1]), 1)
@@ -190,77 +188,24 @@ def test_other_columns_follow_the_kernels_given_the_classes(toy_schema, toy_para
     assert tested >= 5
 
 
-def test_total_candidates_counts_the_byproduct_it_did_not_draw(
-    toy_schema, toy_params, head_rules
-):
-    # the by-product's columns are drawn after the augmented records', so
-    # leaving it out changes nothing else
-    histogram = {1: 3, 2: 4, 3: 2}
-    args = (toy_params, toy_schema, head_rules, histogram)
-    drawn = generate_augmented(*args, substream(72, "count"), 10**6)
-    skipped = generate_augmented(*args, substream(72, "count"), 10**6, byproduct=False)
-    assert skipped.feasible is None and drawn.feasible.n_households == 9
-    assert skipped.total_infeasible > 0
-    assert skipped.total_candidates == drawn.total_candidates == 9 + skipped.total_infeasible
-    for name in ("hh_codes", "mem_codes", "sizes"):
-        got, want = getattr(skipped.infeasible, name), getattr(drawn.infeasible, name)
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(skipped.infeasible_hh_class, drawn.infeasible_hh_class)
-    np.testing.assert_array_equal(skipped.infeasible_mem_class, drawn.infeasible_mem_class)
-
-
-def calls_then_cap(n_calls, batches):
-    """A generate_augmented that hits the cap on every call after the first n_calls."""
-
-    def spy(*args, **kwargs):
-        if len(batches) == n_calls:
-            raise CapExceededError("over the cap")
-        batches.append(generate_augmented(*args, **kwargs))
-        return batches[-1]
-
-    return spy
-
-
 @pytest.mark.filterwarnings("ignore:.*truncation level.*")
 def test_sweep_reuses_previous_batch_on_cap(monkeypatch, toy_schema, toy_dataset, head_rules):
     batches = []
-    monkeypatch.setattr(truncated, "generate_augmented", calls_then_cap(1, batches))
+
+    def first_call_only(*args):
+        if batches:
+            raise CapExceededError("over the cap")
+        batches.append(generate_augmented(*args))
+        return batches[0]
+
+    monkeypatch.setattr(truncated, "generate_augmented", first_call_only)
     hyper = Hyperparams.uniform(toy_schema, 3, 2)
-    config = ChainConfig(6, 0, seed=76)  # the first sweep draws the by-product
+    config = ChainConfig(6, 3, seed=76)
     result = run_chain(toy_dataset, hyper, config, rules=head_rules)
     assert result.final_state.iteration == config.n_iterations
     assert result.diagnostics.cap_exceeded == config.n_iterations - 1
-    assert result.n_checkpoints == 6
-    assert batches[0].feasible is not None
+    assert result.n_checkpoints == 3
     assert all(record.feasible is batches[0].feasible for record in result.checkpoints)
-
-
-@pytest.mark.filterwarnings("ignore:.*truncation level.*")
-def test_cap_hit_checkpoint_carries_the_most_recent_byproduct(
-    monkeypatch, toy_schema, toy_dataset, head_rules
-):
-    batches = []
-    monkeypatch.setattr(truncated, "generate_augmented", calls_then_cap(3, batches))
-    hyper = Hyperparams.uniform(toy_schema, 3, 2)
-    config = ChainConfig(8, 1, thin=3, seed=76)  # checkpoints at sweeps 2, 5 and 8
-    result = run_chain(toy_dataset, hyper, config, rules=head_rules)
-    assert [batch.feasible is None for batch in batches] == [True, False, True]
-    assert result.diagnostics.cap_exceeded == 5
-    assert [record.iteration for record in result.checkpoints] == [2, 5, 8]
-    assert all(record.feasible is batches[1].feasible for record in result.checkpoints)
-
-
-def test_cap_hit_before_any_byproduct_propagates(
-    monkeypatch, toy_schema, toy_dataset, head_rules
-):
-    # the first sweep's batch is reused until sweep 4, the first checkpoint,
-    # which has no by-product to carry
-    batches = []
-    monkeypatch.setattr(truncated, "generate_augmented", calls_then_cap(1, batches))
-    hyper = Hyperparams.uniform(toy_schema, 3, 2)
-    with pytest.raises(CapExceededError):
-        run_chain(toy_dataset, hyper, ChainConfig(6, 3, seed=76), rules=head_rules)
-    assert len(batches) == 1 and batches[0].feasible is None
 
 
 def test_sweep_without_previous_batch_propagates(toy_schema, toy_dataset, head_rules):
@@ -284,31 +229,3 @@ def test_checkpoint_file_is_closed_when_the_chain_raises(
     assert info.type is CapExceededError
     meta = json.loads(path.read_text(encoding="utf8").splitlines()[0])
     assert (meta["mode"], meta["seed"]) == ("truncated", 77)
-
-
-@pytest.mark.filterwarnings("ignore:.*truncation level.*")
-def test_byproduct_is_complete_and_feasible_on_checkpointed_sweeps(
-    monkeypatch, toy_schema, toy_dataset, head_rules
-):
-    batches = []
-    monkeypatch.setattr(truncated, "generate_augmented", calls_then_cap(-1, batches))
-    hyper = Hyperparams.uniform(toy_schema, 3, 2)
-    result = run_chain(toy_dataset, hyper, ChainConfig(12, 4, thin=3, seed=78), rules=head_rules)
-    assert [record.iteration for record in result.checkpoints] == [5, 8, 11]
-    drawn = [it for it, batch in enumerate(batches, 1) if batch.feasible is not None]
-    assert drawn == [5, 8, 11]
-    own, color = [], []
-    for record, it in zip(result.checkpoints, drawn):
-        view = record.feasible
-        assert view is batches[it - 1].feasible
-        np.testing.assert_array_equal(np.bincount(view.sizes, minlength=4)[1:], [2, 2, 1])
-        np.testing.assert_array_equal(view.hh_codes[:, 1], view.sizes - 1)
-        for h in (1, 2, 3):
-            rows = view.sizes == h
-            codes = view.mem_codes[rows[view.mem_hh]].reshape(-1, h, 2)
-            assert check_batch(head_rules, view.hh_codes[rows], codes).all()
-        own.append(view.hh_codes[:, 0])
-        color.append(view.mem_codes[:, 1])
-    # the columns no rule reads are drawn, not left at zero
-    assert set(np.concatenate(own)) == {0, 1}
-    assert len(set(np.concatenate(color))) > 2
